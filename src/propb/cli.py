@@ -261,6 +261,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, else a one-line usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propb",
@@ -305,11 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--max-p", type=int, default=None, dest="max_p")
     p.add_argument("--budget", type=int, default=None, help="graph budget (n=2) or sample count (n>=3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes for the enumeration")
+    p.add_argument(
+        "--threads", type=_int_at_least(1), default=os.cpu_count() or 1, help="worker processes for the enumeration"
+    )
     p.add_argument("--fixtures", action="store_true", help="run the curated fixture pipeline instead")
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -2,11 +2,13 @@
 
 For n = 2 every labeled graph on up to max_p vertices is enumerated as a
 bitmask over the C(p, 2) edge slots of the complete graph.  Degree counts,
-simple-pair counts and triangle containment are evaluated vectorized over
-whole chunks of masks; graphs not already proven non-bipartite by a
-triangle get an exact BFS 2-coloring.  Every non-bipartite graph is then
-checked against the bound (m2 >= 6) and the equality characterization
-(m2 = 6 forces a triangle).  For n >= 3 exhaustive enumeration is out of
+simple-pair counts, triangle containment and bipartiteness are evaluated
+vectorized over whole chunks of masks: a graph without a triangle is
+bipartite iff one of the 2^(p-1) two-colorings of K_p (one vertex fixed)
+leaves none of its edges monochromatic, a cut test against precomputed
+monochromatic-slot masks.  Every non-bipartite graph is then checked
+against the bound (m2 >= 6) and the equality characterization (m2 = 6
+forces a triangle).  For n >= 3 exhaustive enumeration is out of
 reach, so the run degrades to seeded rejection sampling plus the curated
 fixture suite.
 """
@@ -129,16 +131,6 @@ def _mask_bipartite(adj: list[int], p: int) -> bool:
 # vectorized labeled-graph scan (n = 2)
 # ---------------------------------------------------------------------------
 
-_PC16 = None
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    global _PC16
-    if _PC16 is None:
-        _PC16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
-    return (_PC16[a & 0xFFFF] + _PC16[(a >> 16) & 0xFFFF]).astype(np.int64)
-
-
 @lru_cache(maxsize=16)
 def _edge_slots(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Edge slots of K_p in lexicographic order and per-vertex incidence masks."""
@@ -160,6 +152,27 @@ def _triangle_slot_masks(p: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=16)
+def _mono_masks(p: int) -> np.ndarray:
+    """Edge slots of K_p left monochromatic by each 2-coloring with vertex p-1 fixed.
+
+    A graph mask G is bipartite iff G & mm == 0 for one of these 2^(p-1)
+    masks mm; fixing one vertex's color halves the list without losing a
+    coloring up to swapping the two colors.
+    """
+    E, _ = _edge_slots(p)
+    masks = []
+    for c in range(1 << (p - 1)):
+        mm = 0
+        for i, (u, v) in enumerate(E):
+            if (c >> u & 1) == (c >> v & 1):
+                mm |= 1 << i
+        masks.append(mm)
+    out = np.array(masks, dtype=np.int32)
+    out.flags.writeable = False
+    return out
+
+
 def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     """Verify one contiguous mask range [lo, hi) of labeled graphs on p vertices.
 
@@ -167,43 +180,42 @@ def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     regardless of which process handled which chunk.
     """
     p, lo, hi = args
-    E, inc = _edge_slots(p)
-    G = np.arange(lo, hi, dtype=np.int64)
+    _, inc = _edge_slots(p)
+    # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
+    G = np.arange(lo, hi, dtype=np.int32)
 
     m2_arr = np.zeros(len(G), dtype=np.int64)
     covered = np.zeros(len(G), dtype=np.int64)
     pair_table = np.array([d * (d - 1) // 2 for d in range(p + 1)], dtype=np.int64)
     for v in range(p):
-        dv = _popcount(G & inc[v])
+        dv = np.bitwise_count(G & inc[v])
         m2_arr += pair_table[dv]
         covered += dv > 0
     m2_arr *= 2
-    edge_count = _popcount(G)
+    edge_count = np.bitwise_count(G)
 
     tri_any = np.zeros(len(G), dtype=bool)
     for tm in _triangle_slot_masks(p):
         tri_any |= (G & tm) == tm
 
-    # triangle implies an odd cycle; the rest get an exact BFS 2-coloring
+    # a triangle is an odd cycle; the rest are bipartite iff some coloring cuts every edge
+    tri_free = np.flatnonzero(~tri_any)
+    G_free = G[tri_free]
+    bip = np.zeros(len(G_free), dtype=bool)
+    for mm in _mono_masks(p):
+        bip |= (G_free & mm) == 0
     nonbip = tri_any.copy()
-    for i in np.flatnonzero(~tri_any).tolist():
-        mask = int(G[i])
-        adj = [0] * p
-        for s in range(len(E)):
-            if mask >> s & 1:
-                u, v = E[s]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        if not _mask_bipartite(adj, p):
-            nonbip[i] = True
+    nonbip[tri_free] = ~bip
 
     prop_violation = nonbip & (m2_arr < 6)
     thm_violation = nonbip & (m2_arr == 6) & ~tri_any
     equality = nonbip & (m2_arr == 6)
     seymour_bad = nonbip & (edge_count < covered)
 
+    key = (m2_arr * 2 + nonbip) * 2 + tri_any
+    counts = np.bincount(key)
     profiles = Counter(
-        zip(m2_arr.tolist(), nonbip.tolist(), tri_any.tolist())
+        {(k >> 2, bool(k >> 1 & 1), bool(k & 1)): c for k, c in enumerate(counts.tolist()) if c}
     )
     return {
         "graphs": len(G),
@@ -444,36 +456,6 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
         if on_record:
             on_record(rec)
     return records, summary
-
-
-def enumeration_profiles(p: int) -> Counter:
-    """Fast-path profile census over all labeled graphs on p vertices.
-
-    Profiles are (m2, non-colorable, has complete subgraph on 3 vertices);
-    used as one side of the oracle-equivalence check against
-    :func:`reference_profiles`.
-    """
-    total = 1 << math.comb(p, 2)
-    out: Counter = Counter()
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        r = _scan_graph_chunk((p, lo, min(lo + chunk, total)))
-        out.update(r["profiles"])
-    return out
-
-
-def reference_profiles(p: int) -> Counter:
-    """Slow no-shortcut census: object path, exponential decider, subset clique search."""
-    if p > 5:
-        raise BudgetExceeded("reference enumeration is budgeted at p <= 5")
-    E = list(combinations(range(p), 2))
-    out: Counter = Counter()
-    for mask in range(1 << len(E)):
-        H = Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
-        verdict, _ = exhaustive_decide(H)
-        profile = (m2(H), verdict is Colorability.NO, find_clique(H) is not None)
-        out[profile] += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

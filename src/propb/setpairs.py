@@ -223,7 +223,6 @@ def find_clique(H: Hypergraph, subset_budget: int = 10_000_000) -> frozenset[int
             f"C({len(candidates)},{k}) candidate subsets exceed budget {subset_budget} "
             "and the equality shortcut does not apply"
         )
-    edge_set = set(H.masks)
     for combo in combinations(candidates, k):
         um = _mask(combo)
         inside = sum(1 for em in H.masks if em & um == em)

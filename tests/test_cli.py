@@ -175,6 +175,23 @@ class TestVerify:
         complete = next(f for f in rep["fixtures"] if f["name"] == "complete")
         assert complete["bollobas_sum"] == {"num": 1, "den": 1}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "1"], "argument --n: must be >= 2, got 1"),
+            (["--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["--n", "2", "--threads", "0"], "argument --threads: must be >= 1, got 0"),
+            (["--n", "2", "--threads", "-3"], "argument --threads: must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_arguments_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("error: " + message)
+        assert "Traceback" not in err
+
     def test_sampling_mode(self, capsys):
         code, doc = run_json(
             capsys, ["verify", "--n", "3", "--budget", "10", "--seed", "4", "--json"]

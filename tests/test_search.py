@@ -1,26 +1,84 @@
+import math
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from propb import (
     BudgetExceeded,
     Colorability,
+    Hypergraph,
     canonical_form,
     complete_hypergraph,
     exhaustive_decide,
+    find_clique,
     is_bipartite,
+    m2,
     normalize,
     random_hypergraph,
     relabel,
     verify_bound_exhaustive,
     verify_fixture_suite,
 )
-from propb.search import enumeration_profiles, reference_profiles
+from propb.search import _scan_graph_chunk
+
+
+def _labeled_graphs(p):
+    E = list(combinations(range(p), 2))
+    for mask in range(1 << len(E)):
+        yield Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
+
+
+def enumeration_profiles(p: int) -> Counter:
+    """Fast-path profile census over all labeled graphs on p vertices.
+
+    Profiles are (m2, non-colorable, has complete subgraph on 3 vertices);
+    used as one side of the oracle-equivalence check against
+    :func:`reference_profiles`.
+    """
+    total = 1 << math.comb(p, 2)
+    out: Counter = Counter()
+    chunk = 1 << 18
+    for lo in range(0, total, chunk):
+        r = _scan_graph_chunk((p, lo, min(lo + chunk, total)))
+        out.update(r["profiles"])
+    return out
+
+
+def reference_profiles(p: int) -> Counter:
+    """Slow no-shortcut census: object path, exponential decider, subset clique search."""
+    if p > 5:
+        raise BudgetExceeded("reference enumeration is budgeted at p <= 5")
+    out: Counter = Counter()
+    for H in _labeled_graphs(p):
+        verdict, _ = exhaustive_decide(H)
+        profile = (m2(H), verdict is Colorability.NO, find_clique(H) is not None)
+        out[profile] += 1
+    return out
+
+
+def labeled_bipartite_counts(max_p: int) -> list[int]:
+    """Labeled bipartite graphs on 0..max_p vertices (OEIS A047864).
+
+    A 2-colored labeled graph is a vertex split plus any edge set across
+    it, so the 2-colored graphs have EGF A(x) = sum_n sum_k C(n,k)
+    2^(k(n-k)) x^n/n!.  Each bipartite graph has 2^(components) colorings,
+    so its EGF B(x) satisfies B(x)^2 = A(x); solve for B term by term.
+    """
+    a = [
+        Fraction(sum(math.comb(n, k) << (k * (n - k)) for k in range(n + 1)), math.factorial(n))
+        for n in range(max_p + 1)
+    ]
+    b = [Fraction(1)]
+    for n in range(1, max_p + 1):
+        b.append((a[n] - sum(b[i] * b[n - i] for i in range(1, n))) / 2)
+    return [int(b[n] * math.factorial(n)) for n in range(max_p + 1)]
 
 
 class TestBipartite:
     def test_matches_exponential_decider_up_to_p5(self):
         # every labeled graph on <= 5 vertices, both deciders
-        from itertools import combinations
-
         for p in range(1, 6):
             E = list(combinations(range(p), 2))
             for mask in range(1 << len(E)):
@@ -31,6 +89,12 @@ class TestBipartite:
     def test_rejects_non_graphs(self, fano):
         with pytest.raises(ValueError):
             is_bipartite(fano)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_scan_cut_test_matches_bfs(self, p):
+        # the BFS is the independent oracle for the scan's coloring cut test
+        expected = sum(not is_bipartite(H) for H in _labeled_graphs(p))
+        assert _scan_graph_chunk((p, 0, 1 << math.comb(p, 2)))["non_colorable"] == expected
 
 
 class TestCanonicalForm:
@@ -86,6 +150,26 @@ class TestVerifyGraphs:
         r1, s1 = verify_bound_exhaustive(2, 4)
         r2, s2 = verify_bound_exhaustive(2, 4)
         assert r1 == r2 and s1 == s2
+
+    def test_full_census_to_p7(self):
+        ps = range(1, 8)
+        bipartite = labeled_bipartite_counts(7)
+        # equality: a triangle on any 3 vertices plus a matching on the rest
+        matchings = [1, 1]
+        for k in range(2, 5):
+            matchings.append(matchings[k - 1] + (k - 1) * matchings[k - 2])
+        runs = [verify_bound_exhaustive(2, 7, workers=w) for w in (1, 2)]
+        assert runs[0] == runs[1]
+        records, summary = runs[0]
+        assert summary["graphs"] == sum(1 << math.comb(p, 2) for p in ps) == 2_131_019
+        assert summary["non_colorable"] == summary["graphs"] - sum(bipartite[1:]) == 2_022_178
+        assert summary["equality_labeled"] == sum(
+            math.comb(p, 3) * matchings[p - 3] for p in ps if p >= 3
+        ) == 455
+        # classes: a triangle plus j disjoint edges, 3 + 2j <= p
+        assert summary["equality_classes"] == sum((p - 1) // 2 for p in ps if p >= 3) == 9
+        assert summary["counterexamples"] == 0
+        assert len(records) == 9
 
     def test_workers_do_not_change_results(self):
         r1, s1 = verify_bound_exhaustive(2, 6, workers=1)
