@@ -29,7 +29,7 @@ from .report import (
     record_section,
     to_json,
 )
-from .search import verify_bound_exhaustive, verify_fixture_suite
+from .search import FIXTURE_NS, verify_bound_exhaustive, verify_fixture_suite
 from .separation import exhaustive_separation_mean, monte_carlo_separation
 
 
@@ -68,13 +68,13 @@ def _human_lines(value, indent: int = 0):
         yield f"{pad_}{value}" if indent else f"{value}"
 
 
-def _emit(doc: dict, args) -> None:
-    if getattr(args, "json", False):
+def _emit(doc: dict, as_json: bool, out: str | None) -> None:
+    if as_json:
         text = to_json(doc)
     else:
         text = "\n".join(_human_lines(doc)) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
         bollobas=bollobas_section(bollobas),
         deterministic=args.deterministic,
     )
-    _emit(doc, args)
+    _emit(doc, args.json, args.out)
     if args.strict and report.colorable is Colorability.UNDETERMINED:
         print("error: colorability undetermined within vertex budget", file=sys.stderr)
         return 3
@@ -114,8 +114,7 @@ def _coloring_lines(H, pi, coloring, witness):
 def cmd_color(args) -> int:
     _, H = _load(args.input)
     if args.order is not None:
-        seq = [int(t) for t in args.order.split(",") if t != ""]
-        pi = Ordering.from_vertex_sequence(seq)
+        pi = Ordering.from_vertex_sequence(args.order)
         outcome = greedy_color(H, pi)
         for line in _coloring_lines(H, pi, outcome.coloring, outcome.separated_witness):
             print(line)
@@ -139,7 +138,7 @@ def cmd_mc(args) -> int:
         separation=monte_carlo_section(stats),
         deterministic=args.deterministic,
     )
-    _emit(doc, args)
+    _emit(doc, args.json, args.out)
     return 0
 
 
@@ -151,7 +150,7 @@ def cmd_enum(args) -> int:
         separation=exhaustive_section(mean, H.p),
         deterministic=args.deterministic,
     )
-    _emit(doc, args)
+    _emit(doc, args.json, args.out)
     return 0
 
 
@@ -180,7 +179,7 @@ def cmd_verify(args) -> int:
             search={"mode": "fixtures", "report": _fixture_json(rep)},
             deterministic=args.deterministic,
         )
-        _emit_no_out(doc, args)
+        _emit(doc, args.json, None)
         return 0
 
     max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
@@ -216,7 +215,8 @@ def cmd_verify(args) -> int:
         },
         deterministic=args.deterministic,
     )
-    _emit_no_out(doc, args)
+    # verify --out is the record stream, so the document always goes to stdout
+    _emit(doc, args.json, None)
     return 0
 
 
@@ -228,16 +228,6 @@ def _fixture_json(rep: dict) -> dict:
             e["bollobas_sum"] = {"num": e["bollobas_sum"].numerator, "den": e["bollobas_sum"].denominator}
         out["fixtures"].append(e)
     return out
-
-
-def _emit_no_out(doc: dict, args) -> None:
-    # verify --out is the record stream, so the document always goes to stdout
-    saved = getattr(args, "out", None)
-    try:
-        args.out = None
-        _emit(doc, args)
-    finally:
-        args.out = saved
 
 
 def cmd_gen(args) -> int:
@@ -276,6 +266,14 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers such as 0,2,1, else a usage error (exit 2)."""
+    try:
+        return [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propb",
@@ -302,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="greedy coloring under a given or random order")
     p.add_argument("input")
-    p.add_argument("--order", help="comma-separated visit order, e.g. 0,2,1")
-    p.add_argument("--trials", type=int, default=1, help="random orders to try when --order is absent")
+    p.add_argument("--order", type=_int_list, help="comma-separated visit order, e.g. 0,2,1")
+    p.add_argument("--trials", type=_int_at_least(1), default=1, help="random orders to try when --order is absent")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("mc", help="Monte Carlo separated-pair statistics")
     p.add_argument("input")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_mc)
@@ -333,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a hypergraph file")
     p.add_argument("--kind", choices=["clique", "padded", "fano", "random"], required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=3)
+    p.add_argument("--p", type=_int_at_least(0), default=None)
+    p.add_argument("--m", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extra-vertices", type=int, default=None, dest="extra_vertices")
     p.add_argument("--extra-edges", type=int, default=1, dest="extra_edges")
@@ -345,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
+        parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
     try:
         return args.func(args)
     except ParseError as exc:

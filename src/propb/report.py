@@ -46,9 +46,6 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[AnalysisReport, Bol
         bollobas = evaluate_family(bollobas_family(H, build_M(H)))
         found = find_clique(H)
         if found is not None:
-            edge_set = set(H.edges)
-            for sub in _n_subsets(found, H.n):
-                assert sub in edge_set, "clique witness must induce a complete n-graph"
             clique = tuple(sorted(found))
     return (
         AnalysisReport(
@@ -61,12 +58,6 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[AnalysisReport, Bol
         ),
         bollobas,
     )
-
-
-def _n_subsets(vertices, n):
-    from itertools import combinations
-
-    return combinations(sorted(vertices), n)
 
 
 def rational(x: Fraction) -> dict:

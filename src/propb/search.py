@@ -11,6 +11,9 @@ against the bound (m2 >= 6) and the equality characterization (m2 = 6
 forces a triangle).  For n >= 3 exhaustive enumeration is out of
 reach, so the run degrades to seeded rejection sampling plus the curated
 fixture suite.
+
+Records name isomorphism classes by :func:`canonical_form`: refinement
+into vertex cells, then a lexmin search over relabelings inside cells.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, product
 from typing import Callable, Collection
 
 import numpy as np
@@ -37,6 +40,7 @@ from .hypergraph import (
     m2,
     pad,
     random_hypergraph,
+    relabel,
     seymour_check,
 )
 from .separation import orderings_separating_multiple
@@ -49,6 +53,8 @@ from .setpairs import (
 )
 
 GRAPH_BUDGET_DEFAULT = 1 << 22
+# sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
+CANONICAL_BUDGET = math.factorial(8)
 SAMPLE_BUDGET_DEFAULT = 200
 
 
@@ -63,24 +69,61 @@ class SearchRecord:
     canonical_form: str
 
 
-def canonical_form(H: Hypergraph, max_factorial: int = 10_000) -> str:
-    """Lexicographically minimal edge-list encoding over all vertex relabelings.
+def canonical_form(H: Hypergraph) -> str:
+    """Edge-list encoding of H that is the same for every relabeling of H.
 
-    The relabeling search runs only while p! <= max_factorial (p <= 7 by
-    default); larger inputs fall back to the normalized edge list, which
-    is canonical under labeling but not under isomorphism.
+    H is relabeled so the cells of :func:`_refine` occupy consecutive ids
+    (id order inside a cell); the encoding is the lexicographically minimal
+    edge list over relabelings that permute vertices only inside a cell.
+    Refinement commutes with relabeling, so isomorphic inputs search the
+    same edge lists.  More than CANONICAL_BUDGET = 8! such relabelings
+    (never at p <= 8) raise BudgetExceeded.
     """
-    if math.factorial(H.p) <= max_factorial:
-        edges = _canonical_edges(H.p, H.edges)
-    else:
-        edges = H.edges
-    return _encode_edges(edges)
+    colour = _refine(H)
+    sizes = tuple(count for _, count in sorted(Counter(colour).items()))
+    relabelings = math.prod(math.factorial(s) for s in sizes)
+    if relabelings > CANONICAL_BUDGET:
+        raise BudgetExceeded(
+            f"canonical form of a {H.n}-graph on {H.p} vertices: cells {sizes} "
+            f"admit {relabelings} relabelings, budget {CANONICAL_BUDGET}"
+        )
+    new_id = [0] * H.p
+    for i, v in enumerate(sorted(range(H.p), key=lambda v: (colour[v], v))):
+        new_id[v] = i
+    return _encode_edges(_canonical_edges(sizes, relabel(H, new_id).edges))
+
+
+def _refine(H: Hypergraph) -> list[int]:
+    """Colours 0..k-1 by iterated refinement until the number of colours stops growing.
+
+    A vertex's next colour ranks (its colour, the sorted multiset over its
+    edges of its co-members' sorted colours).
+    """
+    colour = [0] * H.p
+    cells = min(H.p, 1)
+    while True:
+        seen: list[list[tuple[int, ...]]] = [[] for _ in range(H.p)]
+        for e in H.edges:
+            for v in e:
+                seen[v].append(tuple(sorted(colour[u] for u in e if u != v)))
+        keys = [(colour[v], tuple(sorted(seen[v]))) for v in range(H.p)]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        if len(rank) == cells:
+            return colour
+        colour, cells = [rank[k] for k in keys], len(rank)
 
 
 @lru_cache(maxsize=4096)
-def _canonical_edges(p: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _canonical_edges(sizes: tuple[int, ...], edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Lexmin edge list over relabelings that permute vertices only inside a cell.
+
+    Cell i holds the consecutive ids sum(sizes[:i]) .. sum(sizes[:i+1]) - 1.
+    """
+    starts = [0, *accumulate(sizes)]
+    cells = [permutations(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
     best = None
-    for perm in permutations(range(p)):
+    for parts in product(*cells):
+        perm = tuple(chain.from_iterable(parts))
         cand = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
         if best is None or cand < best:
             best = cand
@@ -233,50 +276,6 @@ def _graph_from_mask(p: int, mask: int) -> Hypergraph:
     return Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 
-@lru_cache(maxsize=8)
-def _slot_permutations(p: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, where each edge slot of K_p lands."""
-    E, _ = _edge_slots(p)
-    slot = {e: i for i, e in enumerate(E)}
-    out = []
-    for perm in permutations(range(p)):
-        out.append(tuple(slot[tuple(sorted((perm[u], perm[v])))] for u, v in E))
-    return tuple(out)
-
-
-def _isomorphism_classes(p: int, masks: Collection[int]) -> list[tuple[int, list[int]]]:
-    """Group graph masks into isomorphism classes; one orbit scan per class.
-
-    Returns (canonical mask, labeled members) pairs sorted by the
-    canonical edge encoding.
-    """
-    E, _ = _edge_slots(p)
-    remaining = set(masks)
-    classes = []
-    while remaining:
-        rep = min(remaining)
-        orbit = set()
-        best_edges = None
-        best_mask = None
-        for sp in _slot_permutations(p):
-            nm = 0
-            m = rep
-            while m:
-                low = m & -m
-                nm |= 1 << sp[low.bit_length() - 1]
-                m ^= low
-            if nm not in orbit:
-                orbit.add(nm)
-                edges = tuple(E[i] for i in range(len(E)) if nm >> i & 1)
-                if best_edges is None or edges < best_edges:
-                    best_edges, best_mask = edges, nm
-        members = sorted(remaining & orbit)
-        remaining -= orbit
-        classes.append((best_mask, members))
-    classes.sort(key=lambda cm: _encode_edges(_graph_from_mask(p, cm[0]).edges))
-    return classes
-
-
 def verify_bound_exhaustive(
     n: int,
     max_p: int,
@@ -368,16 +367,18 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
                 record=rec,
             )
 
+        class_reps: dict[str, int] = {}
+        for mask in eq_masks:
+            class_reps.setdefault(canonical_form(_graph_from_mask(p, mask)), mask)
         p_records = []
-        for canon_mask, members in _isomorphism_classes(p, eq_masks):
-            H = _graph_from_mask(p, canon_mask)
+        for form in sorted(class_reps):
+            H = _graph_from_mask(p, class_reps[form])
             rec = SearchRecord(
                 n=2, p=p, edge_count=len(H.edges), m2=6, meets_bound=True,
-                has_clique=find_clique(H) is not None,
-                canonical_form=_encode_edges(H.edges),
+                has_clique=find_clique(H) is not None, canonical_form=form,
             )
             assert rec.has_clique, "equality case without a triangle must have aborted"
-            p_records.append((rec, len(members)))
+            p_records.append(rec)
 
         p_summary = {
             "p": p,
@@ -389,7 +390,7 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
             "counterexamples": 0,
             "seymour_violations": seymour_bad,
         }
-        for rec, _count in p_records:
+        for rec in p_records:
             records.append(rec)
             if on_record:
                 on_record(rec)
@@ -463,6 +464,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
 # ---------------------------------------------------------------------------
 
 _RANDOM_FIXTURE_SHAPE = {2: (6, 8), 3: (7, 25), 4: (8, 60)}
+FIXTURE_NS = tuple(_RANDOM_FIXTURE_SHAPE)
 
 
 def _random_noncolorable(n: int, seed, attempts: int = 1000) -> Hypergraph:
@@ -486,8 +488,8 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     both set-pair conditions, sum exactly 1, the equality structure, and
     clique recovery.  Raises FixtureFailure naming fixture and assertion.
     """
-    if n not in (2, 3, 4):
-        raise ValueError("fixture suite covers n in {2, 3, 4}")
+    if n not in FIXTURE_NS:
+        raise ValueError(f"fixture suite covers n in {set(FIXTURE_NS)}")
     K = complete_hypergraph(n)
     clique_verts = frozenset(range(2 * n - 1))
     fixtures: list[tuple[str, Hypergraph, frozenset | None]] = [

@@ -201,6 +201,26 @@ class TestVerify:
         assert doc["search"]["summary"]["counterexamples"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--kind", "random", "--n", "3", "--p", "6", "--m", "-1"], "argument --m: must be >= 0, got -1"),
+        (["gen", "--kind", "clique", "--n", "0"], "argument --n: must be >= 1, got 0"),
+        (["color", "{k35}", "--order", "a,b"], "argument --order: invalid comma-separated int list: 'a,b'"),
+        (["color", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+        (["mc", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+        (["verify", "--n", "5", "--fixtures"], "argument --n: the fixture suite covers n in {2, 3, 4}, got 5"),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{k35}", k35_file) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: " + message)
+    assert "Traceback" not in err
+
+
 class TestGen:
     def test_clique_header(self, capsys):
         code = main(["gen", "--kind", "clique", "--n", "3"])

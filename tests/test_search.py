@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -97,6 +97,36 @@ class TestBipartite:
         assert _scan_graph_chunk((p, 0, 1 << math.comb(p, 2)))["non_colorable"] == expected
 
 
+def brute_canonical(H):
+    """Lexicographically minimal edge list over all p! relabelings: the canonical-form oracle."""
+    return min(
+        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in H.edges))
+        for perm in permutations(range(H.p))
+    )
+
+
+def same_partition(keys_a, keys_b) -> bool:
+    """Whether two keyings of one list of graphs split it into the same classes."""
+    return len(set(keys_a)) == len(set(keys_b)) == len(set(zip(keys_a, keys_b)))
+
+
+def random_shuffled(rng, H):
+    mapping = list(range(H.p))
+    rng.shuffle(mapping)
+    return relabel(H, mapping)
+
+
+def incidence_graph(H):
+    """Vertex-edge incidence graph; isomorphic exactly when the hypergraphs are."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from((("v", v) for v in range(H.p)), kind="v")
+    G.add_nodes_from((("e", i) for i in range(len(H.edges))), kind="e")
+    G.add_edges_from((("v", v), ("e", i)) for i, e in enumerate(H.edges) for v in e)
+    return G
+
+
 class TestCanonicalForm:
     def test_relabel_invariant(self):
         import random
@@ -104,16 +134,64 @@ class TestCanonicalForm:
         rng = random.Random(4)
         for _ in range(20):
             H = random_hypergraph(2, 6, rng.randint(0, 10), seed=rng.getrandbits(16))
-            mapping = list(range(H.p))
-            rng.shuffle(mapping)
-            assert canonical_form(H) == canonical_form(relabel(H, mapping))
+            assert canonical_form(H) == canonical_form(random_shuffled(rng, H))
+
+    def test_relabel_invariant_3_graphs_at_p8(self):
+        import random
+
+        rng = random.Random(8)
+        for _ in range(20):
+            H = random_hypergraph(3, 8, rng.randint(1, 56), seed=rng.getrandbits(16))
+            assert canonical_form(H) == canonical_form(random_shuffled(rng, H))
 
     def test_triangle_form(self, triangle):
         assert canonical_form(triangle) == "0,1;0,2;1,2"
 
-    def test_large_p_falls_back_to_labeled_encoding(self):
-        H = complete_hypergraph(5)  # p = 9, 9! too large
-        assert canonical_form(H) == ";".join(",".join(map(str, e)) for e in H.edges)
+    @pytest.mark.parametrize("p, classes", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    def test_partition_of_all_graphs_matches_brute_force(self, p, classes):
+        # classes: unlabeled graphs on p vertices, OEIS A000088
+        graphs = list(_labeled_graphs(p))
+        fast = [canonical_form(H) for H in graphs]
+        assert same_partition(fast, [brute_canonical(H) for H in graphs])
+        assert len(set(fast)) == classes
+
+    def test_partition_of_random_3_graphs_matches_brute_force(self):
+        import random
+
+        rng = random.Random(7)
+        graphs = []
+        for _ in range(30):
+            p = rng.randint(3, 7)
+            H = random_hypergraph(3, p, rng.randint(0, min(8, math.comb(p, 3))), seed=rng.getrandbits(16))
+            graphs += [H, random_shuffled(rng, H)]
+        # isomorphism classes are per vertex count; neither encoding records p
+        fast = [(H.p, canonical_form(H)) for H in graphs]
+        assert same_partition(fast, [(H.p, brute_canonical(H)) for H in graphs])
+        # the sparse draws repeat classes, so the partition is not all singletons and pairs
+        assert len(set(fast)) < len(graphs) // 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_networkx(self, n):
+        import random
+
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        kind = lambda a, b: a["kind"] == b["kind"]
+        agreed = Counter()
+        for _ in range(60):
+            p = rng.randint(n, 7)
+            m = rng.randint(0, min(6, math.comb(p, n)))
+            A = random_hypergraph(n, p, m, seed=rng.getrandbits(16))
+            B = random_hypergraph(n, p, m, seed=rng.getrandbits(16))
+            iso = nx.is_isomorphic(incidence_graph(A), incidence_graph(B), node_match=kind)
+            assert (canonical_form(A) == canonical_form(B)) == iso
+            agreed[iso] += 1
+        assert agreed[True] and agreed[False]
+
+    def test_vertex_transitive_p9_exceeds_budget(self):
+        # one cell of 9 vertices admits 9! relabelings, past the 8! budget
+        with pytest.raises(BudgetExceeded):
+            canonical_form(complete_hypergraph(5))
 
 
 class TestOracleEquivalence:
