@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -230,12 +231,28 @@ def _fixture_json(rep: dict) -> dict:
     return out
 
 
+def _extra_vertices(args) -> int:
+    return args.extra_vertices if args.extra_vertices is not None else args.n
+
+
+def _check_gen(parser: argparse.ArgumentParser, args) -> None:
+    """Reject gen arguments that name no hypergraph, as usage errors (exit 2)."""
+    if args.kind == "random" and args.p is not None and args.m is not None:
+        total = math.comb(args.p, args.n)
+        if args.m > total:
+            parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
+    if args.kind == "padded" and _extra_vertices(args) < args.n * args.extra_edges:
+        parser.error(
+            f"argument --extra-vertices: {args.extra_edges} disjoint {args.n}-edges need "
+            f"{args.n * args.extra_edges} fresh vertices, got {_extra_vertices(args)}"
+        )
+
+
 def cmd_gen(args) -> int:
     if args.kind == "clique":
         H = complete_hypergraph(args.n)
     elif args.kind == "padded":
-        extra_v = args.extra_vertices if args.extra_vertices is not None else args.n
-        H = pad(complete_hypergraph(args.n), extra_v, args.extra_edges)
+        H = pad(complete_hypergraph(args.n), _extra_vertices(args), args.extra_edges)
     elif args.kind == "fano":
         H = fano_plane()
     else:
@@ -251,8 +268,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo, else a one-line usage error (exit 2)."""
+def _int_at_least(lo: int, at_most: int | None = None):
+    """argparse type: an integer >= lo (and <= at_most if given), else a one-line usage error (exit 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -261,6 +278,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be <= {at_most}, got {value}")
         return value
 
     return parse
@@ -293,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="m2, bound, colorability, clique witness")
     p.add_argument("input", help="hypergraph file")
-    p.add_argument("--budget", type=int, default=24, help="covered-vertex budget for the exact decider")
+    p.add_argument(
+        "--budget", type=_int_at_least(0, at_most=62), default=24, help="covered-vertex budget for the exact decider (0..62)"
+    )
     p.add_argument("--strict", action="store_true", help="exit 3 if the budget leaves colorability undetermined")
     common(p)
     p.set_defaults(func=cmd_analyze)
@@ -335,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_int_at_least(0), default=None)
     p.add_argument("--m", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra-vertices", type=int, default=None, dest="extra_vertices")
-    p.add_argument("--extra-edges", type=int, default=1, dest="extra_edges")
+    p.add_argument("--extra-vertices", type=_int_at_least(0), default=None, dest="extra_vertices", help="default: n")
+    p.add_argument("--extra-edges", type=_int_at_least(0), default=1, dest="extra_edges")
     p.add_argument("--out", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_gen)
     return parser
@@ -347,6 +368,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
         parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
+    if args.command == "gen":
+        _check_gen(parser, args)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -5,6 +5,12 @@ unless that would complete an all-Blue edge, in which case it colors
 Red.  By construction the output never contains an all-Blue edge, so a
 failed run always exposes an all-Red edge, and from it a separated
 simple pair can be read off.
+
+One numpy kernel runs the rule over a block of orders at once, as
+bitsets: step k colors the k-th vertex of every order Red iff one of its
+edges has all other vertices in the Blue mask.  A single given order is
+the one-row case; random restarts draw their orders from one seeded
+per-trial stream, TRIAL_BLOCK trials at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ import numpy as np
 
 from .errors import IncompleteColoring, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
+
+# Random orders are drawn and evaluated this many trials at a time, so
+# memory stays flat however many trials are asked for.
+TRIAL_BLOCK = 1024
 
 
 class Color(str, Enum):
@@ -108,46 +118,81 @@ def greedy_color(H: Hypergraph, pi: Ordering) -> ColoringOutcome:
     """
     if len(pi.ranks) != H.p:
         raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
-    n = H.n
-    vert_edges: list[list[int]] = [[] for _ in range(H.p)]
-    for ei, e in enumerate(H.edges):
-        for v in e:
-            vert_edges[v].append(ei)
-
-    blue_cnt = [0] * len(H.edges)
-    colored_cnt = [0] * len(H.edges)
-    colors: list[Color] = [Color.BLUE] * H.p
-    for v in pi.vertex_sequence():
-        forced = any(
-            blue_cnt[ei] == n - 1 and colored_cnt[ei] == n - 1 for ei in vert_edges[v]
-        )
-        c = Color.RED if forced else Color.BLUE
-        colors[v] = c
-        for ei in vert_edges[v]:
-            colored_cnt[ei] += 1
-            if c is Color.BLUE:
-                blue_cnt[ei] += 1
-
-    violating = None
-    for ei in range(len(H.edges)):
-        if blue_cnt[ei] == 0 or blue_cnt[ei] == n:
-            violating = ei
-            break
-    coloring = Coloring(colors=tuple(colors), proper=violating is None, violating_edge=violating)
+    blue, violating = _greedy_block(H, np.array([pi.vertex_sequence()], dtype=np.int64))
+    blue, violating = int(blue[0]), int(violating[0])
+    coloring = _coloring(H, blue, violating)
 
     witness = None
-    if violating is not None:
-        assert blue_cnt[violating] == 0, "greedy rule never completes an all-Blue edge"
-        if n >= 2:
+    if not coloring.proper:
+        assert blue & H.masks[violating] == 0, "greedy rule never completes an all-Blue edge"
+        if H.n >= 2:
             y = min(H.edges[violating], key=pi.rank)
             ry = pi.rank(y)
-            for ei in vert_edges[y]:
-                others = [u for u in H.edges[ei] if u != y]
-                if all(colors[u] is Color.BLUE and pi.rank(u) < ry for u in others):
+            for ei, e in enumerate(H.edges):
+                if y in e and all(blue >> u & 1 and pi.rank(u) < ry for u in e if u != y):
                     witness = SimplePair(first=ei, second=violating, meet=y)
                     break
             assert witness is not None, "a Red vertex always has a completing edge"
     return ColoringOutcome(coloring=coloring, separated_witness=witness)
+
+
+def _mask_dtype(p: int):
+    """int64 while the vertex bits and the spare bit 1 << p fit, else Python ints."""
+    return np.int64 if p < 63 else object
+
+
+def _trial_orders(p: int, seed, start: int, stop: int) -> np.ndarray:
+    """Visit orders of trials start..stop-1, one row each.
+
+    Trial t shuffles range(p) with a PRNG seeded from the string "seed:t"
+    (reseeding one Random gives the stream of a fresh Random("seed:t")),
+    so every trial is reproducible on its own and a block of trials does
+    not depend on the blocks before it.
+    """
+    rng = random.Random()
+    rows = []
+    for t in range(start, stop):
+        rng.seed(f"{seed}:{t}")
+        seq = list(range(p))
+        rng.shuffle(seq)
+        rows.append(seq)
+    return np.array(rows, dtype=np.int64)
+
+
+def _greedy_block(H: Hypergraph, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy runs over a block of visit orders, one per row.
+
+    Returns each run's Blue vertex mask and the index of its first
+    monochromatic edge, len(H.edges) when the run is proper.  Vertex v
+    turns Red iff one of its edges has all other vertices Blue already;
+    the rows of the "others" table are padded with the bit 1 << p, which
+    is never Blue.
+    """
+    p, masks = H.p, H.masks
+    dtype = _mask_dtype(p)
+    bits = np.array([1 << v for v in range(p)], dtype=dtype)
+    others = [[m ^ (1 << v) for m in masks if m >> v & 1] for v in range(p)]
+    table = np.full((p, max(map(len, others), default=0) or 1), 1 << p, dtype=dtype)
+    for v, row in enumerate(others):
+        table[v, : len(row)] = row
+    T = orders.shape[0]
+    blue = np.zeros(T, dtype=dtype)
+    for k in range(p):
+        v = orders[:, k]
+        cand = table[v]
+        red = ((cand & blue[:, None]) == cand).any(axis=1)
+        blue |= np.where(red, 0, bits[v])
+    # a sentinel empty edge after the last one is monochromatic in every run
+    edge_masks = np.array(masks + (0,), dtype=dtype)
+    x = blue[:, None] & edge_masks
+    mono = (x == 0) | (x == edge_masks)
+    return blue, mono.argmax(axis=1)
+
+
+def _coloring(H: Hypergraph, blue: int, violating: int) -> Coloring:
+    colors = tuple(Color.BLUE if blue >> v & 1 else Color.RED for v in range(H.p))
+    proper = violating == len(H.edges)
+    return Coloring(colors=colors, proper=proper, violating_edge=None if proper else violating)
 
 
 def exhaustive_decide(
@@ -203,15 +248,18 @@ def random_restart_color(
     """Greedy coloring under fresh uniform random orders until one is proper.
 
     Trial t uses its own PRNG stream seeded from (seed, t), so results do
-    not depend on evaluation order.  Returns the first successful
-    (ordering, coloring) or None after max_trials failures.
+    not depend on evaluation order.  Trials run in blocks of TRIAL_BLOCK;
+    returns the first successful (ordering, coloring) in trial order, or
+    None after max_trials failures.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
-    for t in range(max_trials):
-        rng = random.Random(f"{seed}:{t}")
-        pi = Ordering.random(H.p, rng)
-        outcome = greedy_color(H, pi)
-        if outcome.coloring.proper:
-            return pi, outcome.coloring
+    for start in range(0, max_trials, TRIAL_BLOCK):
+        orders = _trial_orders(H.p, seed, start, min(start + TRIAL_BLOCK, max_trials))
+        blue, violating = _greedy_block(H, orders)
+        hits = np.flatnonzero(violating == len(H.edges))
+        if hits.size:
+            i = hits[0]
+            pi = Ordering.from_vertex_sequence(orders[i].tolist())
+            return pi, _coloring(H, int(blue[i]), len(H.edges))
     return None

@@ -43,7 +43,7 @@ from .hypergraph import (
     relabel,
     seymour_check,
 )
-from .separation import orderings_separating_multiple
+from .separation import ordering_histogram
 from .setpairs import (
     bollobas_family,
     build_M,
@@ -484,7 +484,7 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
 
     Asserts the simple-pair bound on every fixture and, on each fixture
     meeting it exactly, the whole extremal chain: distinct meet vertices
-    per second edge, at most one separated pair per ordering (p <= 8),
+    per second edge, exactly one separated pair per ordering (p <= 8),
     both set-pair conditions, sum exactly 1, the equality structure, and
     clique recovery.  Raises FixtureFailure naming fixture and assertion.
     """
@@ -542,8 +542,8 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
                 raise FixtureFailure(f"{name}: clique {clique} != ground minus common B {v.ground_U}")
             if expect_clique is not None and clique != expect_clique:
                 raise FixtureFailure(f"{name}: clique {clique} != expected {expect_clique}")
-            if H.p <= 8 and orderings_separating_multiple(H):
-                raise FixtureFailure(f"{name}: some ordering separates two simple pairs")
+            if H.p <= 8 and ordering_histogram(H) != {1: math.factorial(H.p)}:
+                raise FixtureFailure(f"{name}: not every ordering separates exactly one simple pair")
             entry["clique"] = sorted(clique)
             entry["bollobas_sum"] = v.sum
         entries.append(entry)

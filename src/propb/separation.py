@@ -1,21 +1,29 @@
-"""Permutation separation: predicate, exact probabilities, full enumeration, Monte Carlo.
+"""Permutation separation: predicate, exact probabilities, exact ordering statistics, Monte Carlo.
 
 An ordering separates a simple pair (X, Y) with shared vertex y when all
 of X minus y precedes y and y precedes all of Y minus y.  Exact paths use
 Fraction throughout; only Monte Carlo summaries may be rendered as floats.
+
+Whether placing y separates a pair with meet y depends only on the set S
+of vertices placed before it, so the histogram of separated-pair counts
+over all p! orderings comes from a dynamic program over prefix sets
+(2^(p-1) pair tests per pair) instead of a loop over the orderings.
+Monte Carlo trials are evaluated a block at a time from the prefix masks
+of their random orders.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable
 
-from .coloring import Ordering
+import numpy as np
+
+from .coloring import TRIAL_BLOCK, Ordering, _mask_dtype, _trial_orders
 from .errors import BudgetExceeded, InvalidOrdering, NotSimple
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
@@ -50,26 +58,31 @@ def _pair_masks(H: Hypergraph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _count_with_prefix(pairs: list[tuple[int, int, int]], seq: Iterable[int], p: int) -> int:
-    """Count separated pairs given the visit order, via prefix bitmasks."""
-    before = [0] * p
-    acc = 0
-    for v in seq:
-        before[v] = acc
-        acc |= 1 << v
-    count = 0
+def _separated_counts(pairs: list[tuple[int, int, int]], orders: np.ndarray) -> np.ndarray:
+    """Separated-pair count per row of a block of visit orders.
+
+    before[t, v] is the mask of the vertices trial t visits before v; a
+    pair (xo, yo, y) is separated iff xo is inside before[t, y] and yo
+    misses it.
+    """
+    T, p = orders.shape
+    dtype = _mask_dtype(p)
+    bits = np.array([1 << v for v in range(p)], dtype=dtype)[orders]
+    before = np.empty_like(bits)
+    np.put_along_axis(before, orders, np.cumsum(bits, axis=1) - bits, axis=1)
+    counts = np.zeros(T, dtype=np.int64)
     for xo, yo, y in pairs:
-        b = before[y]
-        if xo & b == xo and yo & b == 0:
-            count += 1
-    return count
+        b = before[:, y]
+        counts += ((b & xo) == xo) & ((b & yo) == 0)
+    return counts
 
 
 def count_separated(H: Hypergraph, pi: Ordering) -> int:
     """Number of ordered simple pairs of H separated by pi."""
     if len(pi.ranks) != H.p:
         raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
-    return _count_with_prefix(_pair_masks(H), pi.vertex_sequence(), H.p)
+    orders = np.array([pi.vertex_sequence()], dtype=np.int64)
+    return int(_separated_counts(_pair_masks(H), orders)[0])
 
 
 def exact_separation_probability(n: int) -> Fraction:
@@ -107,32 +120,38 @@ def enumerate_separation_probability(
     return Fraction(hits, math.factorial(len(union)))
 
 
-def iter_ordering_counts(H: Hypergraph, max_vertices: int = 8):
-    """Yield (visit order, separated-pair count) over all p! orderings of V."""
+def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
+    """How many of the p! orderings separate exactly k simple pairs, as {k: orderings}.
+
+    Layer j holds, for every j-set S of vertices, the histogram over the
+    j! orders of S of the pairs they separate so far.  Placing y next adds
+    the pairs with meet y whose X\\y lies inside S and whose Y\\y misses S.
+    """
     if H.p > max_vertices:
         raise BudgetExceeded(f"p = {H.p} exceeds full-enumeration budget {max_vertices}")
-    pairs = _pair_masks(H)
-    for perm in permutations(range(H.p)):
-        yield perm, _count_with_prefix(pairs, perm, H.p)
+    by_meet: list[list[tuple[int, int]]] = [[] for _ in range(H.p)]
+    for xo, yo, y in _pair_masks(H):
+        by_meet[y].append((xo, yo))
+    layer: dict[int, Counter[int]] = {0: Counter({0: 1})}
+    for _ in range(H.p):
+        nxt: dict[int, Counter[int]] = {}
+        for S, hist in layer.items():
+            for y in range(H.p):
+                if S >> y & 1:
+                    continue
+                gain = sum(1 for xo, yo in by_meet[y] if xo & S == xo and not yo & S)
+                dest = nxt.setdefault(S | 1 << y, Counter())
+                for c, k in hist.items():
+                    dest[c + gain] += k
+        layer = nxt
+    (hist,) = layer.values()
+    return dict(sorted(hist.items()))
 
 
 def exhaustive_separation_mean(H: Hypergraph, max_vertices: int = 8) -> Fraction:
     """Exact mean of count_separated over all p! orderings, as a reduced rational."""
-    total = 0
-    for _, count in iter_ordering_counts(H, max_vertices):
-        total += count
-    return Fraction(total, math.factorial(H.p))
-
-
-def orderings_separating_multiple(
-    H: Hypergraph, max_vertices: int = 8
-) -> list[tuple[tuple[int, ...], int]]:
-    """All visit orders separating two or more simple pairs.
-
-    Expected empty exactly on the extremal instances (non-2-colorable with
-    m2 equal to the bound); general hypergraphs may well populate it.
-    """
-    return [(perm, c) for perm, c in iter_ordering_counts(H, max_vertices) if c >= 2]
+    hist = ordering_histogram(H, max_vertices)
+    return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
 
 
 def monte_carlo_separation(H: Hypergraph, trials: int, seed=0) -> SeparationStats:
@@ -145,17 +164,14 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed=0) -> SeparationStat
         raise ValueError("trials must be >= 1")
     pairs = _pair_masks(H)
     hist: Counter[int] = Counter()
-    total = 0
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        seq = list(range(H.p))
-        rng.shuffle(seq)
-        c = _count_with_prefix(pairs, seq, H.p)
-        hist[c] += 1
-        total += c
+    for start in range(0, trials, TRIAL_BLOCK):
+        orders = _trial_orders(H.p, seed, start, min(start + TRIAL_BLOCK, trials))
+        for c, k in enumerate(np.bincount(_separated_counts(pairs, orders)).tolist()):
+            if k:
+                hist[c] += k
     return SeparationStats(
         trials=trials,
-        mean_separated=Fraction(total, trials),
+        mean_separated=Fraction(sum(c * k for c, k in hist.items()), trials),
         success_rate=Fraction(hist.get(0, 0), trials),
         histogram=dict(sorted(hist.items())),
     )

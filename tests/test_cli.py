@@ -210,6 +210,15 @@ class TestVerify:
         (["color", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
         (["mc", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
         (["verify", "--n", "5", "--fixtures"], "argument --n: the fixture suite covers n in {2, 3, 4}, got 5"),
+        (["gen", "--kind", "padded", "--n", "3", "--extra-vertices", "-1"], "argument --extra-vertices: must be >= 0, got -1"),
+        (["gen", "--kind", "padded", "--n", "3", "--extra-edges", "-2"], "argument --extra-edges: must be >= 0, got -2"),
+        (["gen", "--kind", "random", "--p", "2", "--n", "3", "--m", "1"], "argument --m: only C(2, 3) = 0 edges exist, got 1"),
+        (
+            ["gen", "--kind", "padded", "--n", "3", "--extra-edges", "2"],
+            "argument --extra-vertices: 2 disjoint 3-edges need 6 fresh vertices, got 3",
+        ),
+        (["analyze", "{k35}", "--budget", "70"], "argument --budget: must be <= 62, got 70"),
+        (["analyze", "{k35}", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):

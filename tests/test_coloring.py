@@ -10,6 +10,7 @@ from propb import (
     InvalidOrdering,
     Ordering,
     bound,
+    complete_hypergraph,
     exhaustive_decide,
     greedy_color,
     is_proper,
@@ -19,7 +20,7 @@ from propb import (
     separates,
 )
 
-from conftest import random_instances
+from conftest import oracle_greedy, oracle_restart, random_instances
 
 B, R = Color.BLUE, Color.RED
 
@@ -190,3 +191,51 @@ class TestRandomRestart:
         r1 = random_restart_color(H, max_trials=5, seed=9)
         r2 = random_restart_color(H, max_trials=5, seed=9)
         assert r1 == r2
+
+
+def _three_k47_minus_an_edge():
+    """Three disjoint copies of the complete 4-graph on 7 vertices, each missing one edge.
+
+    Colorable, but about one uniform ordering in 340 colors it greedily.
+    """
+    edges = []
+    for c in range(3):
+        edges += [[v + 7 * c for v in e] for e in complete_hypergraph(4).edges[1:]]
+    return normalize(edges, n=4, p=21)
+
+
+class TestBatchedKernelOracles:
+    def test_greedy_matches_scalar_oracle(self):
+        rng = random.Random(71)
+        for H in random_instances(400, seed=71, n_choices=(1, 2, 3, 4), p_max=12, m_max=30):
+            seq = list(range(H.p))
+            rng.shuffle(seq)
+            pi = Ordering.from_vertex_sequence(seq)
+            assert greedy_color(H, pi) == oracle_greedy(H, pi)
+
+    def test_greedy_beyond_int64_masks(self):
+        # p >= 63 leaves int64 bitsets; the kernel falls back to Python ints
+        H = normalize([[0, 1, 64], [1, 2, 3], [64, 65, 66], [2, 65, 70]], n=3, p=71)
+        rng = random.Random(3)
+        for _ in range(20):
+            seq = list(range(H.p))
+            rng.shuffle(seq)
+            pi = Ordering.from_vertex_sequence(seq)
+            assert greedy_color(H, pi) == oracle_greedy(H, pi)
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 3000])
+    def test_restart_matches_oracle(self, trials):
+        hs = random_instances(6, seed=trials, p_max=9, m_max=14)
+        hs += [complete_hypergraph(3), _three_k47_minus_an_edge()]
+        for i, H in enumerate(hs):
+            want = oracle_restart(H, trials, seed=i)
+            got = random_restart_color(H, max_trials=trials, seed=i)
+            assert got == (None if want is None else want[1:])
+
+    def test_proper_trial_in_a_later_block(self):
+        H = _three_k47_minus_an_edge()
+        t, pi, coloring = oracle_restart(H, 3000, seed=5)
+        assert t > 1024
+        assert random_restart_color(H, max_trials=3000, seed=5) == (pi, coloring)
+        assert random_restart_color(H, max_trials=t, seed=5) is None
+        assert random_restart_color(H, max_trials=t + 1, seed=5) == (pi, coloring)

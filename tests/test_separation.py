@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from propb import (
     NotSimple,
     Ordering,
     bound,
+    complete_hypergraph,
     count_separated,
     enumerate_separation_probability,
     exact_separation_probability,
@@ -16,11 +18,18 @@ from propb import (
     m2,
     monte_carlo_separation,
     normalize,
-    orderings_separating_multiple,
+    ordering_histogram,
+    pad,
     separates,
 )
 
-from conftest import brute_separates, random_instances
+from conftest import (
+    brute_ordering_histogram,
+    brute_separates,
+    oracle_counter,
+    oracle_monte_carlo,
+    random_instances,
+)
 
 
 class TestSeparates:
@@ -164,17 +173,57 @@ class TestExhaustiveMean:
 
 class TestMultiSeparation:
     def test_extremal_instances_never_two(self, triangle, k35):
-        assert orderings_separating_multiple(triangle) == []
-        assert orderings_separating_multiple(k35) == []
+        assert ordering_histogram(triangle) == {1: 6}
+        assert ordering_histogram(k35) == {1: 120}
 
     def test_general_instance_can_exceed_one(self):
         # two simple pairs on disjoint vertex supports can separate together
         H = normalize([[0, 1], [1, 2], [3, 4], [4, 5]], n=2, p=6)
-        hits = orderings_separating_multiple(H)
-        assert hits and all(c == 2 for _, c in hits)
+        hist = ordering_histogram(H)
+        assert max(hist) == 2 and hist[2] > 0
+        assert hist == brute_ordering_histogram(H)
+
+
+class TestOrderingHistogram:
+    def test_matches_brute_oracle(self):
+        for H in random_instances(40, seed=61, n_choices=(1, 2, 3), p_max=7, m_max=12):
+            assert ordering_histogram(H) == brute_ordering_histogram(H)
+
+    def test_extremal_fixtures_exactly_one(self):
+        for n in (2, 3, 4):
+            K = complete_hypergraph(n)
+            for H in (K, pad(K, n, 1)):
+                if H.p <= 8:
+                    assert ordering_histogram(H) == {1: math.factorial(H.p)}
+
+    def test_past_the_default_budget(self):
+        # padded K_5^3 on 12 vertices: every one of the 12! orderings separates one pair
+        H = pad(complete_hypergraph(3), 7, 2)
+        assert ordering_histogram(H, max_vertices=12) == {1: math.factorial(12)}
+        with pytest.raises(BudgetExceeded):
+            ordering_histogram(H)
+
+    def test_empty_ground_set(self):
+        assert ordering_histogram(normalize([], n=2, p=0)) == {0: 1}
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 3000])
+    def test_matches_per_trial_oracle(self, trials):
+        for i, H in enumerate(random_instances(5, seed=trials, n_choices=(2, 3), p_max=9, m_max=10)):
+            assert monte_carlo_separation(H, trials=trials, seed=i) == oracle_monte_carlo(H, trials, seed=i)
+
+    def test_beyond_int64_masks(self):
+        # p >= 63 leaves int64 bitsets; prefix masks fall back to Python ints
+        H = normalize([[0, 1, 64], [1, 2, 3], [64, 65, 66], [2, 65, 70], [3, 4, 70]], n=3, p=71)
+        assert monte_carlo_separation(H, trials=300, seed=4) == oracle_monte_carlo(H, 300, seed=4)
+        count = oracle_counter(H)
+        rng = random.Random(8)
+        for _ in range(20):
+            seq = list(range(H.p))
+            rng.shuffle(seq)
+            assert count_separated(H, Ordering.from_vertex_sequence(seq)) == count(seq)
+
     def test_k35_concentrated_at_one(self, k35):
         stats = monte_carlo_separation(k35, trials=10_000, seed=5)
         assert stats.mean_separated == Fraction(1)
