@@ -16,7 +16,7 @@ import os
 import sys
 
 from .coloring import Colorability, Ordering, greedy_color, random_restart_color
-from .errors import BudgetExceeded, ParseError, PropBError
+from .errors import BudgetExceeded, InvalidOrdering, ParseError, PropBError
 from .hgio import parse, render
 from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
 from .report import (
@@ -112,11 +112,20 @@ def _coloring_lines(H, pi, coloring, witness):
             )
 
 
+def _usage_error(message: str) -> int:
+    """One error line for arguments that do not fit the input or an existing file; exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_color(args) -> int:
     _, H = _load(args.input)
     if args.order is not None:
-        pi = Ordering.from_vertex_sequence(args.order)
-        outcome = greedy_color(H, pi)
+        try:
+            pi = Ordering.from_vertex_sequence(args.order)
+            outcome = greedy_color(H, pi)
+        except InvalidOrdering as exc:
+            return _usage_error(str(exc))
         for line in _coloring_lines(H, pi, outcome.coloring, outcome.separated_witness):
             print(line)
         return 0
@@ -155,22 +164,31 @@ def cmd_enum(args) -> int:
     return 0
 
 
-def _read_completed(path: str) -> set[int]:
-    done: set[int] = set()
-    if not os.path.exists(path):
-        return done
+def _read_stream(path: str, header: dict) -> set[int]:
+    """Completed p values of a verify --out stream; none if it is missing or empty.
+
+    A non-empty stream must start with `header`; otherwise it was written
+    by a different run, and a ValueError says which parameters differ.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if obj.get("type") == "p_summary":
-                done.add(obj["p"])
-    return done
+        objs = [_json_or_none(line) for line in fh if line.strip()]
+    first = objs[0] if objs else None
+    if not isinstance(first, dict) or first.get("type") != "header":
+        raise ValueError(f"{path} has no header line; refusing to append to it")
+    if first != header:
+        diff = ", ".join(f"{k}={first.get(k)!r} there, {v!r} here" for k, v in header.items() if first.get(k) != v)
+        raise ValueError(f"{path} was written by a different run ({diff}); refusing to append to it")
+    return {obj["p"] for obj in objs if isinstance(obj, dict) and obj.get("type") == "p_summary"}
+
+
+def _json_or_none(line: str):
+    """The JSON value of a line, or None for a line cut short by an interrupted run."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
 
 
 def cmd_verify(args) -> int:
@@ -184,7 +202,13 @@ def cmd_verify(args) -> int:
         return 0
 
     max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
-    skip = _read_completed(args.out) if args.out else set()
+    header = {"type": "header", "n": args.n, "max_p": max_p, "seed": args.seed, "budget": args.budget}
+    skip: set[int] = set()
+    if args.out:
+        try:
+            skip = _read_stream(args.out, header)
+        except ValueError as exc:
+            return _usage_error(str(exc))
     sink = open(args.out, "a", encoding="utf-8") if args.out else None
 
     def write_line(obj):
@@ -192,6 +216,8 @@ def cmd_verify(args) -> int:
             sink.write(json.dumps(obj, sort_keys=True) + "\n")
             sink.flush()
 
+    if sink and sink.tell() == 0:
+        write_line(header)
     try:
         records, summary = verify_bound_exhaustive(
             args.n,

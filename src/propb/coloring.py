@@ -11,6 +11,11 @@ bitsets: step k colors the k-th vertex of every order Red iff one of its
 edges has all other vertices in the Blue mask.  A single given order is
 the one-row case; random restarts draw their orders from one seeded
 per-trial stream, TRIAL_BLOCK trials at a time.
+
+The exact decider is backtracking with forcing over Blue and Red vertex
+masks.  Its forcing step is the greedy rule's, in both colors: an edge
+whose other vertices all share one color forces its last vertex to the
+other color.
 """
 
 from __future__ import annotations
@@ -198,48 +203,80 @@ def _coloring(H: Hypergraph, blue: int, violating: int) -> Coloring:
 def exhaustive_decide(
     H: Hypergraph, vertex_budget: int = 24
 ) -> tuple[Colorability, Coloring | None]:
-    """Exact two-colorability by iterating all colorings of covered vertices.
+    """Exact two-colorability by backtracking with forcing over bitsets.
 
-    The first covered vertex is fixed Blue (color-swap symmetry), leaving
-    2^(c-1) candidates evaluated in chunks with bitset monochromaticity
-    tests.  Covered counts above vertex_budget return UNDETERMINED;
-    uncovered vertices are colored Blue in any returned witness.
+    A complete search over partial colorings kept as Blue and Red vertex
+    masks.  Forcing is the greedy rule's own step: an edge with no Red
+    vertex and one vertex not yet Blue forces that vertex Red, and
+    symmetrically; an edge left with no uncolored vertex and one color is
+    a conflict.  When forcing stops, the search branches Blue-then-Red on
+    the uncolored vertex in the most edges not yet holding both colors.
+    The highest-degree covered vertex starts Blue (color-swap symmetry).
+    Covered counts above vertex_budget return UNDETERMINED; uncolored and
+    uncovered vertices are Blue in any returned witness.
     """
-    cov = sorted(covered_vertices(H))
-    c = len(cov)
-    if c == 0:
-        colors = tuple([Color.BLUE] * H.p)
-        return Colorability.YES, Coloring(colors=colors, proper=True, violating_edge=None)
-    if c > vertex_budget:
-        return Colorability.UNDETERMINED, None
-    if c > 62:
-        raise ValueError("vertex budgets above 62 are not supported")
+    c = len(covered_vertices(H))
+    red = 0
+    if c:
+        if c > vertex_budget:
+            return Colorability.UNDETERMINED, None
+        first = max(range(H.p), key=lambda v: sum(m >> v & 1 for m in H.masks))
+        red = _two_color(H.masks, 1 << first)
+        if red is None:
+            return Colorability.NO, None
+    colors = tuple(Color.RED if red >> v & 1 else Color.BLUE for v in range(H.p))
+    return Colorability.YES, Coloring(colors=colors, proper=True, violating_edge=None)
 
-    idx = {v: i for i, v in enumerate(cov)}
-    comp_masks = np.array(
-        [sum(1 << idx[v] for v in e) for e in H.edges], dtype=np.int64
-    )
-    total = 1 << (c - 1)
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        blue = (np.arange(lo, hi, dtype=np.int64) << 1) | 1
-        ok = np.ones(hi - lo, dtype=bool)
-        for em in comp_masks:
-            x = blue & em
-            ok &= (x != 0) & (x != em)
-            if not ok.any():
-                break
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            b = int(blue[hits[0]])
-            colors = [Color.BLUE] * H.p
-            for v, i in idx.items():
-                colors[v] = Color.BLUE if b >> i & 1 else Color.RED
-            return Colorability.YES, Coloring(
-                colors=tuple(colors), proper=True, violating_edge=None
-            )
-    return Colorability.NO, None
+
+def _two_color(edges, blue: int) -> int | None:
+    """Red mask of a proper coloring extending the Blue mask `blue`, or None."""
+    stack = [(edges, blue, 0)]
+    while stack:
+        edges, blue, red = stack.pop()
+        forced = _force(edges, blue, red)
+        if forced is None:
+            continue
+        blue, red = forced
+        colored = blue | red
+        open_edges = [e for e in edges if not (e & blue and e & red)]
+        hits: dict[int, int] = {}
+        for e in open_edges:
+            free = e & ~colored
+            while free:
+                bit = free & -free
+                hits[bit] = hits.get(bit, 0) + 1
+                free ^= bit
+        if not hits:
+            return red
+        v = max(hits, key=hits.__getitem__)
+        stack.append((open_edges, blue, red | v))
+        stack.append((open_edges, blue | v, red))
+    return None
+
+
+def _force(edges, blue: int, red: int) -> tuple[int, int] | None:
+    """Close (blue, red) under forcing; None on a monochromatic edge."""
+    changed = True
+    while changed:
+        changed = False
+        for e in edges:
+            if e & red:
+                if e & blue:
+                    continue
+                free = e & ~red
+                if not free:
+                    return None
+                if not free & (free - 1):
+                    blue |= free
+                    changed = True
+            else:
+                free = e & ~blue
+                if not free:
+                    return None
+                if not free & (free - 1):
+                    red |= free
+                    changed = True
+    return blue, red
 
 
 def random_restart_color(

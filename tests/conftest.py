@@ -3,10 +3,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from propb import (
     Color,
+    Colorability,
     Coloring,
     ColoringOutcome,
     Hypergraph,
@@ -14,6 +16,7 @@ from propb import (
     SeparationStats,
     SimplePair,
     complete_hypergraph,
+    covered_vertices,
     fano_plane,
     normalize,
     random_hypergraph,
@@ -90,6 +93,36 @@ def brute_separates(order, X, Y) -> bool:
     left = [pos[u] for u in set(X) - {y}]
     right = [pos[v] for v in set(Y) - {y}]
     return all(u < pos[y] for u in left) and all(v > pos[y] for v in right)
+
+
+def oracle_decide(H, vertex_budget=24) -> Colorability:
+    """Two-colorability by sweeping all 2^(c-1) colorings of the c covered vertices.
+
+    The first covered vertex is fixed Blue; the colorings are tested in
+    numpy chunks of 2^16, each edge as one bitset monochromaticity test.
+    """
+    cov = sorted(covered_vertices(H))
+    c = len(cov)
+    if c == 0:
+        return Colorability.YES
+    if c > vertex_budget:
+        return Colorability.UNDETERMINED
+    assert c <= 62, "the sweep packs a coloring into one int64"
+    idx = {v: i for i, v in enumerate(cov)}
+    comp_masks = [sum(1 << idx[v] for v in e) for e in H.edges]
+    total = 1 << (c - 1)
+    chunk = 1 << 16
+    for lo in range(0, total, chunk):
+        blue = (np.arange(lo, min(lo + chunk, total), dtype=np.int64) << 1) | 1
+        ok = np.ones(blue.size, dtype=bool)
+        for em in comp_masks:
+            x = blue & em
+            ok &= (x != 0) & (x != em)
+            if not ok.any():
+                break
+        if ok.any():
+            return Colorability.YES
+    return Colorability.NO
 
 
 # Scalar oracles for the batched ordering kernels: one ordering at a time,

@@ -7,6 +7,8 @@ disjoint edge), which criterion 5 itself prescribes, is non-2-colorable
 with 4 edges on 5 covered vertices, and the criterion-7 enumeration hits
 the same shape from p = 5 on.  Removing the disjoint edge restores the
 inequality (3 edges, 3 vertices), which is exactly the minimality proviso.
+On edge-critical instances the inequality is Seymour's theorem (1974), and
+that part is asserted green.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from propb import (
     greedy_color,
     m2,
     monte_carlo_separation,
+    normalize,
     pad,
     parse,
     random_hypergraph,
@@ -200,6 +203,54 @@ def test_criterion_8_seymour_on_curated_noncolorable_fixtures():
             verdict, _ = exhaustive_decide(H)
             assert verdict is Colorability.NO
             assert seymour_check(H)
+
+
+def _edge_critical(H):
+    """Delete edges one at a time while H stays non-2-colorable.
+
+    One pass suffices: an edge is kept when deleting it leaves a 2-colorable
+    hypergraph, and later deletions only shrink that one.
+    """
+    edges = list(H.edges)
+    i = 0
+    while i < len(edges):
+        rest = edges[:i] + edges[i + 1 :]
+        if exhaustive_decide(normalize(rest, n=H.n, p=H.p))[0] is Colorability.NO:
+            edges = rest
+        else:
+            i += 1
+    return normalize(edges, n=H.n, p=H.p)
+
+
+def _dense_draws(count, seed):
+    """Seeded random n-graphs, n = 2-4, with at most 60 edges.
+
+    For n = 4, p stops at 9: 60 random 4-sets on more vertices are almost
+    never non-2-colorable.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3, 4))
+        p = rng.randint(2 * n - 1, 16 if n < 4 else 9)
+        m = rng.randint(1, min(math.comb(p, n), 60))
+        yield random_hypergraph(n, p, m, seed=rng.getrandbits(32))
+
+
+def test_criterion_8_seymour_on_edge_critical_instances():
+    # Seymour (1974): an edge-minimal non-2-colorable hypergraph has at
+    # least as many edges as covered vertices
+    with criterion(8, "|E| >= |covered V| on edge-critical non-colorable instances"):
+        critical = []
+        for H in _dense_draws(300, seed=8):
+            if exhaustive_decide(H)[0] is Colorability.NO:
+                critical.append(_edge_critical(H))
+        assert len(critical) >= 100
+        assert {C.n for C in critical} == {2, 3, 4}
+        for C in critical:
+            for i in range(len(C.edges)):
+                rest = normalize(C.edges[:i] + C.edges[i + 1 :], n=C.n, p=C.p)
+                assert exhaustive_decide(rest)[0] is Colorability.YES
+            assert seymour_check(C), C
 
 
 @pytest.mark.xfail(

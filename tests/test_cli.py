@@ -98,10 +98,6 @@ class TestColor:
         assert code == 0
         assert out.startswith("exhausted")
 
-    def test_bad_order_exit_1(self, capsys, triangle_file):
-        code = main(["color", triangle_file, "--order", "0,0,1"])
-        assert code == 1
-
 
 class TestSeparationCommands:
     def test_enum_k35_mean_one(self, capsys, k35_file):
@@ -167,6 +163,39 @@ class TestVerify:
         assert doc["search"]["skipped_p"] == [1, 2, 3, 4]
         assert doc["search"]["summary"]["graphs"] == 0
 
+    def test_stream_header(self, capsys, tmp_path):
+        out_path = str(tmp_path / "records.jsonl")
+        assert main(["verify", "--n", "2", "--max-p", "3", "--threads", "2", "--out", out_path]) == 0
+        first = json.loads(open(out_path).readline())
+        assert first == {"type": "header", "n": 2, "max_p": 3, "seed": 0, "budget": None}
+        # --threads is not a parameter of the records, so a resume may change it
+        assert main(["verify", "--n", "2", "--max-p", "3", "--threads", "1", "--out", out_path]) == 0
+        lines = [json.loads(l) for l in open(out_path) if l.strip()]
+        assert [l["type"] for l in lines].count("header") == 1
+
+    def test_resume_with_other_parameters_exit_2(self, capsys, tmp_path):
+        out_path = str(tmp_path / "records.jsonl")
+        assert main(["verify", "--n", "2", "--max-p", "4", "--threads", "1", "--out", out_path]) == 0
+        capsys.readouterr()
+        before = open(out_path).read()
+        code = main(["verify", "--n", "2", "--max-p", "5", "--threads", "1", "--out", out_path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out_path} was written by a different run (max_p=4 there, 5 here); "
+            "refusing to append to it\n"
+        )
+        assert open(out_path).read() == before
+
+    def test_resume_without_header_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_text('{"p": 1, "type": "p_summary"}\n')
+        code = main(["verify", "--n", "2", "--max-p", "4", "--threads", "1", "--out", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out_path} has no header line; refusing to append to it\n"
+        assert out_path.read_text() == '{"p": 1, "type": "p_summary"}\n'
+
     def test_fixtures_mode(self, capsys):
         code, doc = run_json(capsys, ["verify", "--n", "3", "--fixtures", "--json"])
         assert code == 0
@@ -219,12 +248,18 @@ class TestVerify:
         ),
         (["analyze", "{k35}", "--budget", "70"], "argument --budget: must be <= 62, got 70"),
         (["analyze", "{k35}", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
+        (["color", "{k35}", "--order", "0,0,1"], "sequence [0, 0, 1] is not a permutation of 0..2"),
+        (["color", "{k35}", "--order", "0,1,2"], "ordering covers 3 vertices, hypergraph has 5"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main([a.replace("{k35}", k35_file) for a in argv])
-    assert exc.value.code == 2
+    # argparse rejects what it can check alone by raising SystemExit(2); an
+    # order that does not fit the input file makes main return 2
+    try:
+        code = main([a.replace("{k35}", k35_file) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith("error: " + message)
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,16 +12,18 @@ from propb import (
     Ordering,
     bound,
     complete_hypergraph,
+    covered_vertices,
     exhaustive_decide,
     greedy_color,
     is_proper,
     m2,
     normalize,
+    pad,
     random_restart_color,
     separates,
 )
 
-from conftest import oracle_greedy, oracle_restart, random_instances
+from conftest import oracle_decide, oracle_greedy, oracle_restart, random_instances
 
 B, R = Color.BLUE, Color.RED
 
@@ -137,6 +140,10 @@ class TestExhaustiveDecide:
         assert verdict is Colorability.UNDETERMINED
         assert coloring is None
 
+    def test_budget_admits_exactly_budget_covered_vertices(self, fano):
+        assert exhaustive_decide(fano, vertex_budget=7)[0] is Colorability.NO
+        assert exhaustive_decide(fano, vertex_budget=6)[0] is Colorability.UNDETERMINED
+
     def test_witness_always_proper(self):
         for H in random_instances(60, seed=21, p_max=9):
             verdict, coloring = exhaustive_decide(H)
@@ -146,6 +153,64 @@ class TestExhaustiveDecide:
     def test_single_vertex_edges(self):
         H = normalize([[0]], n=1, p=2)
         assert exhaustive_decide(H)[0] is Colorability.NO
+
+    def test_matches_sweep_oracle(self):
+        verdicts = Counter()
+        for H in random_instances(1200, seed=51, n_choices=(1, 2, 3, 4), p_max=12):
+            verdict, _ = exhaustive_decide(H)
+            assert verdict is oracle_decide(H), H
+            verdicts[verdict] += 1
+        assert verdicts[Colorability.YES] > 300 and verdicts[Colorability.NO] > 300
+
+    def test_yes_witness_proper_with_uncovered_blue(self):
+        checked = 0
+        for H in random_instances(400, seed=52, n_choices=(1, 2, 3, 4), p_max=12, m_max=15):
+            verdict, coloring = exhaustive_decide(H)
+            if verdict is not Colorability.YES:
+                continue
+            checked += 1
+            assert is_proper(H, coloring.colors) is None
+            cov = covered_vertices(H)
+            assert all(coloring.colors[v] is B for v in range(H.p) if v not in cov)
+        assert checked > 100
+
+    @pytest.mark.parametrize("n, c", [(3, 23), (3, 24), (4, 23), (4, 24)])
+    def test_planted_clique_no(self, n, c):
+        # the analyze inputs of the benchmark's instances workload have this shape
+        for seed in range(3):
+            H = _planted_clique(n, c, extra=40, seed=seed)
+            assert len(covered_vertices(H)) == c
+            assert exhaustive_decide(H)[0] is Colorability.NO
+
+    def test_beyond_62_covered_vertices(self):
+        K = complete_hypergraph(3)
+        H = pad(K, 63, 21)
+        assert len(covered_vertices(H)) == 68
+        assert exhaustive_decide(H, vertex_budget=80)[0] is Colorability.NO
+        # K_5^3 minus one edge is 2-colorable, and so is its padding
+        G = pad(normalize(K.edges[1:], n=3, p=5), 63, 21)
+        verdict, coloring = exhaustive_decide(G, vertex_budget=80)
+        assert verdict is Colorability.YES
+        assert is_proper(G, coloring.colors) is None
+
+
+def _planted_clique(n, c, extra, seed):
+    """The complete n-graph on the top 2n-1 of c vertices plus `extra` random n-sets covering the rest."""
+    rng = random.Random(seed)
+    k = 2 * n - 1
+    clique = {tuple(e) for e in itertools.combinations(range(c - k, c), n)}
+    free = list(range(c - k))
+    rng.shuffle(free)
+    edges = set()
+    for i in range(0, len(free), n):
+        part = free[i : i + n]
+        part += rng.sample([v for v in range(c) if v not in part], n - len(part))
+        edges.add(tuple(sorted(part)))
+    while len(edges) < extra:
+        e = tuple(sorted(rng.sample(range(c), n)))
+        if e not in clique:
+            edges.add(e)
+    return normalize(edges | clique, n=n, p=c)
 
 
 class TestOrderingExistence:
