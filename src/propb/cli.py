@@ -164,26 +164,36 @@ def cmd_enum(args) -> int:
     return 0
 
 
-def _read_stream(path: str, header: dict) -> set[int]:
-    """Completed p values of a verify --out stream; none if it is missing or empty.
+def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
+    """The p_summary lines of a verify --out stream, and how many of its bytes to keep.
 
-    A non-empty stream must start with `header`; otherwise it was written
-    by a different run, and a ValueError says which parameters differ.
+    The kept bytes end after the last complete p_summary line (the header
+    when no p is complete), which drops the records of a p cut short and a
+    cut-short last line.  A missing or empty stream keeps nothing.  A
+    non-empty stream must start with `header`; otherwise it was written by a
+    different run, and a ValueError says which parameters differ.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return set()
-    with open(path, "r", encoding="utf-8") as fh:
-        objs = [_json_or_none(line) for line in fh if line.strip()]
-    first = objs[0] if objs else None
+        return [], 0
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    objs = [_json_or_none(line) if line.endswith(b"\n") else None for line in lines]
+    first = objs[0]
     if not isinstance(first, dict) or first.get("type") != "header":
         raise ValueError(f"{path} has no header line; refusing to append to it")
     if first != header:
         diff = ", ".join(f"{k}={first.get(k)!r} there, {v!r} here" for k, v in header.items() if first.get(k) != v)
         raise ValueError(f"{path} was written by a different run ({diff}); refusing to append to it")
-    return {obj["p"] for obj in objs if isinstance(obj, dict) and obj.get("type") == "p_summary"}
+    done, keep, end = [], len(lines[0]), 0
+    for line, obj in zip(lines, objs):
+        end += len(line)
+        if isinstance(obj, dict) and obj.get("type") == "p_summary":
+            done.append(obj)
+            keep = end
+    return done, keep
 
 
-def _json_or_none(line: str):
+def _json_or_none(line: bytes):
     """The JSON value of a line, or None for a line cut short by an interrupted run."""
     try:
         return json.loads(line)
@@ -198,26 +208,29 @@ def cmd_verify(args) -> int:
             search={"mode": "fixtures", "report": _fixture_json(rep)},
             deterministic=args.deterministic,
         )
-        _emit(doc, args.json, None)
+        _emit(doc, args.json, args.out)
         return 0
 
     max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
     header = {"type": "header", "n": args.n, "max_p": max_p, "seed": args.seed, "budget": args.budget}
-    skip: set[int] = set()
-    if args.out:
-        try:
-            skip = _read_stream(args.out, header)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-    sink = open(args.out, "a", encoding="utf-8") if args.out else None
+    done: list[dict] = []
+    sink = None
 
     def write_line(obj):
         if sink:
             sink.write(json.dumps(obj, sort_keys=True) + "\n")
             sink.flush()
 
-    if sink and sink.tell() == 0:
-        write_line(header)
+    if args.out:
+        try:
+            done, keep = _read_stream(args.out, header)
+        except ValueError as exc:
+            return _usage_error(str(exc))
+        sink = open(args.out, "a", encoding="utf-8")
+        sink.truncate(keep)
+        if not keep:
+            write_line(header)
+    skip = {s["p"] for s in done}
     try:
         records, summary = verify_bound_exhaustive(
             args.n,
@@ -229,7 +242,12 @@ def cmd_verify(args) -> int:
             on_record=lambda r: write_line({"type": "record", **record_section(r)}),
             on_p_done=lambda s: write_line({"type": "p_summary", **s}),
         )
-        write_line({"type": "summary", **{k: v for k, v in summary.items() if k != "per_p"}})
+        totals = {k: v for k, v in summary.items() if k != "per_p"}
+        # the stream's summary also counts the p values completed by earlier runs
+        for s in done:
+            for k in totals.keys() & s.keys():
+                totals[k] += s[k]
+        write_line({"type": "summary", **totals})
     finally:
         if sink:
             sink.close()

@@ -10,7 +10,9 @@ One numpy kernel runs the rule over a block of orders at once, as
 bitsets: step k colors the k-th vertex of every order Red iff one of its
 edges has all other vertices in the Blue mask.  A single given order is
 the one-row case; random restarts draw their orders from one seeded
-per-trial stream, TRIAL_BLOCK trials at a time.
+per-trial stream, TRIAL_BLOCK trials at a time.  numpy is imported
+inside these kernels only, so commands that never run one (the decider
+among them) do not pay its import.
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -23,8 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import IncompleteColoring, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
@@ -121,6 +121,8 @@ def greedy_color(H: Hypergraph, pi: Ordering) -> ColoringOutcome:
     separated by pi.  For n = 1 no simple pair exists, so improper runs
     carry no witness.
     """
+    import numpy as np
+
     if len(pi.ranks) != H.p:
         raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
     blue, violating = _greedy_block(H, np.array([pi.vertex_sequence()], dtype=np.int64))
@@ -143,6 +145,8 @@ def greedy_color(H: Hypergraph, pi: Ordering) -> ColoringOutcome:
 
 def _mask_dtype(p: int):
     """int64 while the vertex bits and the spare bit 1 << p fit, else Python ints."""
+    import numpy as np
+
     return np.int64 if p < 63 else object
 
 
@@ -154,6 +158,8 @@ def _trial_orders(p: int, seed, start: int, stop: int) -> np.ndarray:
     so every trial is reproducible on its own and a block of trials does
     not depend on the blocks before it.
     """
+    import numpy as np
+
     rng = random.Random()
     rows = []
     for t in range(start, stop):
@@ -173,6 +179,8 @@ def _greedy_block(H: Hypergraph, orders: np.ndarray) -> tuple[np.ndarray, np.nda
     the rows of the "others" table are padded with the bit 1 << p, which
     is never Blue.
     """
+    import numpy as np
+
     p, masks = H.p, H.masks
     dtype = _mask_dtype(p)
     bits = np.array([1 << v for v in range(p)], dtype=dtype)
@@ -289,6 +297,8 @@ def random_restart_color(
     returns the first successful (ordering, coloring) in trial order, or
     None after max_trials failures.
     """
+    import numpy as np
+
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
     for start in range(0, max_trials, TRIAL_BLOCK):

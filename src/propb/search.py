@@ -8,9 +8,10 @@ bipartite iff one of the 2^(p-1) two-colorings of K_p (one vertex fixed)
 leaves none of its edges monochromatic, a cut test against precomputed
 monochromatic-slot masks.  Every non-bipartite graph is then checked
 against the bound (m2 >= 6) and the equality characterization (m2 = 6
-forces a triangle).  For n >= 3 exhaustive enumeration is out of
-reach, so the run degrades to seeded rejection sampling plus the curated
-fixture suite.
+forces a triangle).  numpy and the process pool are imported inside the
+scan only, so sampling and the fixture suite never load them.  For n >= 3
+exhaustive enumeration is out of reach, so the run degrades to seeded
+rejection sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells.
@@ -21,13 +22,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
 from typing import Callable, Collection
-
-import numpy as np
 
 from .coloring import Colorability, exhaustive_decide
 from .errors import BudgetExceeded, CounterexampleFound, FixtureFailure
@@ -134,42 +132,6 @@ def _encode_edges(edges) -> str:
     return ";".join(",".join(map(str, e)) for e in edges)
 
 
-def is_bipartite(H: Hypergraph) -> bool:
-    """BFS 2-coloring for graphs (n = 2); equivalent to two-colorability there."""
-    if H.n != 2:
-        raise ValueError("bipartiteness check applies to 2-graphs only")
-    adj = [0] * H.p
-    for u, v in H.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _mask_bipartite(adj, H.p)
-
-
-def _mask_bipartite(adj: list[int], p: int) -> bool:
-    seen = 0
-    color = 0
-    for s in range(p):
-        if not adj[s] or seen >> s & 1:
-            continue
-        seen |= 1 << s
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            cx = color >> x & 1
-            nb = adj[x]
-            while nb:
-                y = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if seen >> y & 1:
-                    if (color >> y & 1) == cx:
-                        return False
-                else:
-                    seen |= 1 << y
-                    color |= (cx ^ 1) << y
-                    stack.append(y)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # vectorized labeled-graph scan (n = 2)
 # ---------------------------------------------------------------------------
@@ -203,6 +165,8 @@ def _mono_masks(p: int) -> np.ndarray:
     masks mm; fixing one vertex's color halves the list without losing a
     coloring up to swapping the two colors.
     """
+    import numpy as np
+
     E, _ = _edge_slots(p)
     masks = []
     for c in range(1 << (p - 1)):
@@ -222,6 +186,8 @@ def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     Returns chunk-level reductions only, so results merge deterministically
     regardless of which process handled which chunk.
     """
+    import numpy as np
+
     p, lo, hi = args
     _, inc = _edge_slots(p)
     # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
@@ -335,6 +301,11 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
         chunk = 1 << 18
         args = [(p, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         if workers > 1 and len(args) > 1:
+            # imported here, so a serial census never loads it; the p <= 6 chunks
+            # have loaded numpy by now, and workers fork with it (loading the
+            # pool before numpy raised the census's peak RSS by 2 MB)
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_graph_chunk, args))
         else:

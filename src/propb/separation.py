@@ -9,7 +9,8 @@ of vertices placed before it, so the histogram of separated-pair counts
 over all p! orderings comes from a dynamic program over prefix sets
 (2^(p-1) pair tests per pair) instead of a loop over the orderings.
 Monte Carlo trials are evaluated a block at a time from the prefix masks
-of their random orders.
+of their random orders.  numpy is imported inside those kernels only;
+the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable
-
-import numpy as np
 
 from .coloring import TRIAL_BLOCK, Ordering, _mask_dtype, _trial_orders
 from .errors import BudgetExceeded, InvalidOrdering, NotSimple
@@ -65,6 +63,8 @@ def _separated_counts(pairs: list[tuple[int, int, int]], orders: np.ndarray) -> 
     pair (xo, yo, y) is separated iff xo is inside before[t, y] and yo
     misses it.
     """
+    import numpy as np
+
     T, p = orders.shape
     dtype = _mask_dtype(p)
     bits = np.array([1 << v for v in range(p)], dtype=dtype)[orders]
@@ -79,6 +79,8 @@ def _separated_counts(pairs: list[tuple[int, int, int]], orders: np.ndarray) -> 
 
 def count_separated(H: Hypergraph, pi: Ordering) -> int:
     """Number of ordered simple pairs of H separated by pi."""
+    import numpy as np
+
     if len(pi.ranks) != H.p:
         raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
     orders = np.array([pi.vertex_sequence()], dtype=np.int64)
@@ -90,34 +92,6 @@ def exact_separation_probability(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return Fraction(math.factorial(n - 1) ** 2, math.factorial(2 * n - 1))
-
-
-def enumerate_separation_probability(
-    X: Iterable[int], Y: Iterable[int], max_union: int = 10
-) -> Fraction:
-    """Separation probability of one simple pair by enumerating all orders of X union Y.
-
-    Only the relative order of X union Y matters, so enumerating its
-    (2n-1)! arrangements gives the exact probability over full
-    permutations of any larger ground set.
-    """
-    xs, ys = frozenset(X), frozenset(Y)
-    meet = xs & ys
-    if len(meet) != 1:
-        raise NotSimple(f"edges share {len(meet)} vertices, expected exactly 1")
-    union = sorted(xs | ys)
-    if len(union) > max_union:
-        raise BudgetExceeded(f"|X union Y| = {len(union)} exceeds enumeration budget {max_union}")
-    (y,) = meet
-    x_others = xs - meet
-    y_others = ys - meet
-    hits = 0
-    for perm in permutations(union):
-        pos = {v: i for i, v in enumerate(perm)}
-        py = pos[y]
-        if all(pos[u] < py for u in x_others) and all(pos[v] > py for v in y_others):
-            hits += 1
-    return Fraction(hits, math.factorial(len(union)))
 
 
 def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
@@ -160,6 +134,8 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed=0) -> SeparationStat
     Trial t draws from its own PRNG stream seeded from (seed, t); identical
     arguments reproduce identical statistics.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pairs = _pair_masks(H)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from propb import (
+    BudgetExceeded,
     Color,
     Colorability,
     Coloring,
     ColoringOutcome,
     Hypergraph,
+    NotSimple,
     Ordering,
     SeparationStats,
     SimplePair,
@@ -60,8 +63,6 @@ def random_instances(count, seed, n_choices=(2, 3), p_max=12, m_max=None):
     for _ in range(count):
         n = rng.choice(list(n_choices))
         p = rng.randint(n, p_max)
-        import math
-
         cap = math.comb(p, n)
         m = rng.randint(0, min(cap, m_max if m_max is not None else cap))
         out.append(random_hypergraph(n, p, m, seed=rng.getrandbits(32)))
@@ -93,6 +94,62 @@ def brute_separates(order, X, Y) -> bool:
     left = [pos[u] for u in set(X) - {y}]
     right = [pos[v] for v in set(Y) - {y}]
     return all(u < pos[y] for u in left) and all(v > pos[y] for v in right)
+
+
+def is_bipartite(H) -> bool:
+    """BFS 2-coloring of a graph (n = 2) over adjacency bitsets: the scan's cut-test oracle."""
+    if H.n != 2:
+        raise ValueError("bipartiteness check applies to 2-graphs only")
+    adj = [0] * H.p
+    for u, v in H.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    seen = 0
+    color = 0
+    for s in range(H.p):
+        if not adj[s] or seen >> s & 1:
+            continue
+        seen |= 1 << s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            cx = color >> x & 1
+            nb = adj[x]
+            while nb:
+                y = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                if seen >> y & 1:
+                    if (color >> y & 1) == cx:
+                        return False
+                else:
+                    seen |= 1 << y
+                    color |= (cx ^ 1) << y
+                    stack.append(y)
+    return True
+
+
+def enumerate_separation_probability(X, Y, max_union=10) -> Fraction:
+    """Separation probability of one simple pair over all orders of X union Y.
+
+    Only the relative order of X union Y matters, so its (2n-1)!
+    arrangements give the exact probability over permutations of any
+    larger ground set: the closed form's oracle.
+    """
+    xs, ys = frozenset(X), frozenset(Y)
+    meet = xs & ys
+    if len(meet) != 1:
+        raise NotSimple(f"edges share {len(meet)} vertices, expected exactly 1")
+    union = sorted(xs | ys)
+    if len(union) > max_union:
+        raise BudgetExceeded(f"|X union Y| = {len(union)} exceeds enumeration budget {max_union}")
+    (y,) = meet
+    hits = 0
+    for perm in itertools.permutations(union):
+        pos = {v: i for i, v in enumerate(perm)}
+        py = pos[y]
+        if all(pos[u] < py for u in xs - meet) and all(pos[v] > py for v in ys - meet):
+            hits += 1
+    return Fraction(hits, math.factorial(len(union)))
 
 
 def oracle_decide(H, vertex_budget=24) -> Colorability:

@@ -29,7 +29,6 @@ from propb import (
     build_M,
     complete_hypergraph,
     count_separated,
-    enumerate_separation_probability,
     evaluate_family,
     exhaustive_decide,
     fano_plane,
@@ -49,7 +48,7 @@ from propb import (
 from propb.cli import main
 from propb.report import monte_carlo_section, to_json
 
-from conftest import brute_ordering_histogram
+from conftest import brute_ordering_histogram, enumerate_separation_probability
 
 
 @contextmanager

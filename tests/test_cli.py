@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import propb
 from propb import complete_hypergraph, fano_plane, pad, render
 from propb.cli import main
 
@@ -196,6 +200,28 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {out_path} has no header line; refusing to append to it\n"
         assert out_path.read_text() == '{"p": 1, "type": "p_summary"}\n'
 
+    def test_resume_after_a_cut_inside_a_p_matches_an_uninterrupted_run(self, capsys, tmp_path):
+        argv = ["verify", "--n", "2", "--max-p", "5", "--threads", "1", "--deterministic"]
+        whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
+        assert main([*argv, "--out", str(whole)]) == 0
+        lines = whole.read_bytes().splitlines(keepends=True)
+        objs = [json.loads(line) for line in lines]
+        k = next(i for i, o in enumerate(objs) if o["type"] == "p_summary" and o["p"] == 5)
+        assert [o["type"] for o in objs[k - 2 : k]] == ["record", "record"]
+        # one record of p = 5 is complete, the next is cut mid-line
+        cut.write_bytes(b"".join(lines[: k - 1]) + lines[k - 1][: len(lines[k - 1]) // 2])
+        assert main([*argv, "--out", str(cut)]) == 0
+        assert cut.read_bytes() == whole.read_bytes()
+
+    def test_fixtures_out_writes_the_document(self, capsys, tmp_path):
+        argv = ["verify", "--n", "3", "--fixtures", "--json", "--deterministic"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        out_path = tmp_path / "fx.json"
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_text() == expected
+
     def test_fixtures_mode(self, capsys):
         code, doc = run_json(capsys, ["verify", "--n", "3", "--fixtures", "--json"])
         assert code == 0
@@ -302,3 +328,42 @@ class TestGen:
         assert code == 0
         assert doc["analysis"]["m2"] == 42
         assert doc["analysis"]["colorable"] == "no"
+
+
+_LOADED_MODULES = """
+import json
+import sys
+from propb.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["--help"], False),
+        (["analyze", "{k35}", "--json"], False),
+        (["enum", "{k35}", "--json"], False),
+        (["gen", "--kind", "clique", "--n", "3"], False),
+        (["verify", "--n", "3", "--fixtures", "--json"], False),
+        (["verify", "--n", "4", "--fixtures", "--json"], False),
+        (["verify", "--n", "3", "--seed", "0", "--json"], False),
+        (["mc", "{k35}", "--trials", "10", "--json"], True),
+    ],
+    ids=["help", "analyze", "enum", "gen", "fixtures-n3", "fixtures-n4", "sampled-n3", "mc"],
+)
+def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv, loads_numpy):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    argv = [a.format(k35=k35_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert ("numpy" in loaded) is loads_numpy
+    if argv == ["--help"]:
+        assert "concurrent.futures" not in loaded

@@ -13,7 +13,6 @@ from propb import (
     complete_hypergraph,
     exhaustive_decide,
     find_clique,
-    is_bipartite,
     m2,
     normalize,
     random_hypergraph,
@@ -22,6 +21,8 @@ from propb import (
     verify_fixture_suite,
 )
 from propb.search import _scan_graph_chunk
+
+from conftest import is_bipartite
 
 
 def _labeled_graphs(p):

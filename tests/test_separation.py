@@ -12,7 +12,6 @@ from propb import (
     bound,
     complete_hypergraph,
     count_separated,
-    enumerate_separation_probability,
     exact_separation_probability,
     exhaustive_separation_mean,
     m2,
@@ -25,6 +24,7 @@ from propb import (
 
 from conftest import (
     brute_ordering_histogram,
+    enumerate_separation_probability,
     brute_separates,
     oracle_counter,
     oracle_monte_carlo,
