@@ -367,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--order", type=_int_list, help="comma-separated visit order, e.g. 0,2,1")
     p.add_argument("--trials", type=_int_at_least(1), default=1, help="random orders to try when --order is absent")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("mc", help="Monte Carlo separated-pair statistics")
     p.add_argument("input")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
     common(p)
     p.set_defaults(func=cmd_mc)
 

@@ -9,10 +9,10 @@ simple pair can be read off.
 One numpy kernel runs the rule over a block of orders at once, as
 bitsets: step k colors the k-th vertex of every order Red iff one of its
 edges has all other vertices in the Blue mask.  A single given order is
-the one-row case; random restarts draw their orders from one seeded
-per-trial stream, TRIAL_BLOCK trials at a time.  numpy is imported
-inside these kernels only, so commands that never run one (the decider
-among them) do not pay its import.
+the one-row case; random restarts draw TRIAL_BLOCK orders at a time in
+one numpy pass over a counter-based SplitMix64 stream.  numpy is
+imported inside these kernels only, so commands that never run one (the
+decider among them) do not pay its import.
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -22,9 +22,9 @@ other color.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import IncompleteColoring, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
@@ -32,6 +32,10 @@ from .hypergraph import Hypergraph, SimplePair, covered_vertices
 # Random orders are drawn and evaluated this many trials at a time, so
 # memory stays flat however many trials are asked for.
 TRIAL_BLOCK = 1024
+
+# The stream of _trial_orders, as the Monte Carlo document names it.
+TRIAL_STREAM = "splitmix64-1"
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class Color(str, Enum):
@@ -70,12 +74,6 @@ class Ordering:
     @classmethod
     def identity(cls, p: int) -> "Ordering":
         return cls(tuple(range(1, p + 1)))
-
-    @classmethod
-    def random(cls, p: int, rng: random.Random) -> "Ordering":
-        seq = list(range(p))
-        rng.shuffle(seq)
-        return cls.from_vertex_sequence(seq)
 
     def rank(self, v: int) -> int:
         return self.ranks[v]
@@ -150,53 +148,60 @@ def _mask_dtype(p: int):
     return np.int64 if p < 63 else object
 
 
-def _trial_orders(p: int, seed, start: int, stop: int) -> np.ndarray:
+def _trial_orders(p: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Visit orders of trials start..stop-1, one row each.
 
-    Trial t shuffles range(p) with a PRNG seeded from the string "seed:t"
-    (reseeding one Random gives the stream of a fresh Random("seed:t")),
-    so every trial is reproducible on its own and a block of trials does
-    not depend on the blocks before it.
+    Trial t visits the vertices in the stable argsort of outputs t*p..t*p+p-1
+    of SplitMix64 (Steele, Lea & Flood 2014; output k of seed s mixes
+    s + (k + 1) * _GAMMA mod 2^64), so it is reproducible on its own and a
+    block does not depend on the blocks before it.
     """
     import numpy as np
 
-    rng = random.Random()
-    rows = []
-    for t in range(start, stop):
-        rng.seed(f"{seed}:{t}")
-        seq = list(range(p))
-        rng.shuffle(seq)
-        rows.append(seq)
-    return np.array(rows, dtype=np.int64)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    z = np.arange(start * p + 1, stop * p + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.argsort(z.reshape(stop - start, p), axis=1, kind="stable")
 
 
-def _greedy_block(H: Hypergraph, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy runs over a block of visit orders, one per row.
+@lru_cache(maxsize=64)
+def _greedy_tables(H: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex bits, "others" table and edge masks of H; read-only, as every call shares them.
 
-    Returns each run's Blue vertex mask and the index of its first
-    monochromatic edge, len(H.edges) when the run is proper.  Vertex v
-    turns Red iff one of its edges has all other vertices Blue already;
-    the rows of the "others" table are padded with the bit 1 << p, which
-    is never Blue.
+    Row v lists m ^ (1 << v) per edge mask m holding v, padded with the never-Blue bit 1 << p;
+    the edge masks end with an empty sentinel edge, monochromatic in every run.
     """
     import numpy as np
 
-    p, masks = H.p, H.masks
-    dtype = _mask_dtype(p)
+    p, masks, dtype = H.p, H.masks, _mask_dtype(H.p)
     bits = np.array([1 << v for v in range(p)], dtype=dtype)
     others = [[m ^ (1 << v) for m in masks if m >> v & 1] for v in range(p)]
     table = np.full((p, max(map(len, others), default=0) or 1), 1 << p, dtype=dtype)
     for v, row in enumerate(others):
         table[v, : len(row)] = row
-    T = orders.shape[0]
-    blue = np.zeros(T, dtype=dtype)
-    for k in range(p):
+    edge_masks = np.array(masks + (0,), dtype=dtype)
+    bits.flags.writeable = table.flags.writeable = edge_masks.flags.writeable = False
+    return bits, table, edge_masks
+
+
+def _greedy_block(H: Hypergraph, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy runs over a block of visit orders, one per row.
+
+    Returns each run's Blue vertex mask and the index of its first monochromatic
+    edge (len(H.edges) if proper); v turns Red iff one of its edges is otherwise Blue.
+    """
+    import numpy as np
+
+    bits, table, edge_masks = _greedy_tables(H)
+    blue = np.zeros(orders.shape[0], dtype=bits.dtype)
+    for k in range(H.p):
         v = orders[:, k]
         cand = table[v]
         red = ((cand & blue[:, None]) == cand).any(axis=1)
         blue |= np.where(red, 0, bits[v])
-    # a sentinel empty edge after the last one is monochromatic in every run
-    edge_masks = np.array(masks + (0,), dtype=dtype)
     x = blue[:, None] & edge_masks
     mono = (x == 0) | (x == edge_masks)
     return blue, mono.argmax(axis=1)
@@ -288,14 +293,14 @@ def _force(edges, blue: int, red: int) -> tuple[int, int] | None:
 
 
 def random_restart_color(
-    H: Hypergraph, max_trials: int, seed=0
+    H: Hypergraph, max_trials: int, seed: int = 0
 ) -> tuple[Ordering, Coloring] | None:
     """Greedy coloring under fresh uniform random orders until one is proper.
 
-    Trial t uses its own PRNG stream seeded from (seed, t), so results do
-    not depend on evaluation order.  Trials run in blocks of TRIAL_BLOCK;
-    returns the first successful (ordering, coloring) in trial order, or
-    None after max_trials failures.
+    Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
+    2^64), so results do not depend on evaluation order.  Trials run in
+    blocks of TRIAL_BLOCK; returns the first successful (ordering,
+    coloring) in trial order, or None after max_trials failures.
     """
     import numpy as np
 

@@ -71,8 +71,3 @@ def render(H: Hypergraph) -> str:
     lines = [f"{H.n} {H.p} {len(H.edges)}"]
     lines.extend(" ".join(map(str, e)) for e in H.edges)
     return "\n".join(lines) + "\n"
-
-
-def parse_path(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .coloring import Colorability, exhaustive_decide
+from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
 from .search import SearchRecord
 from .separation import SeparationStats
@@ -106,6 +106,7 @@ def monte_carlo_section(stats: SeparationStats) -> dict:
     return {
         "kind": "monte_carlo",
         "estimate": True,
+        "rng": TRIAL_STREAM,
         "trials": stats.trials,
         "mean_separated": float(stats.mean_separated),
         "success_rate": float(stats.success_rate),

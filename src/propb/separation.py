@@ -9,8 +9,8 @@ of vertices placed before it, so the histogram of separated-pair counts
 over all p! orderings comes from a dynamic program over prefix sets
 (2^(p-1) pair tests per pair) instead of a loop over the orderings.
 Monte Carlo trials are evaluated a block at a time from the prefix masks
-of their random orders.  numpy is imported inside those kernels only;
-the exact paths never load it.
+of their orders, drawn from the coloring module's SplitMix64 stream.
+numpy is imported inside those kernels only; the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ def exhaustive_separation_mean(H: Hypergraph, max_vertices: int = 8) -> Fraction
     return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
 
 
-def monte_carlo_separation(H: Hypergraph, trials: int, seed=0) -> SeparationStats:
+def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> SeparationStats:
     """Sample uniform orderings and record separated-pair counts per trial.
 
-    Trial t draws from its own PRNG stream seeded from (seed, t); identical
-    arguments reproduce identical statistics.
+    Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
+    2^64); identical arguments reproduce identical statistics.
     """
     import numpy as np
 

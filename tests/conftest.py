@@ -182,14 +182,32 @@ def oracle_decide(H, vertex_budget=24) -> Colorability:
     return Colorability.NO
 
 
+def random_ordering(p, rng) -> Ordering:
+    """A uniform ordering of p vertices drawn from a random.Random."""
+    seq = list(range(p))
+    rng.shuffle(seq)
+    return Ordering.from_vertex_sequence(seq)
+
+
 # Scalar oracles for the batched ordering kernels: one ordering at a time,
-# in plain Python, over the same per-trial PRNG stream ("seed:t").
+# in plain Python, over the same counter-based trial stream (SplitMix64
+# output t*p + i keys vertex i of trial t).
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed, k) -> int:
+    """Output k (from 0) of the SplitMix64 generator started at state seed."""
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
 def oracle_trial_order(p, seed, t) -> list[int]:
-    seq = list(range(p))
-    random.Random(f"{seed}:{t}").shuffle(seq)
-    return seq
+    """Vertices of trial t sorted by their stream keys, ties to the lower vertex."""
+    keys = [splitmix64(seed, t * p + i) for i in range(p)]
+    return sorted(range(p), key=lambda i: (keys[i], i))
 
 
 def oracle_greedy(H, pi) -> ColoringOutcome:

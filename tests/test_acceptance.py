@@ -48,7 +48,7 @@ from propb import (
 from propb.cli import main
 from propb.report import monte_carlo_section, to_json
 
-from conftest import brute_ordering_histogram, enumerate_separation_probability
+from conftest import brute_ordering_histogram, enumerate_separation_probability, random_ordering
 
 
 @contextmanager
@@ -100,7 +100,7 @@ def test_criterion_3_greedy_failure_witnesses():
         rng = random.Random(2024)
         improper = 0
         for H in _random_suite(10_000, seed=2024, p_max=12, m_max=24):
-            pi = Ordering.random(H.p, rng)
+            pi = random_ordering(H.p, rng)
             out = greedy_color(H, pi)
             blue = {v for v in range(H.p) if out.coloring.colors[v].value == "Blue"}
             for e in H.edges:

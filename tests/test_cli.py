@@ -126,8 +126,15 @@ class TestSeparationCommands:
         code, doc = run_json(capsys, ["mc", path, "--trials", "50", "--json"])
         assert code == 0
         sep = doc["separation"]
-        assert sep["estimate"] is True
+        assert sep["estimate"] is True and sep["rng"] == "splitmix64-1"
         assert sep["success_rate"] == 1.0
+
+    def test_mc_and_color_take_the_largest_seed(self, capsys, k35_file):
+        seed = str(2**64 - 1)
+        code, doc = run_json(capsys, ["mc", k35_file, "--trials", "30", "--seed", seed, "--json"])
+        assert code == 0 and doc["separation"]["histogram"] == [[1, 30]]
+        assert main(["color", k35_file, "--trials", "30", "--seed", seed]) == 0
+        assert capsys.readouterr().out == f"exhausted: no proper coloring in 30 trials (seed {seed})\n"
 
     def test_mc_deterministic(self, capsys, triangle_file):
         args = ["mc", triangle_file, "--trials", "200", "--seed", "9", "--json", "--deterministic"]
@@ -276,6 +283,11 @@ class TestVerify:
         (["analyze", "{k35}", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
         (["color", "{k35}", "--order", "0,0,1"], "sequence [0, 0, 1] is not a permutation of 0..2"),
         (["color", "{k35}", "--order", "0,1,2"], "ordering covers 3 vertices, hypergraph has 5"),
+        (["mc", "{k35}", "--trials", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (
+            ["color", "{k35}", "--seed", "18446744073709551616"],
+            "argument --seed: must be <= 18446744073709551615, got 18446744073709551616",
+        ),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from propb import (
@@ -22,8 +24,17 @@ from propb import (
     random_restart_color,
     separates,
 )
+from propb.coloring import _trial_orders
 
-from conftest import oracle_decide, oracle_greedy, oracle_restart, random_instances
+from conftest import (
+    oracle_decide,
+    oracle_greedy,
+    oracle_restart,
+    oracle_trial_order,
+    random_instances,
+    random_ordering,
+    splitmix64,
+)
 
 B, R = Color.BLUE, Color.RED
 
@@ -60,7 +71,7 @@ class TestGreedyColor:
     def test_no_all_blue_edge_ever(self):
         rng = random.Random(99)
         for H in random_instances(1000, seed=99, p_max=12, m_max=20):
-            pi = Ordering.random(H.p, rng)
+            pi = random_ordering(H.p, rng)
             out = greedy_color(H, pi)
             for e in H.edges:
                 assert any(out.coloring.colors[v] is R for v in e)
@@ -69,7 +80,7 @@ class TestGreedyColor:
         rng = random.Random(5)
         checked = 0
         for H in random_instances(300, seed=5, p_max=10):
-            pi = Ordering.random(H.p, rng)
+            pi = random_ordering(H.p, rng)
             out = greedy_color(H, pi)
             if out.coloring.proper:
                 continue
@@ -298,9 +309,58 @@ class TestBatchedKernelOracles:
             assert got == (None if want is None else want[1:])
 
     def test_proper_trial_in_a_later_block(self):
+        # under seed 12 the first proper trial is t = 1272, in the second block
         H = _three_k47_minus_an_edge()
-        t, pi, coloring = oracle_restart(H, 3000, seed=5)
+        t, pi, coloring = oracle_restart(H, 3000, seed=12)
         assert t > 1024
-        assert random_restart_color(H, max_trials=3000, seed=5) == (pi, coloring)
-        assert random_restart_color(H, max_trials=t, seed=5) is None
-        assert random_restart_color(H, max_trials=t + 1, seed=5) == (pi, coloring)
+        assert random_restart_color(H, max_trials=3000, seed=12) == (pi, coloring)
+        assert random_restart_color(H, max_trials=t, seed=12) is None
+        assert random_restart_color(H, max_trials=t + 1, seed=12) == (pi, coloring)
+
+
+class TestTrialStream:
+    def test_published_splitmix64_vector(self):
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+        assert [splitmix64(1234567, k) for k in range(3)] == want
+        # trial 0 at p = 3 visits the vertices in the order of those outputs
+        assert _trial_orders(3, 1234567, 0, 1).tolist() == [[1, 0, 2]]
+
+    def test_final_step_orders_keys_tied_in_their_top_bits(self):
+        # z ^= z >> 31 keeps the top 31 bits, so the last SplitMix64 step
+        # decides an order only between keys equal there; one row of 2^17
+        # keys at seed 0 holds two such pairs
+        p = 1 << 17
+        keys = [splitmix64(0, i) for i in range(p)]
+        assert sum(c > 1 for c in Counter(k >> 33 for k in keys).values()) == 2
+        assert _trial_orders(p, 0, 0, 1)[0].tolist() == sorted(range(p), key=keys.__getitem__)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_matches_scalar_oracle(self, seed):
+        for p in (2, 5, 11, 71):
+            got = _trial_orders(p, seed, 40, 60).tolist()
+            assert got == [oracle_trial_order(p, seed, t) for t in range(40, 60)]
+
+    def test_block_layout_independent(self):
+        p, seed = 11, 3
+        whole = _trial_orders(p, seed, 0, 3000)
+        blocks = [_trial_orders(p, seed, a, min(a + 1024, 3000)) for a in range(0, 3000, 1024)]
+        assert (np.concatenate(blocks) == whole).all()
+        for t in (0, 1023, 1024, 2999):
+            assert (_trial_orders(p, seed, t, t + 1)[0] == whole[t]).all()
+
+    def test_uniform_over_the_orders_of_four_vertices(self):
+        trials = 240_000
+        orders = _trial_orders(4, 0, 0, trials)
+        counts = Counter(map(tuple, orders.tolist()))
+        assert set(counts) == set(itertools.permutations(range(4)))
+        sigma = math.sqrt(trials * (1 / 24) * (23 / 24))
+        assert all(abs(c - trials / 24) <= 5 * sigma for c in counts.values())
+
+    def test_shapes_at_zero_and_one_vertex(self):
+        assert _trial_orders(0, 5, 0, 4).shape == (4, 0)
+        assert _trial_orders(1, 5, 3, 7).tolist() == [[0]] * 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError):
+            _trial_orders(3, seed, 0, 1)
