@@ -5,143 +5,9 @@ runs the order-driven greedy two-coloring, measures exact separation
 probabilities, builds the cross-intersecting set-pair family whose sum
 detects extremal instances, recovers the forced complete subhypergraph,
 and verifies the bound exhaustively at small scale.
+
+Import each name from the module that defines it, e.g.
+``from propb.hypergraph import m2``.
 """
 
 __version__ = "0.2.0"
-
-from .coloring import (
-    Colorability,
-    Color,
-    Coloring,
-    ColoringOutcome,
-    Ordering,
-    exhaustive_decide,
-    greedy_color,
-    is_proper,
-    random_restart_color,
-)
-from .errors import (
-    BudgetExceeded,
-    CounterexampleFound,
-    DegenerateBinomial,
-    EqualityStructureViolated,
-    FixtureFailure,
-    IncompleteColoring,
-    InsufficientVertices,
-    InvalidOrdering,
-    NonUniformEdge,
-    NotSimple,
-    ParseError,
-    PropBError,
-    TooManyEdges,
-    VertexOutOfRange,
-)
-from .hgio import parse, render
-from .hypergraph import (
-    Hypergraph,
-    SimplePair,
-    bound,
-    complete_hypergraph,
-    covered_vertices,
-    enumerate_simple_pairs,
-    fano_plane,
-    m2,
-    normalize,
-    pad,
-    random_hypergraph,
-    relabel,
-    seymour_check,
-)
-from .report import AnalysisReport, analyze
-from .search import (
-    SearchRecord,
-    canonical_form,
-    verify_bound_exhaustive,
-    verify_fixture_suite,
-)
-from .separation import (
-    SeparationStats,
-    count_separated,
-    exact_separation_probability,
-    exhaustive_separation_mean,
-    monte_carlo_separation,
-    ordering_histogram,
-    separates,
-)
-from .setpairs import (
-    BollobasVerdict,
-    SetPairFamily,
-    bollobas_family,
-    bollobas_sum,
-    build_M,
-    check_conditions,
-    detect_equality_structure,
-    evaluate_family,
-    find_clique,
-    second_meet_collisions,
-)
-
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "BollobasVerdict",
-    "BudgetExceeded",
-    "Color",
-    "Colorability",
-    "Coloring",
-    "ColoringOutcome",
-    "CounterexampleFound",
-    "DegenerateBinomial",
-    "EqualityStructureViolated",
-    "FixtureFailure",
-    "Hypergraph",
-    "IncompleteColoring",
-    "InsufficientVertices",
-    "InvalidOrdering",
-    "NonUniformEdge",
-    "NotSimple",
-    "Ordering",
-    "ParseError",
-    "PropBError",
-    "SearchRecord",
-    "SeparationStats",
-    "SetPairFamily",
-    "SimplePair",
-    "TooManyEdges",
-    "VertexOutOfRange",
-    "analyze",
-    "bollobas_family",
-    "bollobas_sum",
-    "bound",
-    "build_M",
-    "canonical_form",
-    "check_conditions",
-    "complete_hypergraph",
-    "count_separated",
-    "covered_vertices",
-    "detect_equality_structure",
-    "enumerate_simple_pairs",
-    "evaluate_family",
-    "exact_separation_probability",
-    "exhaustive_decide",
-    "exhaustive_separation_mean",
-    "fano_plane",
-    "find_clique",
-    "greedy_color",
-    "is_proper",
-    "m2",
-    "monte_carlo_separation",
-    "normalize",
-    "ordering_histogram",
-    "pad",
-    "parse",
-    "random_hypergraph",
-    "random_restart_color",
-    "relabel",
-    "render",
-    "second_meet_collisions",
-    "separates",
-    "seymour_check",
-    "verify_bound_exhaustive",
-    "verify_fixture_suite",
-]

@@ -20,7 +20,6 @@ from .errors import BudgetExceeded, InvalidOrdering, ParseError, PropBError
 from .hgio import parse, render
 from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
 from .report import (
-    analysis_section,
     analyze,
     bollobas_section,
     exhaustive_section,
@@ -83,15 +82,15 @@ def _emit(doc: dict, as_json: bool, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     text, H = _load(args.input)
-    report, bollobas = analyze(H, vertex_budget=args.budget)
+    analysis, bollobas = analyze(H, vertex_budget=args.budget)
     doc = make_document(
         input_info=input_section(args.input, text, H),
-        analysis=analysis_section(report),
+        analysis=analysis,
         bollobas=bollobas_section(bollobas),
         deterministic=args.deterministic,
     )
     _emit(doc, args.json, args.out)
-    if args.strict and report.colorable is Colorability.UNDETERMINED:
+    if args.strict and analysis["colorable"] == Colorability.UNDETERMINED.value:
         print("error: colorability undetermined within vertex budget", file=sys.stderr)
         return 3
     return 0
@@ -281,7 +280,9 @@ def _extra_vertices(args) -> int:
 
 def _check_gen(parser: argparse.ArgumentParser, args) -> None:
     """Reject gen arguments that name no hypergraph, as usage errors (exit 2)."""
-    if args.kind == "random" and args.p is not None and args.m is not None:
+    if args.kind == "random":
+        if args.p is None or args.m is None:
+            parser.error("argument --kind: random requires --p and --m")
         total = math.comb(args.p, args.n)
         if args.m > total:
             parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
@@ -300,8 +301,6 @@ def cmd_gen(args) -> int:
     elif args.kind == "fano":
         H = fano_plane()
     else:
-        if args.p is None or args.m is None:
-            raise ParseError(0, "gen --kind random requires --p and --m")
         H = random_hypergraph(args.n, args.p, args.m, seed=args.seed)
     text = render(H)
     if args.out:
@@ -384,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
     p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument("--max-p", type=int, default=None, dest="max_p")
-    p.add_argument("--budget", type=int, default=None, help="graph budget (n=2) or sample count (n>=3)")
+    p.add_argument("--max-p", type=_int_at_least(1), default=None, dest="max_p")
+    p.add_argument("--budget", type=_int_at_least(0), default=None, help="graph budget (n=2) or sample count (n>=3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads", type=_int_at_least(1), default=os.cpu_count() or 1, help="worker processes for the enumeration"

@@ -60,10 +60,6 @@ class Hypergraph:
             masks.append(m)
         object.__setattr__(self, "masks", tuple(masks))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class SimplePair:

@@ -12,7 +12,6 @@ import datetime
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -25,18 +24,8 @@ from .setpairs import BollobasVerdict, bollobas_family, build_M, evaluate_family
 TOOL_NAME = "propb"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    m2: int
-    bound: int
-    meets_bound_exactly: bool
-    seymour_ok: bool
-    colorable: Colorability
-    clique_witness: tuple[int, ...] | None
-
-
-def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[AnalysisReport, BollobasVerdict | None]:
-    """m2/bound/colorability summary; runs the set-pair pipeline on extremal inputs."""
+def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, BollobasVerdict | None]:
+    """The report's analysis section, and the set-pair verdict (extremal inputs only, else None)."""
     m2_val = m2(H)
     b = bound(H.n)
     verdict, _ = exhaustive_decide(H, vertex_budget)
@@ -46,16 +35,16 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[AnalysisReport, Bol
         bollobas = evaluate_family(bollobas_family(H, build_M(H)))
         found = find_clique(H)
         if found is not None:
-            clique = tuple(sorted(found))
+            clique = sorted(found)
     return (
-        AnalysisReport(
-            m2=m2_val,
-            bound=b,
-            meets_bound_exactly=m2_val == b,
-            seymour_ok=seymour_check(H),
-            colorable=verdict,
-            clique_witness=clique,
-        ),
+        {
+            "m2": m2_val,
+            "bound": b,
+            "meets_bound_exactly": m2_val == b,
+            "seymour_ok": seymour_check(H),
+            "colorable": verdict.value,
+            "clique_witness": clique,
+        },
         bollobas,
     )
 
@@ -75,17 +64,6 @@ def input_section(path: str | None, text: str, H: Hypergraph) -> dict:
         "n": H.n,
         "p": H.p,
         "edge_count": len(H.edges),
-    }
-
-
-def analysis_section(r: AnalysisReport) -> dict:
-    return {
-        "m2": r.m2,
-        "bound": r.bound,
-        "meets_bound_exactly": r.meets_bound_exactly,
-        "seymour_ok": r.seymour_ok,
-        "colorable": r.colorable.value,
-        "clique_witness": list(r.clique_witness) if r.clique_witness is not None else None,
     }
 
 

@@ -220,12 +220,6 @@ def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     thm_violation = nonbip & (m2_arr == 6) & ~tri_any
     equality = nonbip & (m2_arr == 6)
     seymour_bad = nonbip & (edge_count < covered)
-
-    key = (m2_arr * 2 + nonbip) * 2 + tri_any
-    counts = np.bincount(key)
-    profiles = Counter(
-        {(k >> 2, bool(k >> 1 & 1), bool(k & 1)): c for k, c in enumerate(counts.tolist()) if c}
-    )
     return {
         "graphs": len(G),
         "non_colorable": int(nonbip.sum()),
@@ -233,7 +227,6 @@ def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
         "equality_masks": G[equality].tolist(),
         "counterexample_masks": G[prop_violation | thm_violation].tolist(),
         "seymour_violations": int(seymour_bad.sum()),
-        "profiles": profiles,
     }
 
 
@@ -311,19 +304,11 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
         else:
             results = [_scan_graph_chunk(a) for a in args]
 
-        eq_masks: list[int] = []
-        cex_masks: list[int] = []
-        nonbip = 0
-        seymour_bad = 0
-        min_m2 = None
-        for r in results:
-            nonbip += r["non_colorable"]
-            seymour_bad += r["seymour_violations"]
-            eq_masks.extend(r["equality_masks"])
-            cex_masks.extend(r["counterexample_masks"])
-            if r["min_m2_non_colorable"] is not None:
-                if min_m2 is None or r["min_m2_non_colorable"] < min_m2:
-                    min_m2 = r["min_m2_non_colorable"]
+        eq_masks = [m for r in results for m in r["equality_masks"]]
+        cex_masks = [m for r in results for m in r["counterexample_masks"]]
+        min_m2 = min(
+            (r["min_m2_non_colorable"] for r in results if r["min_m2_non_colorable"] is not None), default=None
+        )
 
         if cex_masks:
             H = _graph_from_mask(p, cex_masks[0])
@@ -354,12 +339,12 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
         p_summary = {
             "p": p,
             "graphs": total,
-            "non_colorable": nonbip,
+            "non_colorable": sum(r["non_colorable"] for r in results),
             "min_m2_non_colorable": min_m2,
             "equality_labeled": len(eq_masks),
             "equality_classes": len(p_records),
             "counterexamples": 0,
-            "seymour_violations": seymour_bad,
+            "seymour_violations": sum(r["seymour_violations"] for r in results),
         }
         for rec in p_records:
             records.append(rec)
@@ -368,11 +353,8 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
         if on_p_done:
             on_p_done(p_summary)
         summary["per_p"].append(p_summary)
-        summary["graphs"] += total
-        summary["non_colorable"] += nonbip
-        summary["equality_labeled"] += len(eq_masks)
-        summary["equality_classes"] += len(p_records)
-        summary["seymour_violations"] += seymour_bad
+        for k in summary.keys() & p_summary.keys():
+            summary[k] += p_summary[k]
     return records, summary
 
 

@@ -7,16 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from propb import (
-    BudgetExceeded,
-    Color,
-    Colorability,
-    Coloring,
-    ColoringOutcome,
+from propb.coloring import Color, Colorability, Coloring, ColoringOutcome, Ordering
+from propb.errors import BudgetExceeded, NotSimple
+from propb.hypergraph import (
     Hypergraph,
-    NotSimple,
-    Ordering,
-    SeparationStats,
     SimplePair,
     complete_hypergraph,
     covered_vertices,
@@ -24,6 +18,7 @@ from propb import (
     normalize,
     random_hypergraph,
 )
+from propb.separation import SeparationStats
 
 
 @pytest.fixture

@@ -21,32 +21,23 @@ from fractions import Fraction
 
 import pytest
 
-from propb import (
-    Colorability,
-    Ordering,
+from propb.cli import main
+from propb.coloring import Colorability, Ordering, exhaustive_decide, greedy_color
+from propb.hgio import parse, render
+from propb.hypergraph import (
     bound,
-    bollobas_family,
-    build_M,
     complete_hypergraph,
-    count_separated,
-    evaluate_family,
-    exhaustive_decide,
     fano_plane,
-    find_clique,
-    greedy_color,
     m2,
-    monte_carlo_separation,
     normalize,
     pad,
-    parse,
     random_hypergraph,
-    render,
-    separates,
     seymour_check,
-    verify_bound_exhaustive,
 )
-from propb.cli import main
 from propb.report import monte_carlo_section, to_json
+from propb.search import verify_bound_exhaustive
+from propb.separation import count_separated, monte_carlo_separation, separates
+from propb.setpairs import bollobas_family, build_M, evaluate_family, find_clique
 
 from conftest import brute_ordering_histogram, enumerate_separation_probability, random_ordering
 

@@ -6,25 +6,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from propb import (
+from propb.coloring import (
     Color,
     Colorability,
-    IncompleteColoring,
-    InvalidOrdering,
     Ordering,
-    bound,
-    complete_hypergraph,
-    covered_vertices,
     exhaustive_decide,
     greedy_color,
     is_proper,
-    m2,
-    normalize,
-    pad,
     random_restart_color,
-    separates,
+    _trial_orders,
 )
-from propb.coloring import _trial_orders
+from propb.errors import IncompleteColoring, InvalidOrdering
+from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad
+from propb.separation import separates
 
 from conftest import (
     oracle_decide,

@@ -1,6 +1,8 @@
 import pytest
 
-from propb import ParseError, complete_hypergraph, parse, render
+from propb.errors import ParseError
+from propb.hgio import parse, render
+from propb.hypergraph import complete_hypergraph
 
 from conftest import random_instances
 

@@ -3,18 +3,14 @@ import random
 
 import pytest
 
-from propb import (
-    Colorability,
+from propb.coloring import Colorability, exhaustive_decide
+from propb.errors import InsufficientVertices, NonUniformEdge, TooManyEdges, VertexOutOfRange
+from propb.hypergraph import (
     Hypergraph,
-    InsufficientVertices,
-    NonUniformEdge,
-    TooManyEdges,
-    VertexOutOfRange,
     bound,
     complete_hypergraph,
     covered_vertices,
     enumerate_simple_pairs,
-    exhaustive_decide,
     m2,
     normalize,
     pad,

@@ -5,22 +5,19 @@ from itertools import combinations, permutations
 
 import pytest
 
-from propb import (
-    BudgetExceeded,
-    Colorability,
+from propb.coloring import Colorability, exhaustive_decide
+from propb.errors import BudgetExceeded
+from propb.hypergraph import (
     Hypergraph,
-    canonical_form,
     complete_hypergraph,
-    exhaustive_decide,
-    find_clique,
+    covered_vertices,
     m2,
     normalize,
     random_hypergraph,
     relabel,
-    verify_bound_exhaustive,
-    verify_fixture_suite,
 )
-from propb.search import _scan_graph_chunk
+from propb.search import _scan_graph_chunk, canonical_form, verify_bound_exhaustive, verify_fixture_suite
+from propb.setpairs import find_clique
 
 from conftest import is_bipartite
 
@@ -31,32 +28,24 @@ def _labeled_graphs(p):
         yield Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 
-def enumeration_profiles(p: int) -> Counter:
-    """Fast-path profile census over all labeled graphs on p vertices.
+def reference_chunk(p: int) -> dict:
+    """Slow no-shortcut census of every labeled graph on p vertices, as one scan chunk.
 
-    Profiles are (m2, non-colorable, has complete subgraph on 3 vertices);
-    used as one side of the oracle-equivalence check against
-    :func:`reference_profiles`.
+    Object path throughout: the decider, m2, subset clique search and the
+    covered-vertex set, per graph in mask order.
     """
-    total = 1 << math.comb(p, 2)
-    out: Counter = Counter()
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        r = _scan_graph_chunk((p, lo, min(lo + chunk, total)))
-        out.update(r["profiles"])
-    return out
-
-
-def reference_profiles(p: int) -> Counter:
-    """Slow no-shortcut census: object path, exponential decider, subset clique search."""
     if p > 5:
         raise BudgetExceeded("reference enumeration is budgeted at p <= 5")
-    out: Counter = Counter()
-    for H in _labeled_graphs(p):
-        verdict, _ = exhaustive_decide(H)
-        profile = (m2(H), verdict is Colorability.NO, find_clique(H) is not None)
-        out[profile] += 1
-    return out
+    graphs = list(_labeled_graphs(p))
+    nc = [(mask, H, m2(H)) for mask, H in enumerate(graphs) if exhaustive_decide(H)[0] is Colorability.NO]
+    return {
+        "graphs": len(graphs),
+        "non_colorable": len(nc),
+        "min_m2_non_colorable": min((v for _, _, v in nc), default=None),
+        "seymour_violations": sum(len(H.edges) < len(covered_vertices(H)) for _, H, _ in nc),
+        "equality_masks": [mask for mask, _, v in nc if v == 6],
+        "counterexample_masks": [mask for mask, H, v in nc if v < 6 or (v == 6 and find_clique(H) is None)],
+    }
 
 
 def labeled_bipartite_counts(max_p: int) -> list[int]:
@@ -198,9 +187,9 @@ class TestCanonicalForm:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_fast_pass_matches_reference(self, p):
-        fast = enumeration_profiles(p)
-        slow = reference_profiles(p)
-        # profile tuples are (m2, non-colorable, has-triangle) in both paths
+        fast = _scan_graph_chunk((p, 0, 1 << math.comb(p, 2)))
+        slow = reference_chunk(p)
+        # every field the census emits, counts and mask lists alike
         assert fast == slow
 
 
@@ -218,7 +207,8 @@ class TestVerifyGraphs:
 
     def test_c5_strict_inequality(self):
         c5 = normalize([[i, (i + 1) % 5] for i in range(5)], n=2, p=5)
-        from propb import m2 as m2_fn, find_clique
+        from propb.hypergraph import m2 as m2_fn
+        from propb.setpairs import find_clique
 
         assert m2_fn(c5) == 10
         assert find_clique(c5) is None

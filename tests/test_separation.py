@@ -5,20 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from propb import (
-    BudgetExceeded,
-    NotSimple,
-    Ordering,
-    bound,
-    complete_hypergraph,
+from propb.coloring import Ordering
+from propb.errors import BudgetExceeded, NotSimple
+from propb.hypergraph import bound, complete_hypergraph, m2, normalize, pad
+from propb.separation import (
     count_separated,
     exact_separation_probability,
     exhaustive_separation_mean,
-    m2,
     monte_carlo_separation,
-    normalize,
     ordering_histogram,
-    pad,
     separates,
 )
 

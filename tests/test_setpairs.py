@@ -4,25 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from propb import (
-    BudgetExceeded,
-    DegenerateBinomial,
-    EqualityStructureViolated,
-    SetPairFamily,
-    bollobas_family,
-    bollobas_sum,
+from propb.errors import BudgetExceeded, DegenerateBinomial, EqualityStructureViolated
+from propb.hypergraph import (
     bound,
-    build_M,
-    check_conditions,
     complete_hypergraph,
-    detect_equality_structure,
     enumerate_simple_pairs,
-    evaluate_family,
-    find_clique,
     m2,
     normalize,
     pad,
     relabel,
+)
+from propb.setpairs import (
+    SetPairFamily,
+    bollobas_family,
+    bollobas_sum,
+    build_M,
+    check_conditions,
+    detect_equality_structure,
+    evaluate_family,
+    find_clique,
     second_meet_collisions,
 )
 
