@@ -16,7 +16,7 @@ import os
 import sys
 
 from .coloring import Colorability, Ordering, greedy_color, random_restart_color
-from .errors import BudgetExceeded, InvalidOrdering, ParseError, PropBError
+from .errors import BudgetExceeded, InvalidOrdering, ParseError, PropBError, UnreadableInput
 from .hgio import parse, render
 from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
 from .report import (
@@ -38,7 +38,7 @@ def _load(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror}") from None
     return text, parse(text)
 
 
@@ -236,7 +236,6 @@ def cmd_verify(args) -> int:
             max_p,
             budget=args.budget,
             seed=args.seed,
-            workers=args.threads,
             skip_p=skip,
             on_record=lambda r: write_line({"type": "record", **record_section(r)}),
             on_p_done=lambda s: write_line({"type": "p_summary", **s}),
@@ -278,8 +277,9 @@ def _extra_vertices(args) -> int:
     return args.extra_vertices if args.extra_vertices is not None else args.n
 
 
-def _check_gen(parser: argparse.ArgumentParser, args) -> None:
-    """Reject gen arguments that name no hypergraph, as usage errors (exit 2)."""
+def _check_gen(args) -> None:
+    """Reject gen arguments that name no hypergraph, as usage errors of gen (exit 2)."""
+    parser = args.parser
     if args.kind == "random":
         if args.p is None or args.m is None:
             parser.error("argument --kind: random requires --p and --m")
@@ -387,11 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(0), default=None, help="graph budget (n=2) or sample count (n>=3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--threads", type=_int_at_least(1), default=os.cpu_count() or 1, help="worker processes for the enumeration"
+        "--threads",
+        type=_int_at_least(1),
+        default=1,
+        help="accepted for older command lines; the census runs in one process and the value changes nothing",
     )
     p.add_argument("--fixtures", action="store_true", help="run the curated fixture pipeline instead")
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("gen", help="write a hypergraph file")
     p.add_argument("--kind", choices=["clique", "padded", "fano", "random"], required=True)
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-vertices", type=_int_at_least(0), default=None, dest="extra_vertices", help="default: n")
     p.add_argument("--extra-edges", type=_int_at_least(0), default=1, dest="extra_edges")
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
     return parser
 
 
@@ -410,12 +413,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
-        parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
+        args.parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
     if args.command == "gen":
-        _check_gen(parser, args)
+        _check_gen(args)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UnreadableInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -62,6 +62,10 @@ class FixtureFailure(PropBError):
     """A curated fixture failed one of its asserted properties."""
 
 
+class UnreadableInput(PropBError):
+    """An input file cannot be opened or read."""
+
+
 class ParseError(PropBError):
     """Hypergraph text input is malformed; carries the 1-based line number."""
 

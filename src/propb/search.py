@@ -1,17 +1,19 @@
 """Small-case verification of the simple-pair bound and the extremal structure.
 
 For n = 2 every labeled graph on up to max_p vertices is enumerated as a
-bitmask over the C(p, 2) edge slots of the complete graph.  Degree counts,
-simple-pair counts, triangle containment and bipartiteness are evaluated
-vectorized over whole chunks of masks: a graph without a triangle is
-bipartite iff one of the 2^(p-1) two-colorings of K_p (one vertex fixed)
-leaves none of its edges monochromatic, a cut test against precomputed
-monochromatic-slot masks.  Every non-bipartite graph is then checked
-against the bound (m2 >= 6) and the equality characterization (m2 = 6
-forces a triangle).  numpy and the process pool are imported inside the
-scan only, so sampling and the fixture suite never load them.  For n >= 3
-exhaustive enumeration is out of reach, so the run degrades to seeded
-rejection sampling plus the curated fixture suite.
+bitmask over the C(p, 2) edge slots of the complete graph.  Vertex 0's
+slots come first, so each mask is a graph h on the other p-1 vertices
+plus vertex 0's neighbourhood N.  Tables over every h (degrees, m2, edge
+count, covered vertices, and which N a proper 2-coloring of h can put on
+one side) give each graph's m2, edge count, covered-vertex count and
+bipartiteness in a few broadcast operations over the (h, N) grid; only
+graphs at or below the bound get the triangle test.  Every non-bipartite
+graph is then checked against the bound (m2 >= 6) and the equality
+characterization (m2 = 6 forces a triangle).  The census runs in one
+process, and numpy is imported inside the scan only, so sampling and the
+fixture suite never load it.  For n >= 3 exhaustive enumeration is out
+of reach, so the run degrades to seeded rejection sampling plus the
+curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells.
@@ -157,76 +159,95 @@ def _triangle_slot_masks(p: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=16)
-def _mono_masks(p: int) -> np.ndarray:
-    """Edge slots of K_p left monochromatic by each 2-coloring with vertex p-1 fixed.
+@lru_cache(maxsize=8)
+def _extension_tables(q: int):
+    """Per labeled graph h on q <= 6 vertices: degrees, m2, edge count, covered mask, extendable bitmap.
 
-    A graph mask G is bipartite iff G & mm == 0 for one of these 2^(p-1)
-    masks mm; fixing one vertex's color halves the list without losing a
-    coloring up to swapping the two colors.
+    Row h holds h's degree vector (uint8, one column per vertex), m2(h),
+    its edge count, the bitmask of its covered vertices, and a uint64
+    whose bit N is set iff some proper 2-coloring of h puts every vertex
+    of N on one side: the down-closure over subsets of h's proper splits
+    (a split S is proper iff no edge lies inside S or inside its
+    complement).  The arrays are read-only.
     """
     import numpy as np
 
-    E, _ = _edge_slots(p)
-    masks = []
-    for c in range(1 << (p - 1)):
-        mm = 0
-        for i, (u, v) in enumerate(E):
-            if (c >> u & 1) == (c >> v & 1):
-                mm |= 1 << i
-        masks.append(mm)
-    out = np.array(masks, dtype=np.int32)
-    out.flags.writeable = False
-    return out
+    if q > 6:
+        raise ValueError(f"the extendable bitmap holds 2^q <= 64 bits, got q = {q}")
+    E, inc = _edge_slots(q)
+    # the C(q, 2) <= 15 edge slots fit uint16
+    h = np.arange(1 << len(E), dtype=np.uint16)
+    deg = np.zeros((len(h), q), dtype=np.uint8)
+    cov_h = np.zeros(len(h), dtype=np.uint8)
+    for v in range(q):
+        deg[:, v] = np.bitwise_count(h & inc[v])
+        cov_h |= (deg[:, v] > 0).astype(np.uint8) << v
+    d = deg.astype(np.int16)
+    m2_h = (d * (d - 1)).sum(axis=1, dtype=np.int16)
+    edges_h = np.bitwise_count(h)
+
+    # little-endian, so the scan can unpack bit N as byte N // 8, bit N % 8
+    ext = np.zeros(len(h), dtype="<u8")
+    for S in range(1 << q):
+        mono = sum(1 << i for i, (u, v) in enumerate(E) if (S >> u & 1) == (S >> v & 1))
+        ext |= ((h & mono) == 0).astype("<u8") << np.uint64(S)
+    for j in range(q):
+        # N without vertex j is extendable if N with it is
+        keep = sum(1 << N for N in range(64) if not N >> j & 1)
+        ext |= (ext >> np.uint64(1 << j)) & np.uint64(keep)
+    tables = deg, m2_h, edges_h, cov_h, ext
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     """Verify one contiguous mask range [lo, hi) of labeled graphs on p vertices.
 
-    Returns chunk-level reductions only, so results merge deterministically
-    regardless of which process handled which chunk.
+    Vertex 0's p-1 edge slots come first in lexicographic slot order, so
+    mask = (h << (p-1)) | N, where h is a labeled graph on vertices 1..p-1
+    and N is vertex 0's neighbourhood.  lo and hi must be multiples of
+    2^(p-1); the range is then a grid of whole rows h by all 2^(p-1)
+    columns N, in mask order, and each quantity is a broadcast of
+    :func:`_extension_tables` over it.  Only graphs at or below the bound
+    m2 = 6 get the triangle test.  Returns chunk-level reductions only, so
+    chunk results merge deterministically.
     """
     import numpy as np
 
     p, lo, hi = args
-    _, inc = _edge_slots(p)
-    # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
-    G = np.arange(lo, hi, dtype=np.int32)
+    q = p - 1
+    if (lo | hi) & ((1 << q) - 1):
+        raise ValueError(f"chunk [{lo}, {hi}) is not a run of whole rows of 2^{q} masks")
+    deg, m2_h, edges_h, cov_h, ext = _extension_tables(q)
+    rows = slice(lo >> q, hi >> q)
+    N = np.arange(1 << q, dtype=np.uint8)
+    d0 = np.bitwise_count(N).astype(np.int16)
 
-    m2_arr = np.zeros(len(G), dtype=np.int64)
-    covered = np.zeros(len(G), dtype=np.int64)
-    pair_table = np.array([d * (d - 1) // 2 for d in range(p + 1)], dtype=np.int64)
-    for v in range(p):
-        dv = np.bitwise_count(G & inc[v])
-        m2_arr += pair_table[dv]
-        covered += dv > 0
-    m2_arr *= 2
-    edge_count = np.bitwise_count(G)
+    # sum of deg_h(v) over v in N, column N built from column N minus its top vertex
+    deg_sum = np.zeros(((hi - lo) >> q, 1 << q), dtype=np.int16)
+    for j in range(q):
+        deg_sum[:, 1 << j : 2 << j] = deg_sum[:, : 1 << j] + deg[rows, j, None]
+    # vertex 0 adds d0 (d0 - 1) pairs at itself; a neighbour v's d(d - 1) term grows by 2 deg_h(v)
+    m2_arr = m2_h[rows, None] + d0 * (d0 - 1) + 2 * deg_sum
+    nonbip = np.unpackbits(ext[rows].view(np.uint8).reshape(-1, 8), axis=1, count=1 << q, bitorder="little") == 0
+    edge_count = edges_h[rows, None] + d0
+    covered = np.bitwise_count(cov_h[rows, None] | N) + (N != 0)
 
-    tri_any = np.zeros(len(G), dtype=bool)
+    # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
+    low = np.flatnonzero(nonbip & (m2_arr <= 6))
+    masks = low + lo
+    at_bound = m2_arr.ravel()[low] == 6
+    tri = np.zeros(len(masks), dtype=bool)
     for tm in _triangle_slot_masks(p):
-        tri_any |= (G & tm) == tm
-
-    # a triangle is an odd cycle; the rest are bipartite iff some coloring cuts every edge
-    tri_free = np.flatnonzero(~tri_any)
-    G_free = G[tri_free]
-    bip = np.zeros(len(G_free), dtype=bool)
-    for mm in _mono_masks(p):
-        bip |= (G_free & mm) == 0
-    nonbip = tri_any.copy()
-    nonbip[tri_free] = ~bip
-
-    prop_violation = nonbip & (m2_arr < 6)
-    thm_violation = nonbip & (m2_arr == 6) & ~tri_any
-    equality = nonbip & (m2_arr == 6)
-    seymour_bad = nonbip & (edge_count < covered)
+        tri |= (masks & tm) == tm
     return {
-        "graphs": len(G),
-        "non_colorable": int(nonbip.sum()),
+        "graphs": hi - lo,
+        "non_colorable": int(np.count_nonzero(nonbip)),
         "min_m2_non_colorable": int(m2_arr[nonbip].min()) if nonbip.any() else None,
-        "equality_masks": G[equality].tolist(),
-        "counterexample_masks": G[prop_violation | thm_violation].tolist(),
-        "seymour_violations": int(seymour_bad.sum()),
+        "equality_masks": masks[at_bound].tolist(),
+        "counterexample_masks": masks[~(at_bound & tri)].tolist(),
+        "seymour_violations": int(np.count_nonzero(nonbip & (edge_count < covered))),
     }
 
 
@@ -240,7 +261,6 @@ def verify_bound_exhaustive(
     max_p: int,
     budget: int | None = None,
     seed=0,
-    workers: int = 1,
     skip_p: Collection[int] = (),
     on_record: Callable[[SearchRecord], None] | None = None,
     on_p_done: Callable[[dict], None] | None = None,
@@ -261,13 +281,13 @@ def verify_bound_exhaustive(
     expected (e.g. a triangle plus a disjoint edge) and do not abort.
     """
     if n == 2:
-        return _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done)
+        return _verify_graphs(max_p, budget, skip_p, on_record, on_p_done)
     if n >= 3:
         return _verify_sampled(n, max_p, budget, seed, on_record)
     raise ValueError(f"n must be >= 2, got {n}")
 
 
-def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
+def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
     if max_p > 7:
         raise BudgetExceeded("full graph enumeration supports max_p <= 7")
     budget = GRAPH_BUDGET_DEFAULT if budget is None else budget
@@ -292,17 +312,7 @@ def _verify_graphs(max_p, budget, workers, skip_p, on_record, on_p_done):
     for p in ps:
         total = 1 << math.comb(p, 2)
         chunk = 1 << 18
-        args = [(p, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        if workers > 1 and len(args) > 1:
-            # imported here, so a serial census never loads it; the p <= 6 chunks
-            # have loaded numpy by now, and workers fork with it (loading the
-            # pool before numpy raised the census's peak RSS by 2 MB)
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_scan_graph_chunk, args))
-        else:
-            results = [_scan_graph_chunk(a) for a in args]
+        results = [_scan_graph_chunk((p, lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
 
         eq_masks = [m for r in results for m in r["equality_masks"]]
         cex_masks = [m for r in results for m in r["counterexample_masks"]]

@@ -18,6 +18,7 @@ from propb.hypergraph import (
     normalize,
     random_hypergraph,
 )
+from propb.search import _edge_slots, _triangle_slot_masks
 from propb.separation import SeparationStats
 
 
@@ -121,6 +122,74 @@ def is_bipartite(H) -> bool:
                     color |= (cx ^ 1) << y
                     stack.append(y)
     return True
+
+
+def mono_slot_masks(p) -> np.ndarray:
+    """Edge slots of K_p left monochromatic by each 2-coloring with vertex p-1 fixed.
+
+    A graph mask G is bipartite iff G & mm == 0 for one of these 2^(p-1)
+    masks mm; fixing one vertex's color halves the list without losing a
+    coloring up to swapping the two colors.
+    """
+    E, _ = _edge_slots(p)
+    masks = []
+    for c in range(1 << (p - 1)):
+        mm = 0
+        for i, (u, v) in enumerate(E):
+            if (c >> u & 1) == (c >> v & 1):
+                mm |= 1 << i
+        masks.append(mm)
+    return np.array(masks, dtype=np.int32)
+
+
+def oracle_scan_chunk(args) -> dict:
+    """The census chunk over every mask on its own: int64 degree sums, triangle masks, cut test.
+
+    Each mask's degrees come from its incidence masks, a triangle from the
+    C(p, 3) triangle slot masks, and bipartiteness of a triangle-free mask
+    from the 2^(p-1) monochromatic-slot masks of :func:`mono_slot_masks`.
+    Any lo <= hi works.
+    """
+    p, lo, hi = args
+    _, inc = _edge_slots(p)
+    # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
+    G = np.arange(lo, hi, dtype=np.int32)
+
+    m2_arr = np.zeros(len(G), dtype=np.int64)
+    covered = np.zeros(len(G), dtype=np.int64)
+    pair_table = np.array([d * (d - 1) // 2 for d in range(p + 1)], dtype=np.int64)
+    for v in range(p):
+        dv = np.bitwise_count(G & inc[v])
+        m2_arr += pair_table[dv]
+        covered += dv > 0
+    m2_arr *= 2
+    edge_count = np.bitwise_count(G)
+
+    tri_any = np.zeros(len(G), dtype=bool)
+    for tm in _triangle_slot_masks(p):
+        tri_any |= (G & tm) == tm
+
+    # a triangle is an odd cycle; the rest are bipartite iff some coloring cuts every edge
+    tri_free = np.flatnonzero(~tri_any)
+    G_free = G[tri_free]
+    bip = np.zeros(len(G_free), dtype=bool)
+    for mm in mono_slot_masks(p):
+        bip |= (G_free & mm) == 0
+    nonbip = tri_any.copy()
+    nonbip[tri_free] = ~bip
+
+    prop_violation = nonbip & (m2_arr < 6)
+    thm_violation = nonbip & (m2_arr == 6) & ~tri_any
+    equality = nonbip & (m2_arr == 6)
+    seymour_bad = nonbip & (edge_count < covered)
+    return {
+        "graphs": len(G),
+        "non_colorable": int(nonbip.sum()),
+        "min_m2_non_colorable": int(m2_arr[nonbip].min()) if nonbip.any() else None,
+        "equality_masks": G[equality].tolist(),
+        "counterexample_masks": G[prop_violation | thm_violation].tolist(),
+        "seymour_violations": int(seymour_bad.sum()),
+    }
 
 
 def enumerate_separation_probability(X, Y, max_union=10) -> Fraction:

@@ -292,18 +292,26 @@ class TestVerify:
         (["verify", "--n", "2", "--max-p", "-3"], "argument --max-p: must be >= 1, got -3"),
         (["verify", "--n", "3", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
         (["gen", "--kind", "random", "--n", "3"], "argument --kind: random requires --p and --m"),
+        (["analyze", "{missing}"], "cannot read {missing}: No such file or directory"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
-    # argparse rejects what it can check alone by raising SystemExit(2); an
-    # order that does not fit the input file makes main return 2
+    # argparse rejects what it can check alone by raising SystemExit(2), under
+    # the subcommand's usage line; an order that does not fit the input file,
+    # or an input that cannot be read, makes main return 2 with one line
+    missing = os.path.join(os.path.dirname(k35_file), "missing.hg")
+    fill = lambda a: a.replace("{k35}", k35_file).replace("{missing}", missing)
     try:
-        code = main([a.replace("{k35}", k35_file) for a in argv])
+        code, usage = main([fill(a) for a in argv]), None
     except SystemExit as exc:
-        code = exc.code
+        code, usage = exc.code, f"usage: propb {argv[0]} "
     assert code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith("error: " + message)
+    assert err.splitlines()[-1].endswith("error: " + fill(message))
+    if usage is None:
+        assert err == f"error: {fill(message)}\n"
+    else:
+        assert err.splitlines()[0].startswith(usage)
     assert "Traceback" not in err
 
 
@@ -365,8 +373,9 @@ print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules
         (["verify", "--n", "4", "--fixtures", "--json"], False),
         (["verify", "--n", "3", "--seed", "0", "--json"], False),
         (["mc", "{k35}", "--trials", "10", "--json"], True),
+        (["verify", "--n", "2", "--max-p", "4", "--threads", "2", "--json"], True),
     ],
-    ids=["help", "analyze", "enum", "gen", "fixtures-n3", "fixtures-n4", "sampled-n3", "mc"],
+    ids=["help", "analyze", "enum", "gen", "fixtures-n3", "fixtures-n4", "sampled-n3", "mc", "census-threads2"],
 )
 def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv, loads_numpy):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
@@ -377,8 +386,8 @@ def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv, lo
     )
     loaded = json.loads(proc.stderr.splitlines()[-1])
     assert ("numpy" in loaded) is loads_numpy
-    if argv == ["--help"]:
-        assert "concurrent.futures" not in loaded
+    # no command starts a process pool, the census at --threads 2 included
+    assert "concurrent.futures" not in loaded
 
 
 def test_import_propb_loads_no_submodule():

@@ -19,7 +19,7 @@ from propb.hypergraph import (
 from propb.search import _scan_graph_chunk, canonical_form, verify_bound_exhaustive, verify_fixture_suite
 from propb.setpairs import find_clique
 
-from conftest import is_bipartite
+from conftest import is_bipartite, oracle_scan_chunk
 
 
 def _labeled_graphs(p):
@@ -193,6 +193,23 @@ class TestOracleEquivalence:
         assert fast == slow
 
 
+# every p <= 6 as one chunk, and p = 7 in the census's eight chunks of 2^18 masks
+_SCAN_CHUNKS = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
+    (7, lo, lo + (1 << 18)) for lo in range(0, 1 << 21, 1 << 18)
+]
+
+
+@pytest.mark.parametrize("chunk", _SCAN_CHUNKS, ids=[f"p{p}-{lo >> 18}" for p, lo, _ in _SCAN_CHUNKS])
+def test_scan_matches_per_mask_oracle(chunk):
+    # whole dicts, mask lists included
+    assert _scan_graph_chunk(chunk) == oracle_scan_chunk(chunk)
+
+
+def test_scan_rejects_a_chunk_that_splits_a_row():
+    with pytest.raises(ValueError):
+        _scan_graph_chunk((7, 32, 1 << 18))
+
+
 class TestVerifyGraphs:
     def test_p5_clean_run(self):
         records, summary = verify_bound_exhaustive(2, 5)
@@ -227,9 +244,7 @@ class TestVerifyGraphs:
         matchings = [1, 1]
         for k in range(2, 5):
             matchings.append(matchings[k - 1] + (k - 1) * matchings[k - 2])
-        runs = [verify_bound_exhaustive(2, 7, workers=w) for w in (1, 2)]
-        assert runs[0] == runs[1]
-        records, summary = runs[0]
+        records, summary = verify_bound_exhaustive(2, 7)
         assert summary["graphs"] == sum(1 << math.comb(p, 2) for p in ps) == 2_131_019
         assert summary["non_colorable"] == summary["graphs"] - sum(bipartite[1:]) == 2_022_178
         assert summary["equality_labeled"] == sum(
@@ -239,11 +254,6 @@ class TestVerifyGraphs:
         assert summary["equality_classes"] == sum((p - 1) // 2 for p in ps if p >= 3) == 9
         assert summary["counterexamples"] == 0
         assert len(records) == 9
-
-    def test_workers_do_not_change_results(self):
-        r1, s1 = verify_bound_exhaustive(2, 6, workers=1)
-        r2, s2 = verify_bound_exhaustive(2, 6, workers=3)
-        assert r1 == r2 and s1 == s2
 
     def test_skip_p_resumes(self):
         full_records, full_summary = verify_bound_exhaustive(2, 4)
