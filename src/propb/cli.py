@@ -1,10 +1,11 @@
 """Command-line interface: analyze, color, mc, enum, verify, gen.
 
-Exit codes: 0 success, 2 malformed input (file or arguments), 3 budget
-exceeded (enum on large p, or analyze --strict left undetermined), 1 any
-other failure.  All machine output derives from the same report document
-as the human rendering; --deterministic suppresses the timestamp so
-identical invocations are byte-identical.
+Exit codes: 0 success, 2 malformed input (file or arguments) or a file
+that cannot be read or written, 3 budget exceeded (enum on large p, or
+analyze --strict left undetermined), 1 any other failure.  All machine
+output derives from the same report document as the human rendering;
+--deterministic suppresses the timestamp so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 import os
 import sys
 
-from .coloring import Colorability, Ordering, greedy_color, random_restart_color
-from .errors import BudgetExceeded, InvalidOrdering, ParseError, PropBError, UnreadableInput
+from .coloring import Colorability, greedy_color, random_restart_color
+from .errors import BudgetExceeded, FileAccessError, InvalidOrdering, ParseError, PropBError
 from .hgio import parse, render
 from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
 from .report import (
@@ -26,7 +27,6 @@ from .report import (
     input_section,
     make_document,
     monte_carlo_section,
-    record_section,
     to_json,
 )
 from .search import FIXTURE_NS, verify_bound_exhaustive, verify_fixture_suite
@@ -38,7 +38,7 @@ def _load(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc.strerror}") from None
+        raise FileAccessError(f"cannot read {path}: {exc.strerror}") from None
     return text, parse(text)
 
 
@@ -68,16 +68,24 @@ def _human_lines(value, indent: int = 0):
         yield f"{pad_}{value}" if indent else f"{value}"
 
 
-def _emit(doc: dict, as_json: bool, out: str | None) -> None:
-    if as_json:
-        text = to_json(doc)
-    else:
-        text = "\n".join(_human_lines(doc)) + "\n"
+def _open_out(path: str, mode: str = "w"):
+    """The --out file, opened for text; a path that cannot be written is a usage error (exit 2)."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, as_json: bool, out: str | None) -> None:
+    _write(to_json(doc) if as_json else "\n".join(_human_lines(doc)) + "\n", out)
 
 
 def cmd_analyze(args) -> int:
@@ -96,8 +104,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _coloring_lines(H, pi, coloring, witness):
-    yield "ordering: " + ",".join(map(str, pi.vertex_sequence()))
+def _coloring_lines(H, order, coloring, witness):
+    yield "ordering: " + ",".join(map(str, order))
     for v in range(H.p):
         yield f"vertex {v}: {coloring.colors[v].value}"
     yield f"proper: {'yes' if coloring.proper else 'no'}"
@@ -121,20 +129,19 @@ def cmd_color(args) -> int:
     _, H = _load(args.input)
     if args.order is not None:
         try:
-            pi = Ordering.from_vertex_sequence(args.order)
-            outcome = greedy_color(H, pi)
+            outcome = greedy_color(H, args.order)
         except InvalidOrdering as exc:
             return _usage_error(str(exc))
-        for line in _coloring_lines(H, pi, outcome.coloring, outcome.separated_witness):
+        for line in _coloring_lines(H, args.order, outcome.coloring, outcome.separated_witness):
             print(line)
         return 0
     result = random_restart_color(H, max_trials=args.trials, seed=args.seed)
     if result is None:
         print(f"exhausted: no proper coloring in {args.trials} trials (seed {args.seed})")
         return 0
-    pi, coloring = result
+    order, coloring = result
     print(f"proper coloring found (seed {args.seed})")
-    for line in _coloring_lines(H, pi, coloring, None):
+    for line in _coloring_lines(H, order, coloring, None):
         print(line)
     return 0
 
@@ -172,7 +179,7 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
     non-empty stream must start with `header`; otherwise it was written by a
     different run, and a ValueError says which parameters differ.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    if not os.path.isfile(path) or os.path.getsize(path) == 0:
         return [], 0
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
@@ -204,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.fixtures:
         rep = verify_fixture_suite(args.n, seed=args.seed)
         doc = make_document(
-            search={"mode": "fixtures", "report": _fixture_json(rep)},
+            search={"mode": "fixtures", "report": rep},
             deterministic=args.deterministic,
         )
         _emit(doc, args.json, args.out)
@@ -225,7 +232,7 @@ def cmd_verify(args) -> int:
             done, keep = _read_stream(args.out, header)
         except ValueError as exc:
             return _usage_error(str(exc))
-        sink = open(args.out, "a", encoding="utf-8")
+        sink = _open_out(args.out, "a")
         sink.truncate(keep)
         if not keep:
             write_line(header)
@@ -237,7 +244,7 @@ def cmd_verify(args) -> int:
             budget=args.budget,
             seed=args.seed,
             skip_p=skip,
-            on_record=lambda r: write_line({"type": "record", **record_section(r)}),
+            on_record=lambda r: write_line({"type": "record", **r}),
             on_p_done=lambda s: write_line({"type": "p_summary", **s}),
         )
         totals = {k: v for k, v in summary.items() if k != "per_p"}
@@ -252,7 +259,7 @@ def cmd_verify(args) -> int:
     doc = make_document(
         search={
             "mode": summary["mode"],
-            "records": [record_section(r) for r in records],
+            "records": records,
             "summary": summary,
             "skipped_p": sorted(skip),
         },
@@ -261,16 +268,6 @@ def cmd_verify(args) -> int:
     # verify --out is the record stream, so the document always goes to stdout
     _emit(doc, args.json, None)
     return 0
-
-
-def _fixture_json(rep: dict) -> dict:
-    out = {"n": rep["n"], "bound": rep["bound"], "ok": rep["ok"], "fixtures": []}
-    for e in rep["fixtures"]:
-        e = dict(e)
-        if e["bollobas_sum"] is not None:
-            e["bollobas_sum"] = {"num": e["bollobas_sum"].numerator, "den": e["bollobas_sum"].denominator}
-        out["fixtures"].append(e)
-    return out
 
 
 def _extra_vertices(args) -> int:
@@ -302,12 +299,7 @@ def cmd_gen(args) -> int:
         H = fano_plane()
     else:
         H = random_hypergraph(args.n, args.p, args.m, seed=args.seed)
-    text = render(H)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render(H), args.out)
     return 0
 
 
@@ -418,7 +410,7 @@ def main(argv=None) -> int:
         _check_gen(args)
     try:
         return args.func(args)
-    except (ParseError, UnreadableInput) as exc:
+    except (ParseError, FileAccessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

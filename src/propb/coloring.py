@@ -1,10 +1,11 @@
 """Order-driven greedy two-coloring and exact two-colorability decision.
 
-The greedy rule scans vertices in a given order and colors each Blue
-unless that would complete an all-Blue edge, in which case it colors
-Red.  By construction the output never contains an all-Blue edge, so a
-failed run always exposes an all-Red edge, and from it a separated
-simple pair can be read off.
+The greedy rule scans vertices in a given visit order (a permutation of
+the vertex ids, first-visited first, as checked by check_order) and
+colors each Blue unless that would complete an all-Blue edge, in which
+case it colors Red.  By construction the output never contains an
+all-Blue edge, so a failed run always exposes an all-Red edge, and from
+it a separated simple pair can be read off.
 
 One numpy kernel runs the rule over a block of orders at once, as
 bitsets: step k colors the k-th vertex of every order Red iff one of its
@@ -22,6 +23,7 @@ other color.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -49,38 +51,18 @@ class Colorability(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """Bijection from vertex ids to ranks 1..p; ranks[v] is v's rank."""
+def check_order(order, p: int | None = None) -> tuple[int, ...]:
+    """A visit order (first element visited first) as a tuple of ints.
 
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        p = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, p + 1)):
-            raise InvalidOrdering(f"ranks {self.ranks} are not a bijection onto 1..{p}")
-
-    @classmethod
-    def from_vertex_sequence(cls, seq) -> "Ordering":
-        """Build from the visit order (first element gets rank 1)."""
-        seq = list(seq)
-        if sorted(seq) != list(range(len(seq))):
-            raise InvalidOrdering(f"sequence {seq} is not a permutation of 0..{len(seq) - 1}")
-        ranks = [0] * len(seq)
-        for i, v in enumerate(seq):
-            ranks[v] = i + 1
-        return cls(tuple(ranks))
-
-    @classmethod
-    def identity(cls, p: int) -> "Ordering":
-        return cls(tuple(range(1, p + 1)))
-
-    def rank(self, v: int) -> int:
-        return self.ranks[v]
-
-    def vertex_sequence(self) -> tuple[int, ...]:
-        """Vertices sorted by rank (the visit order)."""
-        return tuple(sorted(range(len(self.ranks)), key=self.ranks.__getitem__))
+    Raises InvalidOrdering unless it is a permutation of 0..len-1 and, when
+    p is given, covers exactly p vertices.
+    """
+    seq = [operator.index(v) for v in order]
+    if sorted(seq) != list(range(len(seq))):
+        raise InvalidOrdering(f"sequence {seq} is not a permutation of 0..{len(seq) - 1}")
+    if p is not None and len(seq) != p:
+        raise InvalidOrdering(f"ordering covers {len(seq)} vertices, hypergraph has {p}")
+    return tuple(seq)
 
 
 @dataclass(frozen=True)
@@ -110,20 +92,19 @@ def is_proper(H: Hypergraph, colors) -> int | None:
     return None
 
 
-def greedy_color(H: Hypergraph, pi: Ordering) -> ColoringOutcome:
-    """Sequential coloring in rank order: Blue unless that completes an all-Blue edge.
+def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
+    """Sequential coloring in visit order: Blue unless that completes an all-Blue edge.
 
     If the result is improper, the violating edge Y is all-Red; taking its
-    rank-minimal vertex y and the canonically first edge X containing y
-    whose other vertices are Blue and precede y gives a simple pair (X, Y)
-    separated by pi.  For n = 1 no simple pair exists, so improper runs
-    carry no witness.
+    first-visited vertex y and the canonically first edge X containing y
+    whose other vertices are Blue and visited before y gives a simple pair
+    (X, Y) separated by the order.  For n = 1 no simple pair exists, so
+    improper runs carry no witness.
     """
     import numpy as np
 
-    if len(pi.ranks) != H.p:
-        raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
-    blue, violating = _greedy_block(H, np.array([pi.vertex_sequence()], dtype=np.int64))
+    order = check_order(order, H.p)
+    blue, violating = _greedy_block(H, np.array([order], dtype=np.int64))
     blue, violating = int(blue[0]), int(violating[0])
     coloring = _coloring(H, blue, violating)
 
@@ -131,10 +112,10 @@ def greedy_color(H: Hypergraph, pi: Ordering) -> ColoringOutcome:
     if not coloring.proper:
         assert blue & H.masks[violating] == 0, "greedy rule never completes an all-Blue edge"
         if H.n >= 2:
-            y = min(H.edges[violating], key=pi.rank)
-            ry = pi.rank(y)
+            pos = {v: k for k, v in enumerate(order)}
+            y = min(H.edges[violating], key=pos.__getitem__)
             for ei, e in enumerate(H.edges):
-                if y in e and all(blue >> u & 1 and pi.rank(u) < ry for u in e if u != y):
+                if y in e and all(blue >> u & 1 and pos[u] < pos[y] for u in e if u != y):
                     witness = SimplePair(first=ei, second=violating, meet=y)
                     break
             assert witness is not None, "a Red vertex always has a completing edge"
@@ -294,12 +275,12 @@ def _force(edges, blue: int, red: int) -> tuple[int, int] | None:
 
 def random_restart_color(
     H: Hypergraph, max_trials: int, seed: int = 0
-) -> tuple[Ordering, Coloring] | None:
+) -> tuple[tuple[int, ...], Coloring] | None:
     """Greedy coloring under fresh uniform random orders until one is proper.
 
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64), so results do not depend on evaluation order.  Trials run in
-    blocks of TRIAL_BLOCK; returns the first successful (ordering,
+    blocks of TRIAL_BLOCK; returns the first successful (visit order,
     coloring) in trial order, or None after max_trials failures.
     """
     import numpy as np
@@ -312,6 +293,5 @@ def random_restart_color(
         hits = np.flatnonzero(violating == len(H.edges))
         if hits.size:
             i = hits[0]
-            pi = Ordering.from_vertex_sequence(orders[i].tolist())
-            return pi, _coloring(H, int(blue[i]), len(H.edges))
+            return tuple(orders[i].tolist()), _coloring(H, int(blue[i]), len(H.edges))
     return None

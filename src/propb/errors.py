@@ -22,7 +22,7 @@ class InsufficientVertices(PropBError):
 
 
 class InvalidOrdering(PropBError):
-    """Vertex ordering is not a bijection onto 1..p."""
+    """A visit order is not a permutation of the vertex ids, or has the wrong length."""
 
 
 class IncompleteColoring(PropBError):
@@ -51,7 +51,7 @@ class EqualityStructureViolated(PropBError):
 
 
 class CounterexampleFound(PropBError):
-    """A verification run hit an instance violating the checked bound."""
+    """A verification run hit an instance violating the checked bound; record is its report dict."""
 
     def __init__(self, message: str, record=None):
         super().__init__(message)
@@ -62,8 +62,8 @@ class FixtureFailure(PropBError):
     """A curated fixture failed one of its asserted properties."""
 
 
-class UnreadableInput(PropBError):
-    """An input file cannot be opened or read."""
+class FileAccessError(PropBError):
+    """An input file cannot be read, or an --out file cannot be written."""
 
 
 class ParseError(PropBError):

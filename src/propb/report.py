@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import __version__
 from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
-from .search import SearchRecord
 from .separation import SeparationStats
 from .setpairs import BollobasVerdict, bollobas_family, build_M, evaluate_family, find_clique
 
@@ -98,18 +97,6 @@ def exhaustive_section(mean: Fraction, p: int) -> dict:
         "estimate": False,
         "orderings": math.factorial(p),
         "mean_separated": rational(mean),
-    }
-
-
-def record_section(rec: SearchRecord) -> dict:
-    return {
-        "n": rec.n,
-        "p": rec.p,
-        "edge_count": rec.edge_count,
-        "m2": rec.m2,
-        "meets_bound": rec.meets_bound,
-        "has_clique": rec.has_clique,
-        "canonical_form": rec.canonical_form,
     }
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
 from typing import Callable, Collection
@@ -43,6 +42,7 @@ from .hypergraph import (
     relabel,
     seymour_check,
 )
+from .report import rational
 from .separation import ordering_histogram
 from .setpairs import (
     bollobas_family,
@@ -56,17 +56,6 @@ GRAPH_BUDGET_DEFAULT = 1 << 22
 # sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
 CANONICAL_BUDGET = math.factorial(8)
 SAMPLE_BUDGET_DEFAULT = 200
-
-
-@dataclass(frozen=True)
-class SearchRecord:
-    n: int
-    p: int
-    edge_count: int
-    m2: int
-    meets_bound: bool
-    has_clique: bool
-    canonical_form: str
 
 
 def canonical_form(H: Hypergraph) -> str:
@@ -201,7 +190,7 @@ def _extension_tables(q: int):
     return tables
 
 
-def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
+def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
     """Verify one contiguous mask range [lo, hi) of labeled graphs on p vertices.
 
     Vertex 0's p-1 edge slots come first in lexicographic slot order, so
@@ -215,7 +204,6 @@ def _scan_graph_chunk(args: tuple[int, int, int]) -> dict:
     """
     import numpy as np
 
-    p, lo, hi = args
     q = p - 1
     if (lo | hi) & ((1 << q) - 1):
         raise ValueError(f"chunk [{lo}, {hi}) is not a run of whole rows of 2^{q} masks")
@@ -256,21 +244,35 @@ def _graph_from_mask(p: int, mask: int) -> Hypergraph:
     return Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 
+def _record(H: Hypergraph, m2_val: int, form: str | None = None) -> dict:
+    """One verified non-colorable instance, keyed as the report and the --out stream print it."""
+    return {
+        "n": H.n,
+        "p": H.p,
+        "edge_count": len(H.edges),
+        "m2": m2_val,
+        "meets_bound": m2_val == bound(H.n),
+        "has_clique": find_clique(H) is not None,
+        "canonical_form": canonical_form(H) if form is None else form,
+    }
+
+
 def verify_bound_exhaustive(
     n: int,
     max_p: int,
     budget: int | None = None,
     seed=0,
     skip_p: Collection[int] = (),
-    on_record: Callable[[SearchRecord], None] | None = None,
+    on_record: Callable[[dict], None] | None = None,
     on_p_done: Callable[[dict], None] | None = None,
-) -> tuple[list[SearchRecord], dict]:
+) -> tuple[list[dict], dict]:
     """Check the simple-pair bound and equality characterization at desk scale.
 
     n = 2: full enumeration of all labeled graphs on p <= max_p vertices
     (max_p <= 7).  Every non-bipartite graph must have m2 >= 6 and, at
     m2 = 6, contain a triangle; a violation raises CounterexampleFound.
-    One record per isomorphism class of equality cases is emitted.
+    One record (see :func:`_record`) per isomorphism class of equality
+    cases is emitted.
 
     n >= 3: seeded rejection sampling (budget = sample count, p <= min(max_p, 8));
     every sampled non-colorable instance must satisfy m2 >= bound(n), and
@@ -296,7 +298,7 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
     if total_graphs > budget:
         raise BudgetExceeded(f"{total_graphs} graphs exceed budget {budget}")
 
-    records: list[SearchRecord] = []
+    records: list[dict] = []
     summary = {
         "mode": "enumeration",
         "n": 2,
@@ -312,7 +314,7 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
     for p in ps:
         total = 1 << math.comb(p, 2)
         chunk = 1 << 18
-        results = [_scan_graph_chunk((p, lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
+        results = [_scan_graph_chunk(p, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
         eq_masks = [m for r in results for m in r["equality_masks"]]
         cex_masks = [m for r in results for m in r["counterexample_masks"]]
@@ -322,14 +324,10 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
 
         if cex_masks:
             H = _graph_from_mask(p, cex_masks[0])
-            rec = SearchRecord(
-                n=2, p=p, edge_count=len(H.edges), m2=m2(H),
-                meets_bound=m2(H) == 6, has_clique=find_clique(H) is not None,
-                canonical_form=canonical_form(H),
-            )
+            rec = _record(H, m2(H))
             raise CounterexampleFound(
                 f"graph on {p} vertices violates the bound or the equality "
-                f"characterization: {rec.canonical_form}",
+                f"characterization: {rec['canonical_form']}",
                 record=rec,
             )
 
@@ -338,12 +336,8 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
             class_reps.setdefault(canonical_form(_graph_from_mask(p, mask)), mask)
         p_records = []
         for form in sorted(class_reps):
-            H = _graph_from_mask(p, class_reps[form])
-            rec = SearchRecord(
-                n=2, p=p, edge_count=len(H.edges), m2=6, meets_bound=True,
-                has_clique=find_clique(H) is not None, canonical_form=form,
-            )
-            assert rec.has_clique, "equality case without a triangle must have aborted"
+            rec = _record(_graph_from_mask(p, class_reps[form]), 6, form)
+            assert rec["has_clique"], "equality case without a triangle must have aborted"
             p_records.append(rec)
 
         p_summary = {
@@ -375,7 +369,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
     if p_hi < p_lo:
         raise BudgetExceeded(f"max_p = {max_p} below the {p_lo} vertices a non-colorable {n}-graph needs")
     rng = random.Random(f"sampling:{seed}")
-    records: list[SearchRecord] = []
+    records: list[dict] = []
     summary = {
         "mode": "sampling",
         "n": n,
@@ -400,21 +394,15 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
             continue
         if verdict is Colorability.YES:
             continue
-        m2_val = m2(H)
-        meets = m2_val == b
-        clique = find_clique(H)
-        rec = SearchRecord(
-            n=n, p=p, edge_count=len(H.edges), m2=m2_val, meets_bound=meets,
-            has_clique=clique is not None, canonical_form=canonical_form(H),
-        )
-        if m2_val < b or (meets and clique is None):
+        rec = _record(H, m2(H))
+        if rec["m2"] < b or (rec["meets_bound"] and not rec["has_clique"]):
             raise CounterexampleFound(
                 f"sampled non-colorable {n}-graph violates the bound or the "
-                f"equality characterization: {rec.canonical_form}",
+                f"equality characterization: {rec['canonical_form']}",
                 record=rec,
             )
         summary["non_colorable"] += 1
-        summary["equality_cases"] += meets
+        summary["equality_cases"] += rec["meets_bound"]
         summary["seymour_violations"] += not seymour_check(H)
         records.append(rec)
         if on_record:
@@ -450,6 +438,8 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     per second edge, exactly one separated pair per ordering (p <= 8),
     both set-pair conditions, sum exactly 1, the equality structure, and
     clique recovery.  Raises FixtureFailure naming fixture and assertion.
+    Returns the report's fixture section: {"n", "bound", "ok", "fixtures"},
+    one entry per fixture, with the set-pair sum as a {"num", "den"} rational.
     """
     if n not in FIXTURE_NS:
         raise ValueError(f"fixture suite covers n in {set(FIXTURE_NS)}")
@@ -508,6 +498,6 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
             if H.p <= 8 and ordering_histogram(H) != {1: math.factorial(H.p)}:
                 raise FixtureFailure(f"{name}: not every ordering separates exactly one simple pair")
             entry["clique"] = sorted(clique)
-            entry["bollobas_sum"] = v.sum
+            entry["bollobas_sum"] = rational(v.sum)
         entries.append(entry)
-    return {"n": n, "bound": b, "fixtures": entries, "ok": True}
+    return {"n": n, "bound": b, "ok": True, "fixtures": entries}

@@ -1,7 +1,9 @@
 """Permutation separation: predicate, exact probabilities, exact ordering statistics, Monte Carlo.
 
-An ordering separates a simple pair (X, Y) with shared vertex y when all
-of X minus y precedes y and y precedes all of Y minus y.  Exact paths use
+An ordering is its visit sequence, a permutation of the vertex ids with
+the first-visited vertex first.  It separates a simple pair (X, Y) with
+shared vertex y when all of X minus y precedes y and y precedes all of
+Y minus y.  Exact paths use
 Fraction throughout; only Monte Carlo summaries may be rendered as floats.
 
 Whether placing y separates a pair with meet y depends only on the set S
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .coloring import TRIAL_BLOCK, Ordering, _mask_dtype, _trial_orders
-from .errors import BudgetExceeded, InvalidOrdering, NotSimple
+from .coloring import TRIAL_BLOCK, _mask_dtype, _trial_orders, check_order
+from .errors import BudgetExceeded, NotSimple
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
 
@@ -36,15 +38,15 @@ class SeparationStats:
     histogram: dict[int, int]
 
 
-def separates(pi: Ordering, X: Iterable[int], Y: Iterable[int]) -> bool:
-    """Whether pi puts all of X\\{y} before the shared vertex y and all of Y\\{y} after."""
+def separates(order, X: Iterable[int], Y: Iterable[int]) -> bool:
+    """Whether the visit order puts all of X\\{y} before the shared vertex y and all of Y\\{y} after."""
+    pos = {v: k for k, v in enumerate(check_order(order))}
     xs, ys = frozenset(X), frozenset(Y)
     meet = xs & ys
     if len(meet) != 1:
         raise NotSimple(f"edges share {len(meet)} vertices, expected exactly 1")
     (y,) = meet
-    ry = pi.rank(y)
-    return all(pi.rank(u) < ry for u in xs - meet) and all(pi.rank(v) > ry for v in ys - meet)
+    return all(pos[u] < pos[y] for u in xs - meet) and all(pos[v] > pos[y] for v in ys - meet)
 
 
 def _pair_masks(H: Hypergraph) -> list[tuple[int, int, int]]:
@@ -77,13 +79,11 @@ def _separated_counts(pairs: list[tuple[int, int, int]], orders: np.ndarray) -> 
     return counts
 
 
-def count_separated(H: Hypergraph, pi: Ordering) -> int:
-    """Number of ordered simple pairs of H separated by pi."""
+def count_separated(H: Hypergraph, order) -> int:
+    """Number of ordered simple pairs of H separated by the visit order."""
     import numpy as np
 
-    if len(pi.ranks) != H.p:
-        raise InvalidOrdering(f"ordering covers {len(pi.ranks)} vertices, hypergraph has {H.p}")
-    orders = np.array([pi.vertex_sequence()], dtype=np.int64)
+    orders = np.array([check_order(order, H.p)], dtype=np.int64)
     return int(_separated_counts(_pair_masks(H), orders)[0])
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from propb.coloring import Color, Colorability, Coloring, ColoringOutcome, Ordering
+from propb.coloring import Color, Colorability, Coloring, ColoringOutcome
 from propb.errors import BudgetExceeded, NotSimple
 from propb.hypergraph import (
     Hypergraph,
@@ -142,7 +142,7 @@ def mono_slot_masks(p) -> np.ndarray:
     return np.array(masks, dtype=np.int32)
 
 
-def oracle_scan_chunk(args) -> dict:
+def oracle_scan_chunk(p, lo, hi) -> dict:
     """The census chunk over every mask on its own: int64 degree sums, triangle masks, cut test.
 
     Each mask's degrees come from its incidence masks, a triangle from the
@@ -150,7 +150,6 @@ def oracle_scan_chunk(args) -> dict:
     from the 2^(p-1) monochromatic-slot masks of :func:`mono_slot_masks`.
     Any lo <= hi works.
     """
-    p, lo, hi = args
     _, inc = _edge_slots(p)
     # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
     G = np.arange(lo, hi, dtype=np.int32)
@@ -246,11 +245,11 @@ def oracle_decide(H, vertex_budget=24) -> Colorability:
     return Colorability.NO
 
 
-def random_ordering(p, rng) -> Ordering:
-    """A uniform ordering of p vertices drawn from a random.Random."""
+def random_ordering(p, rng) -> list[int]:
+    """A uniform visit order of p vertices drawn from a random.Random."""
     seq = list(range(p))
     rng.shuffle(seq)
-    return Ordering.from_vertex_sequence(seq)
+    return seq
 
 
 # Scalar oracles for the batched ordering kernels: one ordering at a time,
@@ -274,7 +273,7 @@ def oracle_trial_order(p, seed, t) -> list[int]:
     return sorted(range(p), key=lambda i: (keys[i], i))
 
 
-def oracle_greedy(H, pi) -> ColoringOutcome:
+def oracle_greedy(H, order) -> ColoringOutcome:
     """Greedy coloring by per-edge Blue/colored counters, vertex by vertex."""
     n = H.n
     vert_edges = [[] for _ in range(H.p)]
@@ -284,7 +283,7 @@ def oracle_greedy(H, pi) -> ColoringOutcome:
     blue_cnt = [0] * len(H.edges)
     colored_cnt = [0] * len(H.edges)
     colors = [Color.BLUE] * H.p
-    for v in pi.vertex_sequence():
+    for v in order:
         forced = any(blue_cnt[ei] == n - 1 and colored_cnt[ei] == n - 1 for ei in vert_edges[v])
         c = Color.RED if forced else Color.BLUE
         colors[v] = c
@@ -294,10 +293,11 @@ def oracle_greedy(H, pi) -> ColoringOutcome:
     violating = next((ei for ei in range(len(H.edges)) if blue_cnt[ei] in (0, n)), None)
     witness = None
     if violating is not None and n >= 2:
-        y = min(H.edges[violating], key=pi.rank)
+        pos = {v: k for k, v in enumerate(order)}
+        y = min(H.edges[violating], key=pos.__getitem__)
         for ei in vert_edges[y]:
             others = [u for u in H.edges[ei] if u != y]
-            if all(colors[u] is Color.BLUE and pi.rank(u) < pi.rank(y) for u in others):
+            if all(colors[u] is Color.BLUE and pos[u] < pos[y] for u in others):
                 witness = SimplePair(first=ei, second=violating, meet=y)
                 break
     coloring = Coloring(colors=tuple(colors), proper=violating is None, violating_edge=violating)
@@ -305,12 +305,12 @@ def oracle_greedy(H, pi) -> ColoringOutcome:
 
 
 def oracle_restart(H, max_trials, seed):
-    """(trial index, ordering, coloring) of the first proper greedy trial, or None."""
+    """(trial index, visit order as a tuple, coloring) of the first proper greedy trial, or None."""
     for t in range(max_trials):
-        pi = Ordering.from_vertex_sequence(oracle_trial_order(H.p, seed, t))
-        out = oracle_greedy(H, pi)
+        order = tuple(oracle_trial_order(H.p, seed, t))
+        out = oracle_greedy(H, order)
         if out.coloring.proper:
-            return t, pi, out.coloring
+            return t, order, out.coloring
     return None
 
 

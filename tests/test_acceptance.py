@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from propb.cli import main
-from propb.coloring import Colorability, Ordering, exhaustive_decide, greedy_color
+from propb.coloring import Colorability, exhaustive_decide, greedy_color
 from propb.hgio import parse, render
 from propb.hypergraph import (
     bound,
@@ -138,12 +138,10 @@ def test_criterion_5_extremal_pipeline():
 def test_criterion_6_at_most_one_separated_pair():
     with criterion(6, "all 120 orderings of K^3_5 and all 6 of K^2_3 separate exactly one pair"):
         k35 = complete_hypergraph(3)
-        counts = [count_separated(k35, Ordering.from_vertex_sequence(p))
-                  for p in itertools.permutations(range(5))]
+        counts = [count_separated(k35, p) for p in itertools.permutations(range(5))]
         assert len(counts) == 120 and set(counts) == {1}
         tri = complete_hypergraph(2)
-        counts = [count_separated(tri, Ordering.from_vertex_sequence(p))
-                  for p in itertools.permutations(range(3))]
+        counts = [count_separated(tri, p) for p in itertools.permutations(range(3))]
         assert len(counts) == 6 and set(counts) == {1}
 
 

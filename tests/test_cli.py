@@ -293,14 +293,26 @@ class TestVerify:
         (["verify", "--n", "3", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
         (["gen", "--kind", "random", "--n", "3"], "argument --kind: random requires --p and --m"),
         (["analyze", "{missing}"], "cannot read {missing}: No such file or directory"),
+        (["gen", "--kind", "fano", "--out", "{nodir}/x.hg"], "cannot write {nodir}/x.hg: No such file or directory"),
+        (
+            ["verify", "--n", "2", "--max-p", "3", "--out", "{nodir}/x.jsonl"],
+            "cannot write {nodir}/x.jsonl: No such file or directory",
+        ),
+        (["analyze", "{k35}", "--out", "{nodir}/x.txt"], "cannot write {nodir}/x.txt: No such file or directory"),
+        (["verify", "--n", "2", "--max-p", "3", "--out", "{tmp}"], "cannot write {tmp}: Is a directory"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     # argparse rejects what it can check alone by raising SystemExit(2), under
     # the subcommand's usage line; an order that does not fit the input file,
-    # or an input that cannot be read, makes main return 2 with one line
-    missing = os.path.join(os.path.dirname(k35_file), "missing.hg")
-    fill = lambda a: a.replace("{k35}", k35_file).replace("{missing}", missing)
+    # an input that cannot be read or an --out path that cannot be written,
+    # makes main return 2 with one line
+    tmp = os.path.dirname(k35_file)
+    missing, nodir = os.path.join(tmp, "missing.hg"), os.path.join(tmp, "nodir")
+
+    def fill(a):
+        return a.replace("{k35}", k35_file).replace("{missing}", missing).replace("{nodir}", nodir).replace("{tmp}", tmp)
+
     try:
         code, usage = main([fill(a) for a in argv]), None
     except SystemExit as exc:
@@ -398,3 +410,13 @@ def test_import_propb_loads_no_submodule():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_report_does_not_load_search():
+    # records and fixture entries are plain dicts built in search, so report needs no search types
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, propb.report; print('propb.search' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -9,7 +9,7 @@ import pytest
 from propb.coloring import (
     Color,
     Colorability,
-    Ordering,
+    check_order,
     exhaustive_decide,
     greedy_color,
     is_proper,
@@ -18,7 +18,7 @@ from propb.coloring import (
 )
 from propb.errors import IncompleteColoring, InvalidOrdering
 from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad
-from propb.separation import separates
+from propb.separation import count_separated, separates
 
 from conftest import (
     oracle_decide,
@@ -34,26 +34,49 @@ B, R = Color.BLUE, Color.RED
 
 
 class TestOrdering:
-    def test_bijection_enforced(self):
-        with pytest.raises(InvalidOrdering):
-            Ordering((1, 1, 2))
-        with pytest.raises(InvalidOrdering):
-            Ordering.from_vertex_sequence([0, 0, 1])
+    def test_bijection_enforced(self, triangle):
+        for bad in ([0, 0, 1], (1, 2, 3), np.array([[2, 2, 0]])[0]):
+            with pytest.raises(InvalidOrdering, match="is not a permutation of 0..2"):
+                greedy_color(triangle, bad)
+            with pytest.raises(InvalidOrdering, match="is not a permutation of 0..2"):
+                count_separated(triangle, bad)
+            with pytest.raises(InvalidOrdering, match="is not a permutation of 0..2"):
+                separates(bad, [0, 1], [1, 2])
 
-    def test_round_trip(self):
-        pi = Ordering.from_vertex_sequence([2, 0, 1])
-        assert pi.vertex_sequence() == (2, 0, 1)
-        assert pi.rank(2) == 1 and pi.rank(0) == 2 and pi.rank(1) == 3
+    def test_messages(self):
+        with pytest.raises(InvalidOrdering) as exc:
+            check_order([0, 0, 1])
+        assert str(exc.value) == "sequence [0, 0, 1] is not a permutation of 0..2"
+        with pytest.raises(InvalidOrdering) as exc:
+            check_order([0, 1, 2], 5)
+        assert str(exc.value) == "ordering covers 3 vertices, hypergraph has 5"
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 2, 3]])
+    def test_wrong_length_refused(self, triangle, order):
+        with pytest.raises(InvalidOrdering, match=f"covers {len(order)} vertices, hypergraph has 3"):
+            greedy_color(triangle, order)
+        with pytest.raises(InvalidOrdering, match=f"covers {len(order)} vertices, hypergraph has 3"):
+            count_separated(triangle, order)
+
+    def test_list_tuple_and_numpy_row_alike(self, k35):
+        seq = [3, 1, 4, 0, 2]
+        forms = [seq, tuple(seq), np.array([seq], dtype=np.int64)[0]]
+        assert check_order(forms[2]) == (3, 1, 4, 0, 2)
+        assert all(type(v) is int for v in check_order(forms[2]))
+        want = greedy_color(k35, seq)
+        assert all(greedy_color(k35, o) == want for o in forms)
+        assert [count_separated(k35, o) for o in forms] == [1, 1, 1]
+        assert [separates(o, [1, 3, 4], [0, 2, 4]) for o in forms] == [True, True, True]
 
 
 class TestGreedyColor:
     def test_single_edge_identity(self, single_edge):
-        out = greedy_color(single_edge, Ordering.identity(2))
+        out = greedy_color(single_edge, range(2))
         assert out.coloring.colors == (B, R)
         assert out.coloring.proper
 
     def test_triangle_hand_trace(self, triangle):
-        out = greedy_color(triangle, Ordering.identity(3))
+        out = greedy_color(triangle, range(3))
         assert out.coloring.colors == (B, R, R)
         assert not out.coloring.proper
         assert triangle.edges[out.coloring.violating_edge] == (1, 2)
@@ -88,16 +111,16 @@ class TestGreedyColor:
         assert checked > 20
 
     def test_deterministic(self, k35):
-        pi = Ordering.from_vertex_sequence([3, 1, 4, 0, 2])
+        pi = [3, 1, 4, 0, 2]
         assert greedy_color(k35, pi) == greedy_color(k35, pi)
 
     def test_ordering_size_mismatch(self, triangle):
         with pytest.raises(InvalidOrdering):
-            greedy_color(triangle, Ordering.identity(4))
+            greedy_color(triangle, range(4))
 
     def test_uncovered_vertices_blue(self):
         H = normalize([[0, 1]], n=2, p=4)
-        out = greedy_color(H, Ordering.identity(4))
+        out = greedy_color(H, range(4))
         assert out.coloring.colors[2] is B and out.coloring.colors[3] is B
 
 
@@ -229,7 +252,7 @@ class TestOrderingExistence:
             found_cases += 1
             hit = False
             for perm in itertools.permutations(range(H.p)):
-                out = greedy_color(H, Ordering.from_vertex_sequence(perm))
+                out = greedy_color(H, perm)
                 if out.coloring.proper:
                     hit = True
                     break
@@ -243,6 +266,12 @@ class TestRandomRestart:
         assert result is not None
         pi, coloring = result
         assert coloring.proper
+
+    def test_order_is_a_tuple_of_python_ints(self):
+        H = normalize([[0, 1], [1, 2], [2, 3]], n=2, p=4)
+        order, _ = random_restart_color(H, max_trials=50, seed=0)
+        assert type(order) is tuple and all(type(v) is int for v in order)
+        assert sorted(order) == [0, 1, 2, 3]
 
     def test_k35_never_succeeds(self, k35):
         assert random_restart_color(k35, max_trials=10_000, seed=1) is None
@@ -280,7 +309,7 @@ class TestBatchedKernelOracles:
         for H in random_instances(400, seed=71, n_choices=(1, 2, 3, 4), p_max=12, m_max=30):
             seq = list(range(H.p))
             rng.shuffle(seq)
-            pi = Ordering.from_vertex_sequence(seq)
+            pi = seq
             assert greedy_color(H, pi) == oracle_greedy(H, pi)
 
     def test_greedy_beyond_int64_masks(self):
@@ -290,7 +319,7 @@ class TestBatchedKernelOracles:
         for _ in range(20):
             seq = list(range(H.p))
             rng.shuffle(seq)
-            pi = Ordering.from_vertex_sequence(seq)
+            pi = seq
             assert greedy_color(H, pi) == oracle_greedy(H, pi)
 
     @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 3000])

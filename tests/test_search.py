@@ -84,7 +84,7 @@ class TestBipartite:
     def test_scan_cut_test_matches_bfs(self, p):
         # the BFS is the independent oracle for the scan's coloring cut test
         expected = sum(not is_bipartite(H) for H in _labeled_graphs(p))
-        assert _scan_graph_chunk((p, 0, 1 << math.comb(p, 2)))["non_colorable"] == expected
+        assert _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))["non_colorable"] == expected
 
 
 def brute_canonical(H):
@@ -187,7 +187,7 @@ class TestCanonicalForm:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_fast_pass_matches_reference(self, p):
-        fast = _scan_graph_chunk((p, 0, 1 << math.comb(p, 2)))
+        fast = _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))
         slow = reference_chunk(p)
         # every field the census emits, counts and mask lists alike
         assert fast == slow
@@ -202,12 +202,12 @@ _SCAN_CHUNKS = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
 @pytest.mark.parametrize("chunk", _SCAN_CHUNKS, ids=[f"p{p}-{lo >> 18}" for p, lo, _ in _SCAN_CHUNKS])
 def test_scan_matches_per_mask_oracle(chunk):
     # whole dicts, mask lists included
-    assert _scan_graph_chunk(chunk) == oracle_scan_chunk(chunk)
+    assert _scan_graph_chunk(*chunk) == oracle_scan_chunk(*chunk)
 
 
 def test_scan_rejects_a_chunk_that_splits_a_row():
     with pytest.raises(ValueError):
-        _scan_graph_chunk((7, 32, 1 << 18))
+        _scan_graph_chunk(7, 32, 1 << 18)
 
 
 class TestVerifyGraphs:
@@ -219,8 +219,8 @@ class TestVerifyGraphs:
         # minimum m2 over non-bipartite graphs is 6 ...
         assert per_p[5]["min_m2_non_colorable"] == 6
         # ... attained only by triangle-containing graphs
-        assert all(r.has_clique for r in records if r.meets_bound)
-        assert all(r.m2 == 6 and r.meets_bound for r in records)
+        assert all(r["has_clique"] for r in records if r["meets_bound"])
+        assert all(r["m2"] == 6 and r["meets_bound"] for r in records)
 
     def test_c5_strict_inequality(self):
         c5 = normalize([[i, (i + 1) % 5] for i in range(5)], n=2, p=5)
@@ -276,9 +276,9 @@ class TestVerifyGraphs:
 
     def test_equality_records_sorted_and_typed(self):
         records, _ = verify_bound_exhaustive(2, 5)
-        assert records == sorted(records, key=lambda r: (r.p, r.canonical_form))
+        assert records == sorted(records, key=lambda r: (r["p"], r["canonical_form"]))
         for r in records:
-            assert r.n == 2 and r.meets_bound and r.has_clique
+            assert r["n"] == 2 and r["meets_bound"] and r["has_clique"]
 
 
 class TestVerifySampled:
@@ -288,7 +288,7 @@ class TestVerifySampled:
         assert summary["counterexamples"] == 0
         assert summary["non_colorable"] > 0
         for r in records:
-            assert r.m2 >= 30
+            assert r["m2"] >= 30
 
     def test_deterministic(self):
         a = verify_bound_exhaustive(3, 7, budget=15, seed=5)

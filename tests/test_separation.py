@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from propb.coloring import Ordering
 from propb.errors import BudgetExceeded, NotSimple
 from propb.hypergraph import bound, complete_hypergraph, m2, normalize, pad
 from propb.separation import (
@@ -29,14 +28,14 @@ from conftest import (
 
 class TestSeparates:
     def test_definition_instances(self):
-        pi = Ordering.from_vertex_sequence([0, 1, 2])
+        pi = [0, 1, 2]
         assert separates(pi, [0, 1], [1, 2]) is True
-        assert separates(Ordering.from_vertex_sequence([2, 1, 0]), [0, 1], [1, 2]) is False
-        pi5 = Ordering.from_vertex_sequence([0, 1, 2, 3, 4])
+        assert separates([2, 1, 0], [0, 1], [1, 2]) is False
+        pi5 = [0, 1, 2, 3, 4]
         assert separates(pi5, [0, 1, 2], [2, 3, 4]) is True
 
     def test_not_simple(self):
-        pi = Ordering.identity(4)
+        pi = range(4)
         with pytest.raises(NotSimple):
             separates(pi, [0, 1], [2, 3])
         with pytest.raises(NotSimple):
@@ -49,14 +48,14 @@ class TestSeparates:
         for _ in range(200):
             seq = list(range(9))
             rng.shuffle(seq)
-            base = separates(Ordering.from_vertex_sequence(seq), X, Y)
+            base = separates(seq, X, Y)
             others = [v for v in seq if v > 4]
             spots = [i for i, v in enumerate(seq) if v > 4]
             rng.shuffle(others)
             perturbed = list(seq)
             for i, v in zip(spots, others):
                 perturbed[i] = v
-            assert separates(Ordering.from_vertex_sequence(perturbed), X, Y) == base
+            assert separates(perturbed, X, Y) == base
 
     def test_never_both_directions(self):
         rng = random.Random(23)
@@ -64,7 +63,7 @@ class TestSeparates:
         for _ in range(200):
             seq = list(range(5))
             rng.shuffle(seq)
-            pi = Ordering.from_vertex_sequence(seq)
+            pi = seq
             assert not (separates(pi, X, Y) and separates(pi, Y, X))
 
     def test_matches_brute_oracle(self):
@@ -72,28 +71,28 @@ class TestSeparates:
         for _ in range(200):
             seq = list(range(7))
             rng.shuffle(seq)
-            pi = Ordering.from_vertex_sequence(seq)
+            pi = seq
             X, Y = [0, 1, 2], [2, 5, 6]
             assert separates(pi, X, Y) == brute_separates(seq, X, Y)
 
 
 class TestCountSeparated:
     def test_triangle_identity_order(self, triangle):
-        assert count_separated(triangle, Ordering.identity(3)) == 1
+        assert count_separated(triangle, range(3)) == 1
 
     def test_disjoint(self, disjoint_edges):
-        assert count_separated(disjoint_edges, Ordering.identity(6)) == 0
+        assert count_separated(disjoint_edges, range(6)) == 0
 
     def test_k35_every_ordering_exactly_one(self, k35):
         for perm in itertools.permutations(range(5)):
-            assert count_separated(k35, Ordering.from_vertex_sequence(perm)) == 1
+            assert count_separated(k35, perm) == 1
 
     def test_matches_pairwise_predicate(self):
         rng = random.Random(31)
         for H in random_instances(40, seed=31, p_max=8):
             seq = list(range(H.p))
             rng.shuffle(seq)
-            pi = Ordering.from_vertex_sequence(seq)
+            pi = seq
             expected = 0
             for i, X in enumerate(H.edges):
                 for j, Y in enumerate(H.edges):
@@ -217,7 +216,7 @@ class TestMonteCarlo:
         for _ in range(20):
             seq = list(range(H.p))
             rng.shuffle(seq)
-            assert count_separated(H, Ordering.from_vertex_sequence(seq)) == count(seq)
+            assert count_separated(H, seq) == count(seq)
 
     def test_k35_concentrated_at_one(self, k35):
         stats = monte_carlo_separation(k35, trials=10_000, seed=5)
