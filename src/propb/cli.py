@@ -39,6 +39,8 @@ def _load(path: str):
             text = fh.read()
     except OSError as exc:
         raise FileAccessError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FileAccessError(f"cannot read {path}: not UTF-8 text") from None
     return text, parse(text)
 
 
@@ -200,10 +202,10 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
 
 
 def _json_or_none(line: bytes):
-    """The JSON value of a line, or None for a line cut short by an interrupted run."""
+    """The JSON value of a line, or None for one cut short by an interrupted run or not UTF-8 JSON at all."""
     try:
         return json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
         return None
 
 

@@ -3,17 +3,18 @@
 For n = 2 every labeled graph on up to max_p vertices is enumerated as a
 bitmask over the C(p, 2) edge slots of the complete graph.  Vertex 0's
 slots come first, so each mask is a graph h on the other p-1 vertices
-plus vertex 0's neighbourhood N.  Tables over every h (degrees, m2, edge
-count, covered vertices, and which N a proper 2-coloring of h can put on
-one side) give each graph's m2, edge count, covered-vertex count and
-bipartiteness in a few broadcast operations over the (h, N) grid; only
-graphs at or below the bound get the triangle test.  Every non-bipartite
-graph is then checked against the bound (m2 >= 6) and the equality
-characterization (m2 = 6 forces a triangle).  The census runs in one
-process, and numpy is imported inside the scan only, so sampling and the
-fixture suite never load it.  For n >= 3 exhaustive enumeration is out
-of reach, so the run degrades to seeded rejection sampling plus the
-curated fixture suite.
+plus vertex 0's neighbourhood N.  Tables over every h hold Python-int
+bitsets over the columns N: which N a proper 2-coloring of h can put on
+one side (so which graphs are bipartite), and which graphs have fewer
+edges than covered vertices; popcounts of them give the chunk's counts.
+m2 never falls when N grows, so the graphs at or below the bound, and the
+least m2 of a non-bipartite graph, come from a walk by ascending m2 that
+stops early; only the graphs at or below the bound get the triangle
+test.  Every non-bipartite graph is then checked against the bound
+(m2 >= 6) and the equality characterization (m2 = 6 forces a triangle).
+The census runs in one process on plain ints, so no verify run loads
+numpy.  For n >= 3 exhaustive enumeration is out of reach, so the run
+degrades to seeded rejection sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells.
@@ -124,23 +125,18 @@ def _encode_edges(edges) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vectorized labeled-graph scan (n = 2)
+# labeled-graph scan (n = 2)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _edge_slots(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Edge slots of K_p in lexicographic order and per-vertex incidence masks."""
-    E = tuple(combinations(range(p), 2))
-    inc = [0] * p
-    for i, (u, v) in enumerate(E):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    return E, tuple(inc)
+def _edge_slots(p: int) -> tuple[tuple[int, int], ...]:
+    """Edge slots of K_p in lexicographic order."""
+    return tuple(combinations(range(p), 2))
 
 
 @lru_cache(maxsize=16)
 def _triangle_slot_masks(p: int) -> tuple[int, ...]:
-    E, _ = _edge_slots(p)
+    E = _edge_slots(p)
     slot = {e: i for i, e in enumerate(E)}
     masks = []
     for a, b, c in combinations(range(p), 3):
@@ -150,44 +146,75 @@ def _triangle_slot_masks(p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _extension_tables(q: int):
-    """Per labeled graph h on q <= 6 vertices: degrees, m2, edge count, covered mask, extendable bitmap.
+    """Per labeled graph h on q <= 6 vertices: packed degrees, m2, and bitmaps over N.
 
-    Row h holds h's degree vector (uint8, one column per vertex), m2(h),
-    its edge count, the bitmask of its covered vertices, and a uint64
-    whose bit N is set iff some proper 2-coloring of h puts every vertex
-    of N on one side: the down-closure over subsets of h's proper splits
-    (a split S is proper iff no edge lies inside S or inside its
-    complement).  The arrays are read-only.
+    Returns (deg, m2_h, ext, sey), each indexed by h:
+    - deg[h] packs h's degree vector 4 bits per vertex (vertex v at bit 4v);
+    - m2_h[h] is m2(h);
+    - ext[h] is a 2^q-bit int whose bit N is set iff some proper
+      2-coloring of h puts every vertex of N on one side, that is, iff the
+      graph h plus a vertex adjacent to N is bipartite;
+    - sey[h] has bit N set iff that graph is non-bipartite and has fewer
+      edges than covered vertices.
     """
-    import numpy as np
-
     if q > 6:
-        raise ValueError(f"the extendable bitmap holds 2^q <= 64 bits, got q = {q}")
-    E, inc = _edge_slots(q)
-    # the C(q, 2) <= 15 edge slots fit uint16
-    h = np.arange(1 << len(E), dtype=np.uint16)
-    deg = np.zeros((len(h), q), dtype=np.uint8)
-    cov_h = np.zeros(len(h), dtype=np.uint8)
-    for v in range(q):
-        deg[:, v] = np.bitwise_count(h & inc[v])
-        cov_h |= (deg[:, v] > 0).astype(np.uint8) << v
-    d = deg.astype(np.int16)
-    m2_h = (d * (d - 1)).sum(axis=1, dtype=np.int16)
-    edges_h = np.bitwise_count(h)
+        raise ValueError(f"the tables hold 2^C(q, 2) rows, at most 2^15 at q <= 6; got q = {q}")
+    E = _edge_slots(q)
+    # doubling over the slots: row h | 1 << i is row h plus edge E[i]
+    deg, m2_h, cov = [0], [0], [0]
+    for u, v in E:
+        m2_h += [m + 2 * ((d >> 4 * u & 15) + (d >> 4 * v & 15)) for m, d in zip(m2_h, deg)]
+        deg += [d + (1 << 4 * u) + (1 << 4 * v) for d in deg]
+        cov += [c | 1 << u | 1 << v for c in cov]
 
-    # little-endian, so the scan can unpack bit N as byte N // 8, bit N % 8
-    ext = np.zeros(len(h), dtype="<u8")
-    for S in range(1 << q):
-        mono = sum(1 << i for i, (u, v) in enumerate(E) if (S >> u & 1) == (S >> v & 1))
-        ext |= ((h & mono) == 0).astype("<u8") << np.uint64(S)
+    # down[S] has bit N set for every N inside S
+    down = [1]
     for j in range(q):
-        # N without vertex j is extendable if N with it is
-        keep = sum(1 << N for N in range(64) if not N >> j & 1)
-        ext |= (ext >> np.uint64(1 << j)) & np.uint64(keep)
-    tables = deg, m2_h, edges_h, cov_h, ext
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+        down += [d | d << (1 << j) for d in down]
+    full = (1 << q) - 1
+    # S and its complement are one 2-coloring, so S runs over the sets without vertex q-1;
+    # it colors h properly iff h lies inside the slots S cuts
+    ext = [0] * len(deg)
+    for S in range(1 << max(q - 1, 0)):
+        cut = sum(1 << i for i, (u, v) in enumerate(E) if (S >> u ^ S >> v) & 1)
+        sides = down[S] | down[full ^ S]
+        sub = cut
+        while True:
+            ext[sub] |= sides
+            if not sub:
+                break
+            sub = (sub - 1) & cut
+
+    # (h, N) has e(h) + |N| edges and |cov(h) | N| + (N != 0) covered vertices, so it
+    # falls short iff N != 0 and |N & cov(h)| <= |cov(h)| - e(h), or N = 0 and e(h) < |cov(h)|
+    short_columns: dict[tuple[int, int], int] = {}
+    sey = []
+    for h, (c, x) in enumerate(zip(cov, ext)):
+        slack = c.bit_count() - h.bit_count()
+        if slack < 0:
+            sey.append(0)
+            continue
+        if (c, slack) not in short_columns:
+            short_columns[c, slack] = int(slack > 0) | sum(
+                1 << N for N in range(1, full + 1) if (N & c).bit_count() <= slack
+            )
+        sey.append(short_columns[c, slack] & ~x)
+    return tuple(deg), tuple(m2_h), tuple(ext), tuple(sey)
+
+
+@lru_cache(maxsize=4096)
+def _column_increments(q: int, deg: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """m2(h, N) - m2(h) for every column N, and the columns by ascending increment.
+
+    deg is row h's packed degree vector.  Vertex 0 adds |N| (|N| - 1) pairs
+    at itself and each neighbour v's d(d - 1) term grows by 2 deg_h(v), so
+    adding vertex j to an N inside 0..j-1 adds 2 |N| + 2 deg_h(j).
+    """
+    inc = [0]
+    for j in range(q):
+        dj = 2 * (deg >> 4 * j & 15)
+        inc += [s + dj + 2 * N.bit_count() for N, s in enumerate(inc)]
+    return tuple(inc), tuple(sorted(range(1 << q), key=inc.__getitem__))
 
 
 def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
@@ -196,51 +223,58 @@ def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
     Vertex 0's p-1 edge slots come first in lexicographic slot order, so
     mask = (h << (p-1)) | N, where h is a labeled graph on vertices 1..p-1
     and N is vertex 0's neighbourhood.  lo and hi must be multiples of
-    2^(p-1); the range is then a grid of whole rows h by all 2^(p-1)
-    columns N, in mask order, and each quantity is a broadcast of
-    :func:`_extension_tables` over it.  Only graphs at or below the bound
-    m2 = 6 get the triangle test.  Returns chunk-level reductions only, so
+    2^(p-1); the range is then the whole rows h in [lo >> (p-1), hi >> (p-1))
+    of all 2^(p-1) columns N.  The counts are popcounts of the rows'
+    bitmaps in :func:`_extension_tables`.  m2(h, N) >= m2(h), so the
+    masks at or below the bound m2 = 6 and the least m2 of a
+    non-bipartite mask come from visiting rows by ascending m2(h), and
+    columns by ascending m2(h, N), until neither can change; only those
+    masks get the triangle test.  Returns chunk-level reductions only, so
     chunk results merge deterministically.
     """
-    import numpy as np
-
     q = p - 1
     if (lo | hi) & ((1 << q) - 1):
         raise ValueError(f"chunk [{lo}, {hi}) is not a run of whole rows of 2^{q} masks")
-    deg, m2_h, edges_h, cov_h, ext = _extension_tables(q)
-    rows = slice(lo >> q, hi >> q)
-    N = np.arange(1 << q, dtype=np.uint8)
-    d0 = np.bitwise_count(N).astype(np.int16)
+    deg, m2_h, ext, sey = _extension_tables(q)
+    r0, r1 = lo >> q, hi >> q
+    every_column = (1 << (1 << q)) - 1
 
-    # sum of deg_h(v) over v in N, column N built from column N minus its top vertex
-    deg_sum = np.zeros(((hi - lo) >> q, 1 << q), dtype=np.int16)
-    for j in range(q):
-        deg_sum[:, 1 << j : 2 << j] = deg_sum[:, : 1 << j] + deg[rows, j, None]
-    # vertex 0 adds d0 (d0 - 1) pairs at itself; a neighbour v's d(d - 1) term grows by 2 deg_h(v)
-    m2_arr = m2_h[rows, None] + d0 * (d0 - 1) + 2 * deg_sum
-    nonbip = np.unpackbits(ext[rows].view(np.uint8).reshape(-1, 8), axis=1, count=1 << q, bitorder="little") == 0
-    edge_count = edges_h[rows, None] + d0
-    covered = np.bitwise_count(cov_h[rows, None] | N) + (N != 0)
+    # least m2 of a non-bipartite mask so far; past the bound only a lower one matters
+    best = math.inf
+    low = []  # (mask, m2) of every non-bipartite mask with m2 <= 6
+    for h in sorted(range(r0, r1), key=m2_h.__getitem__):
+        if m2_h[h] >= max(best, 7):
+            break
+        nonbip = every_column & ~ext[h]
+        if not nonbip:
+            continue
+        inc, order = _column_increments(q, deg[h])
+        for N in order:
+            m = m2_h[h] + inc[N]
+            if m >= max(best, 7):
+                break
+            if nonbip >> N & 1:
+                best = min(best, m)
+                if m <= 6:
+                    low.append((h << q | N, m))
+    low.sort()
 
     # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
-    low = np.flatnonzero(nonbip & (m2_arr <= 6))
-    masks = low + lo
-    at_bound = m2_arr.ravel()[low] == 6
-    tri = np.zeros(len(masks), dtype=bool)
-    for tm in _triangle_slot_masks(p):
-        tri |= (masks & tm) == tm
+    triangles = _triangle_slot_masks(p)
     return {
         "graphs": hi - lo,
-        "non_colorable": int(np.count_nonzero(nonbip)),
-        "min_m2_non_colorable": int(m2_arr[nonbip].min()) if nonbip.any() else None,
-        "equality_masks": masks[at_bound].tolist(),
-        "counterexample_masks": masks[~(at_bound & tri)].tolist(),
-        "seymour_violations": int(np.count_nonzero(nonbip & (edge_count < covered))),
+        "non_colorable": ((r1 - r0) << q) - sum(map(int.bit_count, ext[r0:r1])),
+        "min_m2_non_colorable": None if best == math.inf else best,
+        "equality_masks": [mask for mask, m in low if m == 6],
+        "counterexample_masks": [
+            mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)
+        ],
+        "seymour_violations": sum(map(int.bit_count, sey[r0:r1])),
     }
 
 
 def _graph_from_mask(p: int, mask: int) -> Hypergraph:
-    E, _ = _edge_slots(p)
+    E = _edge_slots(p)
     return Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 

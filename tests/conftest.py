@@ -131,7 +131,7 @@ def mono_slot_masks(p) -> np.ndarray:
     masks mm; fixing one vertex's color halves the list without losing a
     coloring up to swapping the two colors.
     """
-    E, _ = _edge_slots(p)
+    E = _edge_slots(p)
     masks = []
     for c in range(1 << (p - 1)):
         mm = 0
@@ -150,7 +150,8 @@ def oracle_scan_chunk(p, lo, hi) -> dict:
     from the 2^(p-1) monochromatic-slot masks of :func:`mono_slot_masks`.
     Any lo <= hi works.
     """
-    _, inc = _edge_slots(p)
+    E = _edge_slots(p)
+    inc = [sum(1 << i for i, e in enumerate(E) if v in e) for v in range(p)]
     # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
     G = np.arange(lo, hi, dtype=np.int32)
 

@@ -208,6 +208,23 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {out_path} has no header line; refusing to append to it\n"
         assert out_path.read_text() == '{"p": 1, "type": "p_summary"}\n'
 
+    def test_an_undecodable_line_is_dropped_like_a_cut_one(self, capsys, tmp_path):
+        argv = ["verify", "--n", "2", "--max-p", "3", "--threads", "1"]
+        whole, mixed = tmp_path / "whole.jsonl", tmp_path / "mixed.jsonl"
+        assert main([*argv, "--out", str(whole)]) == 0
+        header = whole.read_bytes().splitlines(keepends=True)[0]
+        mixed.write_bytes(header + b"\xff\n")
+        assert main([*argv, "--out", str(mixed)]) == 0
+        assert mixed.read_bytes() == whole.read_bytes()
+
+    def test_resume_of_a_utf16_stream_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b'\xff\xfe{"type": "header"}\n')
+        code = main(["verify", "--n", "2", "--max-p", "3", "--threads", "1", "--out", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out_path} has no header line; refusing to append to it\n"
+        assert out_path.read_bytes() == b'\xff\xfe{"type": "header"}\n'
+
     def test_resume_after_a_cut_inside_a_p_matches_an_uninterrupted_run(self, capsys, tmp_path):
         argv = ["verify", "--n", "2", "--max-p", "5", "--threads", "1", "--deterministic"]
         whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
@@ -300,6 +317,10 @@ class TestVerify:
         ),
         (["analyze", "{k35}", "--out", "{nodir}/x.txt"], "cannot write {nodir}/x.txt: No such file or directory"),
         (["verify", "--n", "2", "--max-p", "3", "--out", "{tmp}"], "cannot write {tmp}: Is a directory"),
+        (["analyze", "{bom}"], "cannot read {bom}: not UTF-8 text"),
+        (["color", "{bom}"], "cannot read {bom}: not UTF-8 text"),
+        (["mc", "{bom}", "--trials", "1"], "cannot read {bom}: not UTF-8 text"),
+        (["enum", "{bom}"], "cannot read {bom}: not UTF-8 text"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
@@ -308,10 +329,15 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     # an input that cannot be read or an --out path that cannot be written,
     # makes main return 2 with one line
     tmp = os.path.dirname(k35_file)
-    missing, nodir = os.path.join(tmp, "missing.hg"), os.path.join(tmp, "nodir")
+    missing, nodir, bom = (os.path.join(tmp, name) for name in ("missing.hg", "nodir", "bom.hg"))
+    # a UTF-16 byte-order mark, which is not UTF-8
+    with open(bom, "wb") as fh:
+        fh.write(b"\xff\xfe")
 
     def fill(a):
-        return a.replace("{k35}", k35_file).replace("{missing}", missing).replace("{nodir}", nodir).replace("{tmp}", tmp)
+        for key, value in (("k35", k35_file), ("missing", missing), ("nodir", nodir), ("bom", bom), ("tmp", tmp)):
+            a = a.replace("{" + key + "}", value)
+        return a
 
     try:
         code, usage = main([fill(a) for a in argv]), None
@@ -385,9 +411,14 @@ print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules
         (["verify", "--n", "4", "--fixtures", "--json"], False),
         (["verify", "--n", "3", "--seed", "0", "--json"], False),
         (["mc", "{k35}", "--trials", "10", "--json"], True),
-        (["verify", "--n", "2", "--max-p", "4", "--threads", "2", "--json"], True),
+        (["color", "{k35}", "--trials", "3"], True),
+        (["verify", "--n", "2", "--max-p", "4", "--threads", "2", "--json"], False),
+        (["verify", "--n", "2", "--max-p", "7"], False),
     ],
-    ids=["help", "analyze", "enum", "gen", "fixtures-n3", "fixtures-n4", "sampled-n3", "mc", "census-threads2"],
+    ids=[
+        "help", "analyze", "enum", "gen", "fixtures-n3", "fixtures-n4", "sampled-n3", "mc", "color",
+        "census-threads2", "census-p7",
+    ],
 )
 def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv, loads_numpy):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}

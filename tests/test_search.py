@@ -16,7 +16,14 @@ from propb.hypergraph import (
     random_hypergraph,
     relabel,
 )
-from propb.search import _scan_graph_chunk, canonical_form, verify_bound_exhaustive, verify_fixture_suite
+from propb.search import (
+    _edge_slots,
+    _extension_tables,
+    _scan_graph_chunk,
+    canonical_form,
+    verify_bound_exhaustive,
+    verify_fixture_suite,
+)
 from propb.setpairs import find_clique
 
 from conftest import is_bipartite, oracle_scan_chunk
@@ -203,6 +210,45 @@ _SCAN_CHUNKS = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
 def test_scan_matches_per_mask_oracle(chunk):
     # whole dicts, mask lists included
     assert _scan_graph_chunk(*chunk) == oracle_scan_chunk(*chunk)
+
+
+def _rows(p, r0, r1):
+    return p, r0 << (p - 1), r1 << (p - 1)
+
+
+# whole-row ranges the census never uses: the early stop of the m2 walk depends on the range
+_ROW_RANGES = {
+    "p5-one-row": _rows(5, 37, 38),
+    "p7-one-row": _rows(7, 12345, 12346),
+    "p7-straddles-chunks-0-1": _rows(7, 4095, 4098),
+    "p6-last-row": _rows(6, 1023, 1024),
+    "p7-last-row": _rows(7, 32767, 32768),
+}
+
+
+@pytest.mark.parametrize("chunk", _ROW_RANGES.values(), ids=_ROW_RANGES.keys())
+def test_scan_of_a_row_range_matches_per_mask_oracle(chunk):
+    assert _scan_graph_chunk(*chunk) == oracle_scan_chunk(*chunk)
+
+
+@pytest.mark.parametrize("k", [3, 5, 6])
+def test_p7_chunks_with_nothing_at_the_bound_have_minimum_8(k):
+    # no non-bipartite graph of these chunks is at the bound, so the walk stops on the least m2 it has
+    # found; test_scan_matches_per_mask_oracle compares their whole dicts
+    assert _scan_graph_chunk(7, k << 18, (k + 1) << 18)["min_m2_non_colorable"] == 8
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+def test_extendable_bit_is_bipartiteness_of_the_row_plus_a_vertex(q):
+    # bit N of ext[h]: the graph h on vertices 1..q plus vertex 0 joined to N is bipartite
+    E = _edge_slots(q)
+    _, _, ext, _ = _extension_tables(q)
+    assert len(ext) == 1 << len(E)
+    for h, bits in enumerate(ext):
+        h_edges = [(u + 1, v + 1) for i, (u, v) in enumerate(E) if h >> i & 1]
+        for N in range(1 << q):
+            G = normalize(h_edges + [(0, v + 1) for v in range(q) if N >> v & 1], n=2, p=q + 1)
+            assert bool(bits >> N & 1) == is_bipartite(G), (h, N)
 
 
 def test_scan_rejects_a_chunk_that_splits_a_row():
