@@ -7,13 +7,16 @@ case it colors Red.  By construction the output never contains an
 all-Blue edge, so a failed run always exposes an all-Red edge, and from
 it a separated simple pair can be read off.
 
-One numpy kernel runs the rule over a block of orders at once, as
-bitsets: step k colors the k-th vertex of every order Red iff one of its
-edges has all other vertices in the Blue mask.  A single given order is
-the one-row case; random restarts draw TRIAL_BLOCK orders at a time in
-one numpy pass over a counter-based SplitMix64 stream.  numpy is
-imported inside these kernels only, so commands that never run one (the
-decider among them) do not pay its import.
+One kernel runs the rule over a block of orders at once, on Python ints
+that hold one byte lane per order.  The plane before[u][v] has lane i set
+iff order i visits u before v; planes exist only for vertex pairs that
+share an edge, as no rule reads the others.  A vertex is Red iff one of
+its edges has every other vertex visited before it and Blue; sweeping
+that rule from all Blue until nothing changes gives the sequential result
+in every lane.  A single given order is the one-lane case, its planes
+read off its positions.  Random restarts draw TRIAL_BLOCK orders at a
+time from a counter-based SplitMix64 stream, itself computed lane-packed
+(one int per vertex, one 128-bit lane per trial).
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -24,9 +27,12 @@ other color.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
+from typing import Iterable
 
 from .errors import IncompleteColoring, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
@@ -38,6 +44,7 @@ TRIAL_BLOCK = 1024
 # The stream of _trial_orders, as the Monte Carlo document names it.
 TRIAL_STREAM = "splitmix64-1"
 _GAMMA = 0x9E3779B97F4A7C15
+_M64 = (1 << 64) - 1
 
 
 class Color(str, Enum):
@@ -101,11 +108,10 @@ def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
     (X, Y) separated by the order.  For n = 1 no simple pair exists, so
     improper runs carry no witness.
     """
-    import numpy as np
-
     order = check_order(order, H.p)
-    blue, violating = _greedy_block(H, np.array([order], dtype=np.int64))
-    blue, violating = int(blue[0]), int(violating[0])
+    red = _greedy_red(H, _order_planes(H, order), 1, order)
+    blue = sum(1 << v for v in range(H.p) if not red[v])
+    violating = next((ei for ei, e in enumerate(H.edges) if all(red[v] for v in e)), len(H.edges))
     coloring = _coloring(H, blue, violating)
 
     witness = None
@@ -122,70 +128,147 @@ def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
     return ColoringOutcome(coloring=coloring, separated_witness=witness)
 
 
-def _mask_dtype(p: int):
-    """int64 while the vertex bits and the spare bit 1 << p fit, else Python ints."""
-    import numpy as np
+@lru_cache(maxsize=4)
+def _lanes(T: int) -> tuple[int, int, int]:
+    """R, I and M over T 128-bit lanes: 1, the lane's index and 2^64-1 in every lane."""
+    R = int.from_bytes(b"\x01".ljust(16, b"\x00") * T, "little")
+    I = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(T)), "little")
+    return R, I, R * _M64
 
-    return np.int64 if p < 63 else object
 
+def _trial_keys(p: int, seed: int, start: int, stop: int) -> list[int]:
+    """SplitMix64 keys of trials start..stop-1: one int per vertex, one 128-bit lane per trial.
 
-def _trial_orders(p: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """Visit orders of trials start..stop-1, one row each.
-
-    Trial t visits the vertices in the stable argsort of outputs t*p..t*p+p-1
-    of SplitMix64 (Steele, Lea & Flood 2014; output k of seed s mixes
-    s + (k + 1) * _GAMMA mod 2^64), so it is reproducible on its own and a
-    block does not depend on the blocks before it.
+    Lane i of vertex v holds output (start + i) * p + v of SplitMix64
+    (Steele, Lea & Flood 2014; output k of seed s mixes s + (k + 1) * _GAMMA
+    mod 2^64).  Each step runs on the whole int; masking with M after every
+    shift and multiply keeps each lane below 2^64, so a product stays below
+    2^128 and no carry crosses a lane.
     """
-    import numpy as np
-
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
-    z = np.arange(start * p + 1, stop * p + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.argsort(z.reshape(stop - start, p), axis=1, kind="stable")
+    R, I, M = _lanes(stop - start)
+    step = I * (p * _GAMMA & _M64)
+    keys = []
+    for v in range(p):
+        z = ((seed + (start * p + v + 1) * _GAMMA & _M64) * R + step) & M
+        z = ((z ^ z >> 30) & M) * 0xBF58476D1CE4E5B9 & M
+        z = ((z ^ z >> 27) & M) * 0x94D049BB133111EB & M
+        keys.append((z ^ z >> 31) & M)
+    return keys
+
+
+def _trial_orders(p: int, seed: int, start: int, stop: int) -> list[tuple[int, ...]]:
+    """Visit orders of trials start..stop-1: trial t sorts SplitMix64 outputs t*p..t*p+p-1.
+
+    The sort is stable, so equal keys visit the lower vertex first; each
+    trial is reproducible on its own and a block does not depend on the
+    blocks before it.
+    """
+    T = stop - start
+    columns = []
+    for key in _trial_keys(p, seed, start, stop):
+        # native order puts each lane's low word first, in lane order, on a
+        # little-endian host, and last, in reverse lane order, on a big-endian one
+        words = memoryview(key.to_bytes(16 * T, sys.byteorder)).cast("Q")
+        columns.append(words[::2] if sys.byteorder == "little" else words[::-2])
+    rows = zip(*columns) if p else [()] * T
+    return [tuple(sorted(range(p), key=row.__getitem__)) for row in rows]
 
 
 @lru_cache(maxsize=64)
-def _greedy_tables(H: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex bits, "others" table and edge masks of H; read-only, as every call shares them.
+def _adjacency(H: Hypergraph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Pairs u < v that share an edge, and per vertex v the others (e minus v) of each edge e holding v."""
+    others: list[list[tuple[int, ...]]] = [[] for _ in range(H.p)]
+    for e in H.edges:
+        for k, v in enumerate(e):
+            others[v].append(e[:k] + e[k + 1 :])
+    return tuple(sorted({pair for e in H.edges for pair in combinations(e, 2)})), tuple(map(tuple, others))
 
-    Row v lists m ^ (1 << v) per edge mask m holding v, padded with the never-Blue bit 1 << p;
-    the edge masks end with an empty sentinel edge, monochromatic in every run.
+
+def _planes(H: Hypergraph, firsts: list[int], ones: int) -> list[dict[int, int]]:
+    """before[u][v] for vertices u != v sharing an edge: lane i is 1 iff trial i visits u first.
+
+    firsts holds the plane of u before v for each pair u < v of _adjacency;
+    the reverse plane is its complement.  No kernel reads a pair that
+    shares no edge, so none is built.
     """
-    import numpy as np
-
-    p, masks, dtype = H.p, H.masks, _mask_dtype(H.p)
-    bits = np.array([1 << v for v in range(p)], dtype=dtype)
-    others = [[m ^ (1 << v) for m in masks if m >> v & 1] for v in range(p)]
-    table = np.full((p, max(map(len, others), default=0) or 1), 1 << p, dtype=dtype)
-    for v, row in enumerate(others):
-        table[v, : len(row)] = row
-    edge_masks = np.array(masks + (0,), dtype=dtype)
-    bits.flags.writeable = table.flags.writeable = edge_masks.flags.writeable = False
-    return bits, table, edge_masks
+    before: list[dict[int, int]] = [{} for _ in range(H.p)]
+    for (u, v), b in zip(_adjacency(H)[0], firsts):
+        before[u][v], before[v][u] = b, b ^ ones
+    return before
 
 
-def _greedy_block(H: Hypergraph, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy runs over a block of visit orders, one per row.
+def _order_planes(H: Hypergraph, order: tuple[int, ...]) -> list[dict[int, int]]:
+    """The one-lane planes of a single visit order."""
+    pos = [0] * H.p
+    for k, v in enumerate(order):
+        pos[v] = k
+    return _planes(H, [int(pos[u] < pos[v]) for u, v in _adjacency(H)[0]], 1)
 
-    Returns each run's Blue vertex mask and the index of its first monochromatic
-    edge (len(H.edges) if proper); v turns Red iff one of its edges is otherwise Blue.
+
+def _trial_planes(H: Hypergraph, seed: int, start: int, stop: int) -> tuple[list[dict[int, int]], int]:
+    """Planes of trials start..stop-1, one byte lane per trial, and the int with 1 in every lane.
+
+    In lane i of (K_v + 2^64) - K_u bit 64 is set iff K_u <= K_v, the
+    stable rule for u < v.  Eight pairs at a time shift that bit to bits
+    56..63, so one to_bytes call and byte 7 of each 16-byte lane serve all
+    eight.
     """
-    import numpy as np
+    T = stop - start
+    keys = _trial_keys(H.p, seed, start, stop)
+    high = _lanes(T)[0] << 64
+    raised = [k | high for k in keys]
+    ones = int.from_bytes(b"\x01" * T, "little")
+    pairs = _adjacency(H)[0]
+    firsts: list[int] = []
+    for g in range(0, len(pairs), 8):
+        group = pairs[g : g + 8]
+        packed = 0
+        for j, (u, v) in enumerate(group):
+            packed |= (raised[v] - keys[u] & high) >> 8 - j
+        byte7 = int.from_bytes(packed.to_bytes(16 * T, "little")[7::16], "little")
+        firsts += [byte7 >> j & ones for j in range(len(group))]
+    return _planes(H, firsts, ones), ones
 
-    bits, table, edge_masks = _greedy_tables(H)
-    blue = np.zeros(orders.shape[0], dtype=bits.dtype)
-    for k in range(H.p):
-        v = orders[:, k]
-        cand = table[v]
-        red = ((cand & blue[:, None]) == cand).any(axis=1)
-        blue |= np.where(red, 0, bits[v])
-    x = blue[:, None] & edge_masks
-    mono = (x == 0) | (x == edge_masks)
-    return blue, mono.argmax(axis=1)
+
+def _greedy_red(H: Hypergraph, before: list[dict[int, int]], ones: int, sweep: Iterable[int]) -> list[int]:
+    """Red lanes per vertex of the greedy runs whose visit orders `before` holds.
+
+    v is Red iff an edge holding v has every other vertex visited before v
+    and Blue.  Sweeping that rule from all Blue until nothing changes
+    reaches its one fixpoint (by induction on visit position, a vertex
+    settles once those visited before it have), which is the sequential
+    greedy result.  Swept in its own visit order, a one-lane block settles
+    in one pass and a second confirms it.
+    """
+    others = _adjacency(H)[1]
+    early = [
+        [_all_of([before[u][v] for u in rest], ones) for rest in others[v]] for v in range(H.p)
+    ]
+    red = [0] * H.p
+    blue = [ones] * H.p
+    changed = True
+    while changed:
+        changed = False
+        for v in sweep:
+            r = 0
+            for lanes, rest in zip(early[v], others[v]):
+                for u in rest:
+                    if not lanes:
+                        break
+                    lanes &= blue[u]
+                r |= lanes
+            if r != red[v]:
+                red[v], blue[v], changed = r, ones ^ r, True
+    return red
+
+
+def _all_of(planes: list[int], ones: int) -> int:
+    """AND of the planes; `ones` (every lane set) when there are none."""
+    for b in planes:
+        ones &= b
+    return ones
 
 
 def _coloring(H: Hypergraph, blue: int, violating: int) -> Coloring:
@@ -281,17 +364,23 @@ def random_restart_color(
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64), so results do not depend on evaluation order.  Trials run in
     blocks of TRIAL_BLOCK; returns the first successful (visit order,
-    coloring) in trial order, or None after max_trials failures.
+    coloring) in trial order, or None after max_trials failures.  A run
+    never completes an all-Blue edge, so a trial is proper iff no edge is
+    all Red.
     """
-    import numpy as np
-
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
     for start in range(0, max_trials, TRIAL_BLOCK):
-        orders = _trial_orders(H.p, seed, start, min(start + TRIAL_BLOCK, max_trials))
-        blue, violating = _greedy_block(H, orders)
-        hits = np.flatnonzero(violating == len(H.edges))
-        if hits.size:
-            i = hits[0]
-            return tuple(orders[i].tolist()), _coloring(H, int(blue[i]), len(H.edges))
+        stop = min(start + TRIAL_BLOCK, max_trials)
+        before, ones = _trial_planes(H, seed, start, stop)
+        red = _greedy_red(H, before, ones, range(H.p))
+        improper = 0
+        for e in H.edges:
+            improper |= _all_of([red[v] for v in e], ones)
+            if improper == ones:
+                break
+        i = (ones ^ improper).to_bytes(stop - start, "little").find(1)
+        if i >= 0:
+            blue = sum(1 << v for v in range(H.p) if not red[v] >> 8 * i & 1)
+            return _trial_orders(H.p, seed, start + i, start + i + 1)[0], _coloring(H, blue, len(H.edges))
     return None

@@ -12,9 +12,9 @@ least m2 of a non-bipartite graph, come from a walk by ascending m2 that
 stops early; only the graphs at or below the bound get the triangle
 test.  Every non-bipartite graph is then checked against the bound
 (m2 >= 6) and the equality characterization (m2 = 6 forces a triangle).
-The census runs in one process on plain ints, so no verify run loads
-numpy.  For n >= 3 exhaustive enumeration is out of reach, so the run
-degrades to seeded rejection sampling plus the curated fixture suite.
+The census runs in one process on plain ints.  For n >= 3 exhaustive
+enumeration is out of reach, so the run degrades to seeded rejection
+sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells.

@@ -10,20 +10,23 @@ Whether placing y separates a pair with meet y depends only on the set S
 of vertices placed before it, so the histogram of separated-pair counts
 over all p! orderings comes from a dynamic program over prefix sets
 (2^(p-1) pair tests per pair) instead of a loop over the orderings.
-Monte Carlo trials are evaluated a block at a time from the prefix masks
-of their orders, drawn from the coloring module's SplitMix64 stream.
-numpy is imported inside those kernels only; the exact paths never load it.
+Monte Carlo trials are evaluated a block at a time on the coloring
+module's planes, one byte lane per order of its SplitMix64 stream: a pair
+is separated in the lanes where its X\\y is all before y and its Y\\y all
+after, and the pair bits add up lane by lane.  count_separated is the
+one-lane case, with the planes of a single order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .coloring import TRIAL_BLOCK, _mask_dtype, _trial_orders, check_order
+from .coloring import TRIAL_BLOCK, _all_of, _order_planes, _trial_planes, check_order
 from .errors import BudgetExceeded, NotSimple
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
@@ -58,33 +61,49 @@ def _pair_masks(H: Hypergraph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _separated_counts(pairs: list[tuple[int, int, int]], orders: np.ndarray) -> np.ndarray:
-    """Separated-pair count per row of a block of visit orders.
+def _pair_slots(H: Hypergraph) -> list[tuple[int, int]]:
+    """Incidence slots of (X, y) and (Y, y) per ordered simple pair (X, Y) with meet y.
 
-    before[t, v] is the mask of the vertices trial t visits before v; a
-    pair (xo, yo, y) is separated iff xo is inside before[t, y] and yo
-    misses it.
+    Slot e * n + k stands for edge e and its k-th vertex.
     """
-    import numpy as np
+    n, edges = H.n, H.edges
+    return [
+        (sp.first * n + edges[sp.first].index(sp.meet), sp.second * n + edges[sp.second].index(sp.meet))
+        for sp in enumerate_simple_pairs(H)
+    ]
 
-    T, p = orders.shape
-    dtype = _mask_dtype(p)
-    bits = np.array([1 << v for v in range(p)], dtype=dtype)[orders]
-    before = np.empty_like(bits)
-    np.put_along_axis(before, orders, np.cumsum(bits, axis=1) - bits, axis=1)
-    counts = np.zeros(T, dtype=np.int64)
-    for xo, yo, y in pairs:
-        b = before[:, y]
-        counts += ((b & xo) == xo) & ((b & yo) == 0)
-    return counts
+
+def _separated_histogram(
+    H: Hypergraph, slots: list[tuple[int, int]], before: list[dict[int, int]], ones: int, T: int
+) -> Counter[int]:
+    """How many of the T lanes of `before` separate exactly k of the pairs, as {k: lanes}.
+
+    A pair (X, Y) with meet y is separated in a lane iff every vertex of
+    X\\y comes before y there and y before every vertex of Y\\y.  The pair
+    bits add up in byte lanes, which flush into 32-bit lanes every 255
+    pairs, before a byte can overflow.
+    """
+    ahead, behind = [], []
+    for e in H.edges:
+        for y in e:
+            ahead.append(_all_of([before[u][y] for u in e if u != y], ones))
+            behind.append(_all_of([before[y][w] for w in e if w != y], ones))
+    total = 0
+    for lo in range(0, len(slots), 255):
+        acc = 0
+        for a, b in slots[lo : lo + 255]:
+            acc += ahead[a] & behind[b]
+        wide = bytearray(4 * T)
+        wide[::4] = acc.to_bytes(T, "little")
+        total += int.from_bytes(wide, "little")
+    return Counter(memoryview(total.to_bytes(4 * T, sys.byteorder)).cast("I"))
 
 
 def count_separated(H: Hypergraph, order) -> int:
     """Number of ordered simple pairs of H separated by the visit order."""
-    import numpy as np
-
-    orders = np.array([check_order(order, H.p)], dtype=np.int64)
-    return int(_separated_counts(_pair_masks(H), orders)[0])
+    before = _order_planes(H, check_order(order, H.p))
+    (count,) = _separated_histogram(H, _pair_slots(H), before, 1, 1)
+    return count
 
 
 def exact_separation_probability(n: int) -> Fraction:
@@ -134,17 +153,14 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64); identical arguments reproduce identical statistics.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pairs = _pair_masks(H)
+    slots = _pair_slots(H)
     hist: Counter[int] = Counter()
     for start in range(0, trials, TRIAL_BLOCK):
-        orders = _trial_orders(H.p, seed, start, min(start + TRIAL_BLOCK, trials))
-        for c, k in enumerate(np.bincount(_separated_counts(pairs, orders)).tolist()):
-            if k:
-                hist[c] += k
+        stop = min(start + TRIAL_BLOCK, trials)
+        before, ones = _trial_planes(H, seed, start, stop)
+        hist += _separated_histogram(H, slots, before, ones, stop - start)
     return SeparationStats(
         trials=trials,
         mean_separated=Fraction(sum(c * k for c, k in hist.items()), trials),

@@ -65,6 +65,32 @@ def random_instances(count, seed, n_choices=(2, 3), p_max=12, m_max=None):
     return out
 
 
+def planted_instance(n, p, extra, seed):
+    """The complete n-graph on 0..2n-2 plus `extra` random n-edges over p vertices."""
+    rng = random.Random(seed)
+    edges = [list(e) for e in itertools.combinations(range(2 * n - 1), n)]
+    edges += [rng.sample(range(p), n) for _ in range(extra)]
+    return normalize(edges, n=n, p=p)
+
+
+def tied_keys_graph():
+    """A graph on 2^17 vertices around the two vertex pairs whose seed-0 trial-0 keys tie in their top 31 bits.
+
+    Each tied pair u, v is an edge, and u and v each get one more edge, so
+    whether u is visited before v decides simple pairs and Red vertices.
+    """
+    p = 1 << 17
+    by_top = {}
+    for i in range(p):
+        by_top.setdefault(splitmix64(0, i) >> 33, []).append(i)
+    ties = [vs for vs in by_top.values() if len(vs) > 1]
+    assert len(ties) == 2 and all(len(vs) == 2 for vs in ties)
+    edges = []
+    for k, (u, v) in enumerate(ties):
+        edges += [[u, v], [u, 2 * k], [v, 2 * k + 1]]
+    return normalize(edges, n=2, p=p)
+
+
 # independent set-based oracles, deliberately not sharing code with the package
 
 

@@ -14,7 +14,9 @@ from propb.coloring import (
     greedy_color,
     is_proper,
     random_restart_color,
+    TRIAL_BLOCK,
     _trial_orders,
+    _trial_planes,
 )
 from propb.errors import IncompleteColoring, InvalidOrdering
 from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad
@@ -25,9 +27,11 @@ from conftest import (
     oracle_greedy,
     oracle_restart,
     oracle_trial_order,
+    planted_instance,
     random_instances,
     random_ordering,
     splitmix64,
+    tied_keys_graph,
 )
 
 B, R = Color.BLUE, Color.RED
@@ -313,7 +317,7 @@ class TestBatchedKernelOracles:
             assert greedy_color(H, pi) == oracle_greedy(H, pi)
 
     def test_greedy_beyond_int64_masks(self):
-        # p >= 63 leaves int64 bitsets; the kernel falls back to Python ints
+        # vertex ids past 64 widen the vertex masks, not the lanes
         H = normalize([[0, 1, 64], [1, 2, 3], [64, 65, 66], [2, 65, 70]], n=3, p=71)
         rng = random.Random(3)
         for _ in range(20):
@@ -322,7 +326,7 @@ class TestBatchedKernelOracles:
             pi = seq
             assert greedy_color(H, pi) == oracle_greedy(H, pi)
 
-    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3000])
     def test_restart_matches_oracle(self, trials):
         hs = random_instances(6, seed=trials, p_max=9, m_max=14)
         hs += [complete_hypergraph(3), _three_k47_minus_an_edge()]
@@ -335,10 +339,66 @@ class TestBatchedKernelOracles:
         # under seed 12 the first proper trial is t = 1272, in the second block
         H = _three_k47_minus_an_edge()
         t, pi, coloring = oracle_restart(H, 3000, seed=12)
-        assert t > 1024
+        assert t > TRIAL_BLOCK
         assert random_restart_color(H, max_trials=3000, seed=12) == (pi, coloring)
         assert random_restart_color(H, max_trials=t, seed=12) is None
         assert random_restart_color(H, max_trials=t + 1, seed=12) == (pi, coloring)
+
+
+def _restart_agrees(H, trials, seed):
+    want = oracle_restart(H, trials, seed)
+    return random_restart_color(H, max_trials=trials, seed=seed) == (None if want is None else want[1:])
+
+
+class TestLaneEdgeCases:
+    @pytest.mark.parametrize(
+        "edges, n, p",
+        [([], 2, 0), ([], 2, 1), ([[0]], 1, 1), ([], 2, 2), ([[0, 1]], 2, 2), ([[0], [1]], 1, 2)],
+        ids=["p0", "p1-empty", "p1-loop", "p2-empty", "p2-edge", "p2-loops"],
+    )
+    def test_zero_one_and_two_vertices(self, edges, n, p):
+        H = normalize(edges, n=n, p=p)
+        for order in itertools.permutations(range(p)):
+            assert greedy_color(H, order) == oracle_greedy(H, order)
+        for trials in (1, 5, TRIAL_BLOCK + 1):
+            assert _restart_agrees(H, trials, seed=3)
+
+    @pytest.mark.parametrize("p", [64, 70])
+    def test_vertex_ids_past_64(self, p):
+        rng = random.Random(p)
+        H = normalize([rng.sample(range(p), 3) for _ in range(40)] + [[0, 1, p - 1]], n=3, p=p)
+        for _ in range(30):
+            order = random_ordering(p, rng)
+            assert greedy_color(H, order) == oracle_greedy(H, order)
+        for seed in range(5):
+            assert _restart_agrees(H, 50, seed)
+
+    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1])
+    def test_top_seed_wraps_around(self, trials):
+        # seed + (k + 1) * gamma passes 2^64 from the first output on
+        for H in (complete_hypergraph(3), _three_k47_minus_an_edge(), *random_instances(4, seed=5, p_max=9)):
+            assert _restart_agrees(H, trials, seed=2**64 - 1)
+
+    def test_keys_tied_in_their_top_bits(self):
+        # one tied pair agrees in its top 32 bits and visits its higher vertex first
+        H = tied_keys_graph()
+        pos = {v: k for k, v in enumerate(oracle_trial_order(H.p, 0, 0))}
+        before, _ = _trial_planes(H, 0, 0, 1)
+        for u, v in H.edges:
+            assert before[u][v] == (pos[u] < pos[v]) and before[v][u] == (pos[v] < pos[u])
+        assert _restart_agrees(H, 1, seed=0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_planted_24_vertices(self, n):
+        H = planted_instance(n, 24, 40, seed=n)
+        rng = random.Random(n)
+        for _ in range(50):
+            order = random_ordering(24, rng)
+            assert greedy_color(H, order) == oracle_greedy(H, order)
+        # without the clique some trials are proper, at varying depths
+        H = normalize(H.edges[math.comb(2 * n - 1, n) :], n=n, p=24)
+        for seed in range(8):
+            assert _restart_agrees(H, 300, seed)
 
 
 class TestTrialStream:
@@ -346,7 +406,7 @@ class TestTrialStream:
         want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
         assert [splitmix64(1234567, k) for k in range(3)] == want
         # trial 0 at p = 3 visits the vertices in the order of those outputs
-        assert _trial_orders(3, 1234567, 0, 1).tolist() == [[1, 0, 2]]
+        assert _trial_orders(3, 1234567, 0, 1) == [(1, 0, 2)]
 
     def test_final_step_orders_keys_tied_in_their_top_bits(self):
         # z ^= z >> 31 keeps the top 31 bits, so the last SplitMix64 step
@@ -355,33 +415,33 @@ class TestTrialStream:
         p = 1 << 17
         keys = [splitmix64(0, i) for i in range(p)]
         assert sum(c > 1 for c in Counter(k >> 33 for k in keys).values()) == 2
-        assert _trial_orders(p, 0, 0, 1)[0].tolist() == sorted(range(p), key=keys.__getitem__)
+        assert _trial_orders(p, 0, 0, 1)[0] == tuple(sorted(range(p), key=keys.__getitem__))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_matches_scalar_oracle(self, seed):
         for p in (2, 5, 11, 71):
-            got = _trial_orders(p, seed, 40, 60).tolist()
-            assert got == [oracle_trial_order(p, seed, t) for t in range(40, 60)]
+            got = _trial_orders(p, seed, 40, 60)
+            assert got == [tuple(oracle_trial_order(p, seed, t)) for t in range(40, 60)]
 
     def test_block_layout_independent(self):
         p, seed = 11, 3
         whole = _trial_orders(p, seed, 0, 3000)
         blocks = [_trial_orders(p, seed, a, min(a + 1024, 3000)) for a in range(0, 3000, 1024)]
-        assert (np.concatenate(blocks) == whole).all()
+        assert [row for block in blocks for row in block] == whole
         for t in (0, 1023, 1024, 2999):
-            assert (_trial_orders(p, seed, t, t + 1)[0] == whole[t]).all()
+            assert _trial_orders(p, seed, t, t + 1)[0] == whole[t]
 
     def test_uniform_over_the_orders_of_four_vertices(self):
         trials = 240_000
         orders = _trial_orders(4, 0, 0, trials)
-        counts = Counter(map(tuple, orders.tolist()))
+        counts = Counter(orders)
         assert set(counts) == set(itertools.permutations(range(4)))
         sigma = math.sqrt(trials * (1 / 24) * (23 / 24))
         assert all(abs(c - trials / 24) <= 5 * sigma for c in counts.values())
 
     def test_shapes_at_zero_and_one_vertex(self):
-        assert _trial_orders(0, 5, 0, 4).shape == (4, 0)
-        assert _trial_orders(1, 5, 3, 7).tolist() == [[0]] * 4
+        assert _trial_orders(0, 5, 0, 4) == [()] * 4
+        assert _trial_orders(1, 5, 3, 7) == [(0,)] * 4
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_refused(self, seed):

@@ -16,13 +16,18 @@ from propb.separation import (
     separates,
 )
 
+from propb.coloring import TRIAL_BLOCK
+
 from conftest import (
     brute_ordering_histogram,
     enumerate_separation_probability,
     brute_separates,
     oracle_counter,
     oracle_monte_carlo,
+    planted_instance,
     random_instances,
+    random_ordering,
+    tied_keys_graph,
 )
 
 
@@ -202,13 +207,13 @@ class TestOrderingHistogram:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3000])
     def test_matches_per_trial_oracle(self, trials):
         for i, H in enumerate(random_instances(5, seed=trials, n_choices=(2, 3), p_max=9, m_max=10)):
             assert monte_carlo_separation(H, trials=trials, seed=i) == oracle_monte_carlo(H, trials, seed=i)
 
     def test_beyond_int64_masks(self):
-        # p >= 63 leaves int64 bitsets; prefix masks fall back to Python ints
+        # vertex ids past 64 widen the vertex masks, not the lanes
         H = normalize([[0, 1, 64], [1, 2, 3], [64, 65, 66], [2, 65, 70], [3, 4, 70]], n=3, p=71)
         assert monte_carlo_separation(H, trials=300, seed=4) == oracle_monte_carlo(H, 300, seed=4)
         count = oracle_counter(H)
@@ -245,3 +250,53 @@ class TestMonteCarlo:
         # every ordering of the triangle separates exactly one pair
         stats = monte_carlo_separation(triangle, trials=2000, seed=3)
         assert stats.mean_separated == Fraction(1)
+
+
+class TestLaneEdgeCases:
+    @pytest.mark.parametrize(
+        "edges, n, p",
+        [([], 2, 0), ([], 2, 1), ([[0]], 1, 1), ([], 2, 2), ([[0, 1]], 2, 2), ([[0, 1], [0, 2]], 2, 3)],
+        ids=["p0", "p1-empty", "p1-loop", "p2-empty", "p2-edge", "p3-path"],
+    )
+    def test_few_vertices(self, edges, n, p):
+        H = normalize(edges, n=n, p=p)
+        count = oracle_counter(H)
+        for order in itertools.permutations(range(p)):
+            assert count_separated(H, order) == count(order)
+        for trials in (1, TRIAL_BLOCK + 1):
+            assert monte_carlo_separation(H, trials, seed=6) == oracle_monte_carlo(H, trials, seed=6)
+
+    @pytest.mark.parametrize("p", [64, 70])
+    def test_vertex_ids_past_64(self, p):
+        rng = random.Random(p)
+        H = normalize([rng.sample(range(p), 3) for _ in range(60)] + [[0, 1, p - 1]], n=3, p=p)
+        count = oracle_counter(H)
+        for _ in range(20):
+            order = random_ordering(p, rng)
+            assert count_separated(H, order) == count(order)
+        assert monte_carlo_separation(H, 300, seed=1) == oracle_monte_carlo(H, 300, seed=1)
+
+    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK + 1])
+    def test_top_seed_wraps_around(self, trials):
+        for H in random_instances(3, seed=trials, p_max=9, m_max=12):
+            assert monte_carlo_separation(H, trials, seed=2**64 - 1) == oracle_monte_carlo(H, trials, seed=2**64 - 1)
+
+    def test_keys_tied_in_their_top_bits(self):
+        H = tied_keys_graph()
+        assert monte_carlo_separation(H, 1, seed=0) == oracle_monte_carlo(H, 1, seed=0)
+
+    def test_counts_past_one_byte(self):
+        # the star K_(1,40) separates k(40 - k) pairs when its centre comes k-th,
+        # up to 400, and has 1560 pairs, so byte lanes flush more than once
+        H = normalize([[0, v] for v in range(1, 41)], n=2, p=41)
+        order = list(range(1, 21)) + [0] + list(range(21, 41))
+        assert count_separated(H, order) == 400
+        stats = monte_carlo_separation(H, 300, seed=9)
+        assert stats == oracle_monte_carlo(H, 300, seed=9)
+        assert max(stats.histogram) > 255
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_planted_24_vertices(self, n, seed):
+        H = planted_instance(n, 24, 40, seed=n)
+        assert monte_carlo_separation(H, 300, seed) == oracle_monte_carlo(H, 300, seed)
