@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .coloring import Colorability, greedy_color, random_restart_color
 from .errors import BudgetExceeded, FileAccessError, InvalidOrdering, ParseError, PropBError
@@ -22,7 +23,6 @@ from .hgio import parse, render
 from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
 from .report import (
     analyze,
-    bollobas_section,
     exhaustive_section,
     input_section,
     make_document,
@@ -45,29 +45,22 @@ def _load(path: str):
 
 
 def _human_lines(value, indent: int = 0):
+    """Indented `key: value` lines; a leaf stays on its key's line, a Fraction reads num/den."""
     pad_ = "  " * indent
-    if isinstance(value, dict):
-        if set(value) == {"num", "den"}:
-            yield f"{value['num']}/{value['den']}"
-            return
-        for k, v in value.items():
+    if isinstance(value, (dict, list)) and value:
+        pairs = [(f"{k}:", v) for k, v in value.items()] if isinstance(value, dict) else [("-", v) for v in value]
+        for label, v in pairs:
             if isinstance(v, (dict, list)) and v:
-                yield f"{pad_}{k}:"
+                yield pad_ + label
                 yield from _human_lines(v, indent + 1)
             else:
-                flat = next(_human_lines(v, 0), "")
-                yield f"{pad_}{k}: {flat}"
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                yield f"{pad_}-"
-                yield from _human_lines(item, indent + 1)
-            else:
-                yield f"{pad_}- {item}"
-    elif value is None:
-        yield f"{pad_}null" if indent else "null"
+                yield f"{pad_}{label} {next(_human_lines(v))}"
+    elif isinstance(value, Fraction):
+        yield f"{pad_}{value.numerator}/{value.denominator}"
+    elif value is None or isinstance(value, (dict, list)):
+        yield pad_ + json.dumps(value)  # null, {} or []
     else:
-        yield f"{pad_}{value}" if indent else f"{value}"
+        yield f"{pad_}{value}"
 
 
 def _open_out(path: str, mode: str = "w"):
@@ -96,7 +89,7 @@ def cmd_analyze(args) -> int:
     doc = make_document(
         input_info=input_section(args.input, text, H),
         analysis=analysis,
-        bollobas=bollobas_section(bollobas),
+        bollobas=bollobas,
         deterministic=args.deterministic,
     )
     _emit(doc, args.json, args.out)

@@ -1,9 +1,10 @@
 """Analysis driver and schema-stable JSON report documents.
 
 Every document carries the same top-level keys with null where a section
-does not apply.  Exact rationals are emitted as {"num", "den"} objects;
-only Monte Carlo sections contain floats, and those are flagged with
-"estimate": true.
+does not apply.  Exact rationals stay Fractions in the document and are
+converted only when rendered: :func:`to_json` emits them as {"num", "den"}
+objects.  Only Monte Carlo sections contain floats, and those are flagged
+with "estimate": true.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from . import __version__
 from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
 from .separation import SeparationStats
-from .setpairs import BollobasVerdict, bollobas_family, build_M, evaluate_family, find_clique
+from .setpairs import bollobas_family, build_M, evaluate_family, find_clique
 
 TOOL_NAME = "propb"
 
 
-def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, BollobasVerdict | None]:
-    """The report's analysis section, and the set-pair verdict (extremal inputs only, else None)."""
+def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, dict | None]:
+    """The report's analysis section, and its bollobas section (extremal inputs only, else None)."""
     m2_val = m2(H)
     b = bound(H.n)
     verdict, _ = exhaustive_decide(H, vertex_budget)
@@ -48,10 +49,6 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, BollobasVerdi
     )
 
 
-def rational(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -63,19 +60,6 @@ def input_section(path: str | None, text: str, H: Hypergraph) -> dict:
         "n": H.n,
         "p": H.p,
         "edge_count": len(H.edges),
-    }
-
-
-def bollobas_section(v: BollobasVerdict | None) -> dict | None:
-    if v is None:
-        return None
-    return {
-        "conditions_ok": v.conditions_ok,
-        "violations": [{"kind": kind, "indices": list(idx)} for kind, idx in v.violations],
-        "sum": rational(v.sum),
-        "equality": v.equality,
-        "common_B": sorted(v.common_B) if v.common_B is not None else None,
-        "ground_U": sorted(v.ground_U) if v.ground_U is not None else None,
     }
 
 
@@ -96,7 +80,7 @@ def exhaustive_section(mean: Fraction, p: int) -> dict:
         "kind": "exhaustive",
         "estimate": False,
         "orderings": math.factorial(p),
-        "mean_separated": rational(mean),
+        "mean_separated": mean,
     }
 
 
@@ -122,5 +106,11 @@ def make_document(
     }
 
 
+def _encode(value) -> dict:
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=_encode) + "\n"

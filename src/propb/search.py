@@ -6,7 +6,7 @@ slots come first, so each mask is a graph h on the other p-1 vertices
 plus vertex 0's neighbourhood N.  Tables over every h hold Python-int
 bitsets over the columns N: which N a proper 2-coloring of h can put on
 one side (so which graphs are bipartite), and which graphs have fewer
-edges than covered vertices; popcounts of them give the chunk's counts.
+edges than covered vertices; popcounts of them give the counts.
 m2 never falls when N grows, so the graphs at or below the bound, and the
 least m2 of a non-bipartite graph, come from a walk by ascending m2 that
 stops early; only the graphs at or below the bound get the triangle
@@ -43,15 +43,9 @@ from .hypergraph import (
     relabel,
     seymour_check,
 )
-from .report import rational
+from .report import analyze
 from .separation import ordering_histogram
-from .setpairs import (
-    bollobas_family,
-    build_M,
-    evaluate_family,
-    find_clique,
-    second_meet_collisions,
-)
+from .setpairs import find_clique, second_meet_collisions
 
 GRAPH_BUDGET_DEFAULT = 1 << 22
 # sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
@@ -229,8 +223,7 @@ def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
     masks at or below the bound m2 = 6 and the least m2 of a
     non-bipartite mask come from visiting rows by ascending m2(h), and
     columns by ascending m2(h, N), until neither can change; only those
-    masks get the triangle test.  Returns chunk-level reductions only, so
-    chunk results merge deterministically.
+    masks get the triangle test.  Returns the range's counts and masks.
     """
     q = p - 1
     if (lo | hi) & ((1 << q) - 1):
@@ -347,17 +340,10 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
     }
     for p in ps:
         total = 1 << math.comb(p, 2)
-        chunk = 1 << 18
-        results = [_scan_graph_chunk(p, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-        eq_masks = [m for r in results for m in r["equality_masks"]]
-        cex_masks = [m for r in results for m in r["counterexample_masks"]]
-        min_m2 = min(
-            (r["min_m2_non_colorable"] for r in results if r["min_m2_non_colorable"] is not None), default=None
-        )
-
-        if cex_masks:
-            H = _graph_from_mask(p, cex_masks[0])
+        scan = _scan_graph_chunk(p, 0, total)
+        eq_masks = scan["equality_masks"]
+        if scan["counterexample_masks"]:
+            H = _graph_from_mask(p, scan["counterexample_masks"][0])
             rec = _record(H, m2(H))
             raise CounterexampleFound(
                 f"graph on {p} vertices violates the bound or the equality "
@@ -377,12 +363,12 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
         p_summary = {
             "p": p,
             "graphs": total,
-            "non_colorable": sum(r["non_colorable"] for r in results),
-            "min_m2_non_colorable": min_m2,
+            "non_colorable": scan["non_colorable"],
+            "min_m2_non_colorable": scan["min_m2_non_colorable"],
             "equality_labeled": len(eq_masks),
             "equality_classes": len(p_records),
             "counterexamples": 0,
-            "seymour_violations": sum(r["seymour_violations"] for r in results),
+            "seymour_violations": scan["seymour_violations"],
         }
         for rec in p_records:
             records.append(rec)
@@ -467,19 +453,20 @@ def _random_noncolorable(n: int, seed, attempts: int = 1000) -> Hypergraph:
 def verify_fixture_suite(n: int, seed=0) -> dict:
     """Full pipeline on curated non-colorable fixtures for one uniformity.
 
-    Asserts the simple-pair bound on every fixture and, on each fixture
-    meeting it exactly, the whole extremal chain: distinct meet vertices
-    per second edge, exactly one separated pair per ordering (p <= 8),
-    both set-pair conditions, sum exactly 1, the equality structure, and
-    clique recovery.  Raises FixtureFailure naming fixture and assertion.
+    Each fixture runs through :func:`analyze` once.  Asserts the
+    simple-pair bound on every fixture and, on each fixture meeting it
+    exactly, the whole extremal chain: distinct meet vertices per second
+    edge, exactly one separated pair per ordering (p <= 8), both set-pair
+    conditions, sum exactly 1, the equality structure, and clique
+    recovery.  Raises FixtureFailure naming fixture and assertion.
     Returns the report's fixture section: {"n", "bound", "ok", "fixtures"},
-    one entry per fixture, with the set-pair sum as a {"num", "den"} rational.
+    one entry per fixture, with the set-pair sum as an exact Fraction.
     """
     if n not in FIXTURE_NS:
         raise ValueError(f"fixture suite covers n in {set(FIXTURE_NS)}")
     K = complete_hypergraph(n)
-    clique_verts = frozenset(range(2 * n - 1))
-    fixtures: list[tuple[str, Hypergraph, frozenset | None]] = [
+    clique_verts = list(range(2 * n - 1))
+    fixtures: list[tuple[str, Hypergraph, list[int] | None]] = [
         ("complete", K, clique_verts),
         ("padded", pad(K, n, 1), clique_verts),
         ("padded_isolated", pad(K, n + 2, 1), clique_verts),
@@ -491,10 +478,10 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     b = bound(n)
     entries = []
     for name, H, expect_clique in fixtures:
-        verdict, _ = exhaustive_decide(H)
-        if verdict is not Colorability.NO:
-            raise FixtureFailure(f"{name}: expected non-2-colorable, decider said {verdict.value}")
-        m2_val = m2(H)
+        analysis, bol = analyze(H)
+        if analysis["colorable"] != Colorability.NO.value:
+            raise FixtureFailure(f"{name}: expected non-2-colorable, decider said {analysis['colorable']}")
+        m2_val = analysis["m2"]
         if m2_val < b:
             raise FixtureFailure(f"{name}: m2 = {m2_val} below bound {b}")
         entry = {
@@ -504,7 +491,7 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
             "m2": m2_val,
             "bound": b,
             "meets_bound": m2_val == b,
-            "seymour_ok": seymour_check(H),
+            "seymour_ok": analysis["seymour_ok"],
             "clique": None,
             "bollobas_sum": None,
         }
@@ -514,24 +501,23 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
             per_second = Counter(sp.second for sp in enumerate_simple_pairs(H))
             if any(c > n for c in per_second.values()):
                 raise FixtureFailure(f"{name}: an edge is second in more than n simple pairs")
-            M = build_M(H)
-            if len(M) < math.comb(2 * n - 1, n):
+            # the set-pair family takes one simple pair per distinct second edge
+            if len(per_second) < math.comb(2 * n - 1, n):
                 raise FixtureFailure(f"{name}: selection smaller than C(2n-1, n)")
-            v = evaluate_family(bollobas_family(H, M))
-            if not v.conditions_ok:
-                raise FixtureFailure(f"{name}: set-pair conditions violated: {v.violations[:3]}")
-            if v.sum != 1:
-                raise FixtureFailure(f"{name}: set-pair sum {v.sum} != 1")
-            if not v.equality or v.ground_U is None:
+            if not bol["conditions_ok"]:
+                raise FixtureFailure(f"{name}: set-pair conditions violated: {bol['violations'][:3]}")
+            if bol["sum"] != 1:
+                raise FixtureFailure(f"{name}: set-pair sum {bol['sum']} != 1")
+            if not bol["equality"]:
                 raise FixtureFailure(f"{name}: equality structure not detected")
-            clique = find_clique(H)
-            if clique != v.ground_U:
-                raise FixtureFailure(f"{name}: clique {clique} != ground minus common B {v.ground_U}")
+            clique = analysis["clique_witness"]
+            if clique != bol["ground_U"]:
+                raise FixtureFailure(f"{name}: clique {clique} != ground minus common B {bol['ground_U']}")
             if expect_clique is not None and clique != expect_clique:
                 raise FixtureFailure(f"{name}: clique {clique} != expected {expect_clique}")
             if H.p <= 8 and ordering_histogram(H) != {1: math.factorial(H.p)}:
                 raise FixtureFailure(f"{name}: not every ordering separates exactly one simple pair")
-            entry["clique"] = sorted(clique)
-            entry["bollobas_sum"] = rational(v.sum)
+            entry["clique"] = clique
+            entry["bollobas_sum"] = bol["sum"]
         entries.append(entry)
     return {"n": n, "bound": b, "ok": True, "fixtures": entries}

@@ -5,6 +5,8 @@ B = V\\(X union Y).  For a non-2-colorable hypergraph meeting the
 simple-pair bound exactly, the family satisfies Bollobas's two-families
 conditions, its sum hits 1, and the forced equality structure identifies
 the vertex set of a complete n-graph on 2n-1 vertices.
+:func:`evaluate_family` returns that verdict as the report document's
+bollobas section.
 """
 
 from __future__ import annotations
@@ -30,17 +32,6 @@ class SetPairFamily:
 
     ground_size: int
     members: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    provenance: tuple[SimplePair, ...] | None = None
-
-
-@dataclass(frozen=True)
-class BollobasVerdict:
-    conditions_ok: bool
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
-    sum: Fraction
-    equality: bool
-    common_B: frozenset[int] | None
-    ground_U: frozenset[int] | None
 
 
 def build_M(H: Hypergraph) -> list[SimplePair]:
@@ -65,7 +56,7 @@ def bollobas_family(H: Hypergraph, M: list[SimplePair]) -> SetPairFamily:
         X = frozenset(H.edges[sp.first])
         Y = frozenset(H.edges[sp.second])
         members.append((X - Y, ground - (X | Y)))
-    return SetPairFamily(ground_size=H.p, members=tuple(members), provenance=tuple(M))
+    return SetPairFamily(ground_size=H.p, members=tuple(members))
 
 
 def check_conditions(
@@ -133,8 +124,12 @@ def detect_equality_structure(F: SetPairFamily) -> tuple[frozenset[int], frozens
     return common_b, ground_u
 
 
-def evaluate_family(F: SetPairFamily) -> BollobasVerdict:
-    """Run conditions, sum, and equality detection into one verdict."""
+def evaluate_family(F: SetPairFamily) -> dict:
+    """Conditions, sum and equality detection: the report document's bollobas section.
+
+    The sum stays an exact Fraction; common_B and ground_U are sorted
+    vertex lists, or None unless the equality structure holds.
+    """
     ok, violations = check_conditions(F)
     total = bollobas_sum(F)
     if ok:
@@ -142,15 +137,15 @@ def evaluate_family(F: SetPairFamily) -> BollobasVerdict:
     equality = ok and total == 1
     common_b = ground_u = None
     if equality:
-        common_b, ground_u = detect_equality_structure(F)
-    return BollobasVerdict(
-        conditions_ok=ok,
-        violations=tuple(violations),
-        sum=total,
-        equality=equality,
-        common_B=common_b,
-        ground_U=ground_u,
-    )
+        common_b, ground_u = map(sorted, detect_equality_structure(F))
+    return {
+        "conditions_ok": ok,
+        "violations": [{"kind": kind, "indices": list(idx)} for kind, idx in violations],
+        "sum": total,
+        "equality": equality,
+        "common_B": common_b,
+        "ground_U": ground_u,
+    }
 
 
 def second_meet_collisions(H: Hypergraph) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -179,9 +174,9 @@ def _clique_via_equality(H: Hypergraph, need: int) -> frozenset[int] | None:
         verdict = evaluate_family(F)
     except (DegenerateBinomial, EqualityStructureViolated):
         return None
-    if not verdict.equality or verdict.ground_U is None:
+    if not verdict["equality"]:
         return None
-    u = verdict.ground_U
+    u = frozenset(verdict["ground_U"])
     if len(u) != 2 * H.n - 1:
         return None
     edge_set = set(H.masks)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ import propb
 from propb.cli import main
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, pad
+from propb.setpairs import bollobas_family, build_M, evaluate_family
 
 
 def write(tmp_path, name, text):
@@ -80,6 +82,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         assert "m2: 30" in out and "colorable: no" in out
+
+    def test_bollobas_section_is_evaluate_family(self, capsys, tmp_path):
+        H = pad(complete_hypergraph(3), 3, 1)
+        path = write(tmp_path, "padded.hg", render(H))
+        code, doc = run_json(capsys, ["analyze", path, "--json", "--deterministic"])
+        assert code == 0
+        v = evaluate_family(bollobas_family(H, build_M(H)))
+        assert isinstance(v["sum"], Fraction)
+        encoded = {"num": v["sum"].numerator, "den": v["sum"].denominator}
+        assert {**v, "sum": encoded} == doc["bollobas"]
 
 
 class TestColor:
@@ -454,3 +466,28 @@ def test_import_report_does_not_load_search():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+_TOP_LEVEL_KEYS = {"tool", "timestamp", "input", "analysis", "bollobas", "separation", "search"}
+
+
+@pytest.mark.parametrize(
+    "argv, rational_line",
+    [
+        (["analyze", "{padded}"], "sum: 1/1"),
+        (["enum", "{padded}"], "mean_separated: 1/1"),
+        (["mc", "{padded}", "--trials", "20"], None),
+        (["verify", "--n", "3", "--fixtures"], "bollobas_sum: 1/1"),
+        (["verify", "--n", "2", "--max-p", "4"], None),
+    ],
+    ids=["analyze", "enum", "mc", "fixtures", "census"],
+)
+def test_human_output_keeps_each_value_on_its_key_line(capsys, tmp_path, argv, rational_line):
+    padded = write(tmp_path, "padded.hg", render(pad(complete_hypergraph(3), 3, 1)))
+    assert main([a.format(padded=padded) for a in argv] + ["--deterministic"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if rational_line is not None:
+        assert rational_line in [line.strip() for line in lines]
+    assert not [line for line in lines if line.endswith(" ")]
+    # indentation alone carries the nesting, so only the document's own keys start at column 0
+    assert {line.split(":")[0] for line in lines if not line.startswith(" ")} <= _TOP_LEVEL_KEYS

@@ -200,7 +200,7 @@ class TestOracleEquivalence:
         assert fast == slow
 
 
-# every p <= 6 as one chunk, and p = 7 in the census's eight chunks of 2^18 masks
+# every p <= 6 as one range, and p = 7 split into eight ranges of 2^18 masks
 _SCAN_CHUNKS = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
     (7, lo, lo + (1 << 18)) for lo in range(0, 1 << 21, 1 << 18)
 ]
@@ -353,6 +353,11 @@ class TestFixtureSuite:
         complete = by_name["complete"]
         assert complete["meets_bound"] and complete["clique"] == list(range(2 * n - 1))
         assert by_name["padded"]["m2"] == complete["m2"]
+
+    def test_extremal_sums_are_exact_fractions(self):
+        report = verify_fixture_suite(3)
+        sums = [e["bollobas_sum"] for e in report["fixtures"] if e["meets_bound"]]
+        assert sums and all(type(s) is Fraction and s == Fraction(1) for s in sums)
 
     def test_fano_entry(self):
         report = verify_fixture_suite(3)
