@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .errors import IncompleteColoring, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
@@ -72,19 +72,16 @@ def check_order(order, p: int | None = None) -> tuple[int, ...]:
     return tuple(seq)
 
 
-@dataclass(frozen=True)
-class Coloring:
-    colors: tuple[Color, ...]
-    proper: bool
-    violating_edge: int | None
+class Coloring(namedtuple("Coloring", "colors proper violating_edge")):
+    """A Color per vertex, whether no edge is monochromatic, and the first such edge's index or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ColoringOutcome:
+class ColoringOutcome(namedtuple("ColoringOutcome", "coloring separated_witness")):
     """Greedy run result; on failure carries the separated simple pair."""
 
-    coloring: Coloring
-    separated_witness: SimplePair | None
+    __slots__ = ()
 
 
 def is_proper(H: Hypergraph, colors) -> int | None:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import (
     InsufficientVertices,
@@ -24,33 +24,30 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """Immutable n-uniform hypergraph on vertex ids 0..p-1.
 
     Invariants enforced on construction: every edge is a strictly
     increasing n-tuple of ids in [0, p); the edge list is sorted
     lexicographically with no duplicates.  Use :func:`normalize` to build
-    one from unsorted/duplicated raw input.
+    one from unsorted/duplicated raw input.  Equality and hashing cover
+    (n, p, edges); masks holds each edge as an int bitset.
     """
 
-    n: int
-    p: int
-    edges: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "p", "edges", "masks")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise NonUniformEdge(f"uniformity must be positive, got {self.n}")
-        if self.p < 0:
-            raise VertexOutOfRange(f"vertex count must be non-negative, got {self.p}")
+    def __init__(self, n: int, p: int, edges: tuple[tuple[int, ...], ...]):
+        if n < 1:
+            raise NonUniformEdge(f"uniformity must be positive, got {n}")
+        if p < 0:
+            raise VertexOutOfRange(f"vertex count must be non-negative, got {p}")
         prev = None
         masks = []
-        for e in self.edges:
-            if len(e) != self.n or any(a >= b for a, b in zip(e, e[1:])):
-                raise NonUniformEdge(f"edge {e} is not a sorted {self.n}-set")
-            if e[0] < 0 or e[-1] >= self.p:
-                raise VertexOutOfRange(f"edge {e} leaves vertex range [0, {self.p})")
+        for e in edges:
+            if len(e) != n or any(a >= b for a, b in zip(e, e[1:])):
+                raise NonUniformEdge(f"edge {e} is not a sorted {n}-set")
+            if e[0] < 0 or e[-1] >= p:
+                raise VertexOutOfRange(f"edge {e} leaves vertex range [0, {p})")
             if prev is not None and e <= prev:
                 raise NonUniformEdge(f"edge list not in canonical order at {e}")
             prev = e
@@ -58,16 +55,34 @@ class Hypergraph:
             for v in e:
                 m |= 1 << v
             masks.append(m)
-        object.__setattr__(self, "masks", tuple(masks))
+        for name, value in (("n", n), ("p", p), ("edges", edges), ("masks", tuple(masks))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p, self.edges) == (other.n, other.p, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.edges))
+
+    def __repr__(self):
+        return f"Hypergraph(n={self.n!r}, p={self.p!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as slot state would go through __setattr__
+        return Hypergraph, (self.n, self.p, self.edges)
 
 
-@dataclass(frozen=True)
-class SimplePair:
+class SimplePair(namedtuple("SimplePair", "first second meet")):
     """Ordered pair of edge indices whose edges share exactly one vertex."""
 
-    first: int
-    second: int
-    meet: int
+    __slots__ = ()
 
 
 def normalize(raw_edges: Iterable[Iterable[int]], n: int, p: int) -> Hypergraph:

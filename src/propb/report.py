@@ -9,8 +9,6 @@ with "estimate": true.
 
 from __future__ import annotations
 
-import datetime
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -50,6 +48,8 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, dict | None]:
 
 
 def sha256_text(text: str) -> str:
+    import hashlib  # loaded here: only commands that read an input hash it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -84,6 +84,15 @@ def exhaustive_section(mean: Fraction, p: int) -> dict:
     }
 
 
+def _timestamp(deterministic: bool) -> str | None:
+    """The current UTC time in ISO 8601, or None for a deterministic document."""
+    if deterministic:
+        return None
+    import datetime  # loaded here: a deterministic run never reads the clock
+
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def make_document(
     *,
     input_info: dict | None = None,
@@ -95,9 +104,7 @@ def make_document(
 ) -> dict:
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "timestamp": None
-        if deterministic
-        else datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": _timestamp(deterministic),
         "input": input_info,
         "analysis": analysis,
         "bollobas": bollobas,

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Callable, Collection
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
-from typing import Callable, Collection
 
 from .coloring import Colorability, exhaustive_decide
 from .errors import BudgetExceeded, CounterexampleFound, FixtureFailure
@@ -45,7 +45,7 @@ from .hypergraph import (
 )
 from .report import analyze
 from .separation import ordering_histogram
-from .setpairs import find_clique, second_meet_collisions
+from .setpairs import find_clique
 
 GRAPH_BUDGET_DEFAULT = 1 << 22
 # sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
@@ -496,9 +496,10 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
             "bollobas_sum": None,
         }
         if m2_val == b:
-            if second_meet_collisions(H):
+            pairs = enumerate_simple_pairs(H)
+            if len({(sp.second, sp.meet) for sp in pairs}) < len(pairs):
                 raise FixtureFailure(f"{name}: repeated meet vertex for one second edge")
-            per_second = Counter(sp.second for sp in enumerate_simple_pairs(H))
+            per_second = Counter(sp.second for sp in pairs)
             if any(c > n for c in per_second.values()):
                 raise FixtureFailure(f"{name}: an edge is second in more than n simple pairs")
             # the set-pair family takes one simple pair per distinct second edge

@@ -21,24 +21,19 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .coloring import TRIAL_BLOCK, _all_of, _order_planes, _trial_planes, check_order
 from .errors import BudgetExceeded, NotSimple
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
 
-@dataclass(frozen=True)
-class SeparationStats:
-    """Per-trial separated-pair counts aggregated over random orderings."""
+class SeparationStats(namedtuple("SeparationStats", "trials mean_separated success_rate histogram")):
+    """Per-trial separated-pair counts aggregated over random orderings; mean and rate are exact Fractions."""
 
-    trials: int
-    mean_separated: Fraction
-    success_rate: Fraction
-    histogram: dict[int, int]
+    __slots__ = ()
 
 
 def separates(order, X: Iterable[int], Y: Iterable[int]) -> bool:

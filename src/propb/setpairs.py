@@ -12,8 +12,7 @@ bollobas section.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,12 +25,10 @@ from .hypergraph import (
 )
 
 
-@dataclass(frozen=True)
-class SetPairFamily:
+class SetPairFamily(namedtuple("SetPairFamily", "ground_size members")):
     """Indexed (A_i, B_i) pairs over ground set 0..ground_size-1."""
 
-    ground_size: int
-    members: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    __slots__ = ()
 
 
 def build_M(H: Hypergraph) -> list[SimplePair]:
@@ -146,25 +143,6 @@ def evaluate_family(F: SetPairFamily) -> dict:
         "common_B": common_b,
         "ground_U": ground_u,
     }
-
-
-def second_meet_collisions(H: Hypergraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Second edges whose simple pairs reuse a meet vertex.
-
-    Each entry is (second edge index, meet vertex, first edge indices).
-    Guaranteed empty for non-2-colorable hypergraphs meeting the
-    simple-pair bound exactly; general hypergraphs (even non-colorable
-    ones, e.g. the 7-point plane) may collide.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for sp in enumerate_simple_pairs(H):
-        groups.setdefault((sp.second, sp.meet), []).append(sp.first)
-    out = [
-        (second, meet, tuple(firsts))
-        for (second, meet), firsts in sorted(groups.items())
-        if len(firsts) >= 2
-    ]
-    return out
 
 
 def _clique_via_equality(H: Hypergraph, need: int) -> frozenset[int] | None:

@@ -107,6 +107,24 @@ def brute_simple_pairs(H) -> list[tuple[int, int, int]]:
     return out
 
 
+def second_meet_collisions(H) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Second edges whose simple pairs reuse a meet vertex.
+
+    Each entry is (second edge index, meet vertex, first edge indices).
+    Guaranteed empty for non-2-colorable hypergraphs meeting the
+    simple-pair bound exactly; general hypergraphs (even non-colorable
+    ones, e.g. the 7-point plane) may collide.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for first, second, meet in brute_simple_pairs(H):
+        groups.setdefault((second, meet), []).append(first)
+    return [
+        (second, meet, tuple(firsts))
+        for (second, meet), firsts in sorted(groups.items())
+        if len(firsts) >= 2
+    ]
+
+
 def brute_separates(order, X, Y) -> bool:
     """Separation by positional comparison on a visit order."""
     pos = {v: k for k, v in enumerate(order)}

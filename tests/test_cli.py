@@ -448,6 +448,57 @@ def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv):
     assert "concurrent.futures" not in loaded
 
 
+_NEWLY_LOADED = """
+import json
+import sys
+before = set(sys.modules)
+from propb.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["analyze", "{k35}", "--json"],
+        ["analyze", "{k35}", "--deterministic"],
+        ["enum", "{k35}", "--json", "--deterministic"],
+        ["mc", "{k35}", "--trials", "10"],
+        ["color", "{k35}", "--trials", "3"],
+        ["gen", "--kind", "clique", "--n", "3"],
+        ["verify", "--n", "2", "--max-p", "4"],
+        ["verify", "--n", "3", "--fixtures", "--json"],
+        ["verify", "--n", "3", "--fixtures", "--deterministic"],
+        ["verify", "--n", "3", "--budget", "5", "--deterministic"],
+    ],
+    ids=[
+        "help", "analyze", "analyze-deterministic", "enum-deterministic", "mc", "color", "gen",
+        "census", "fixtures", "fixtures-deterministic", "sampled-deterministic",
+    ],
+)
+def test_commands_load_only_the_stdlib_modules_they_use(k35_file, argv):
+    # counting only modules loaded after start-up keeps this independent of what site preloads
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    argv = [a.format(k35=k35_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEWLY_LOADED, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+    # only a timestamped document reads the clock
+    if "--deterministic" in argv or argv[0] == "color":
+        assert "datetime" not in loaded
+    # only the commands that read an input file hash it
+    if argv[0] not in ("analyze", "enum", "mc"):
+        assert "hashlib" not in loaded
+
+
 def test_import_propb_loads_no_submodule():
     # each name has one import path, from the module that defines it
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}

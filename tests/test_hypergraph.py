@@ -1,12 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from propb.coloring import Colorability, exhaustive_decide
+from propb.coloring import Color, Colorability, Coloring, ColoringOutcome, exhaustive_decide
 from propb.errors import InsufficientVertices, NonUniformEdge, TooManyEdges, VertexOutOfRange
 from propb.hypergraph import (
     Hypergraph,
+    SimplePair,
     bound,
     complete_hypergraph,
     covered_vertices,
@@ -17,6 +19,8 @@ from propb.hypergraph import (
     random_hypergraph,
     seymour_check,
 )
+from propb.separation import SeparationStats
+from propb.setpairs import SetPairFamily
 
 from conftest import brute_simple_pairs, random_instances
 
@@ -54,6 +58,72 @@ class TestNormalize:
             Hypergraph(n=2, p=3, edges=((1, 0),))
         with pytest.raises(NonUniformEdge):
             Hypergraph(n=2, p=3, edges=((0, 1), (0, 1)))
+
+
+class TestRecords:
+    """The record classes: immutable, keyword-built, Hypergraph equal by (n, p, edges)."""
+
+    @staticmethod
+    def records():
+        pair = SimplePair(first=0, second=1, meet=2)
+        coloring = Coloring(colors=(Color.BLUE, Color.RED), proper=True, violating_edge=None)
+        return {
+            "first": pair,
+            "n": Hypergraph(n=2, p=3, edges=((0, 1), (1, 2))),
+            "proper": coloring,
+            "separated_witness": ColoringOutcome(coloring=coloring, separated_witness=pair),
+            "trials": SeparationStats(
+                trials=2, mean_separated=Fraction(1, 2), success_rate=Fraction(0), histogram={0: 1, 1: 1}
+            ),
+            "members": SetPairFamily(ground_size=3, members=((frozenset({0}), frozenset({2})),)),
+        }
+
+    def test_built_by_keyword_and_immutable(self):
+        for field, record in self.records().items():
+            before = getattr(record, field)
+            with pytest.raises(AttributeError):
+                setattr(record, field, before)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert getattr(record, field) is before
+
+    def test_keyword_fields_read_back(self):
+        r = self.records()
+        assert (r["first"].first, r["first"].second, r["first"].meet) == (0, 1, 2)
+        assert r["separated_witness"].coloring.proper is True
+        assert r["trials"].mean_separated == Fraction(1, 2) and r["trials"].histogram == {0: 1, 1: 1}
+        assert r["members"].ground_size == 3 and len(r["members"].members) == 1
+
+    def test_hypergraph_equality_and_hash(self):
+        a = Hypergraph(n=2, p=3, edges=((0, 1), (1, 2)))
+        b = normalize([[2, 1], [1, 0]], n=2, p=3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Hypergraph(n=2, p=3, edges=((0, 1), (0, 2)))
+        assert a != Hypergraph(n=2, p=4, edges=((0, 1), (1, 2)))
+        assert a.masks == (0b011, 0b110)
+
+    def test_hypergraph_repr(self):
+        H = Hypergraph(n=2, p=3, edges=((0, 1), (1, 2)))
+        assert repr(H) == "Hypergraph(n=2, p=3, edges=((0, 1), (1, 2)))"
+        assert repr(Hypergraph(n=1, p=0, edges=())) == "Hypergraph(n=1, p=0, edges=())"
+
+    @pytest.mark.parametrize(
+        "n, p, edges, error, message",
+        [
+            (0, 3, (), NonUniformEdge, "uniformity must be positive, got 0"),
+            (2, -1, (), VertexOutOfRange, "vertex count must be non-negative, got -1"),
+            (2, 3, ((0, 1, 2),), NonUniformEdge, "edge (0, 1, 2) is not a sorted 2-set"),
+            (2, 3, ((1, 0),), NonUniformEdge, "edge (1, 0) is not a sorted 2-set"),
+            (2, 3, ((1, 3),), VertexOutOfRange, "edge (1, 3) leaves vertex range [0, 3)"),
+            (2, 3, ((-1, 1),), VertexOutOfRange, "edge (-1, 1) leaves vertex range [0, 3)"),
+            (2, 3, ((1, 2), (0, 1)), NonUniformEdge, "edge list not in canonical order at (0, 1)"),
+            (2, 3, ((0, 1), (0, 1)), NonUniformEdge, "edge list not in canonical order at (0, 1)"),
+        ],
+    )
+    def test_hypergraph_invalid_input(self, n, p, edges, error, message):
+        with pytest.raises(error) as info:
+            Hypergraph(n=n, p=p, edges=edges)
+        assert str(info.value) == message
 
 
 class TestSimplePairs:

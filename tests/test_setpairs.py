@@ -23,10 +23,9 @@ from propb.setpairs import (
     detect_equality_structure,
     evaluate_family,
     find_clique,
-    second_meet_collisions,
 )
 
-from conftest import random_instances
+from conftest import random_instances, second_meet_collisions
 
 
 class TestBuildM:
