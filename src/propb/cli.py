@@ -63,17 +63,23 @@ def _human_lines(value, indent: int = 0):
         yield f"{pad_}{value}"
 
 
-def _open_out(path: str, mode: str = "w"):
-    """The --out file, opened for text; a path that cannot be written is a usage error (exit 2)."""
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        raise FileAccessError(f"cannot write {path}: {exc.strerror}") from None
+class _Writing:
+    """Context for I/O on the --out file `path`: an OSError there is a one-line usage error (exit 2)."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OSError):
+            raise FileAccessError(f"cannot write {self.path}: {exc.strerror}") from None
 
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with _open_out(out) as fh:
+        with _Writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -219,20 +225,22 @@ def cmd_verify(args) -> int:
 
     def write_line(obj):
         if sink:
-            sink.write(json.dumps(obj, sort_keys=True) + "\n")
-            sink.flush()
+            with _Writing(args.out):
+                sink.write(json.dumps(obj, sort_keys=True) + "\n")
+                sink.flush()
 
-    if args.out:
-        try:
-            done, keep = _read_stream(args.out, header)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        sink = _open_out(args.out, "a")
-        sink.truncate(keep)
-        if not keep:
-            write_line(header)
-    skip = {s["p"] for s in done}
     try:
+        if args.out:
+            try:
+                done, keep = _read_stream(args.out, header)
+            except ValueError as exc:
+                return _usage_error(str(exc))
+            with _Writing(args.out):
+                sink = open(args.out, "a", encoding="utf-8")
+                sink.truncate(keep)
+            if not keep:
+                write_line(header)
+        skip = {s["p"] for s in done}
         records, summary = verify_bound_exhaustive(
             args.n,
             max_p,
@@ -250,7 +258,8 @@ def cmd_verify(args) -> int:
         write_line({"type": "summary", **totals})
     finally:
         if sink:
-            sink.close()
+            with _Writing(args.out):
+                sink.close()
     doc = make_document(
         search={
             "mode": summary["mode"],
@@ -330,15 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, deterministic=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit the JSON report document")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if deterministic:
-            p.add_argument(
-                "--deterministic",
-                action="store_true",
-                help="suppress the timestamp for byte-identical reruns",
-            )
+        p.add_argument(
+            "--deterministic",
+            action="store_true",
+            help="suppress the timestamp for byte-identical reruns",
+        )
 
     p = sub.add_parser("analyze", help="m2, bound, colorability, clique witness")
     p.add_argument("input", help="hypergraph file")

@@ -16,7 +16,7 @@ that rule from all Blue until nothing changes gives the sequential result
 in every lane.  A single given order is the one-lane case, its planes
 read off its positions.  Random restarts draw TRIAL_BLOCK orders at a
 time from a counter-based SplitMix64 stream, itself computed lane-packed
-(one int per vertex, one 128-bit lane per trial).
+(one int per vertex that shares an edge, one 128-bit lane per trial).
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import IncompleteColoring, InvalidOrdering
+from .errors import InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
 
 # Random orders are drawn and evaluated this many trials at a time, so
@@ -84,18 +84,6 @@ class ColoringOutcome(namedtuple("ColoringOutcome", "coloring separated_witness"
     __slots__ = ()
 
 
-def is_proper(H: Hypergraph, colors) -> int | None:
-    """Index of the first monochromatic edge in canonical order, or None."""
-    colors = tuple(colors)
-    if len(colors) != H.p or any(c is None for c in colors):
-        raise IncompleteColoring(f"coloring must assign all {H.p} vertices")
-    for ei, e in enumerate(H.edges):
-        first = colors[e[0]]
-        if all(colors[v] == first for v in e[1:]):
-            return ei
-    return None
-
-
 def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
     """Sequential coloring in visit order: Blue unless that completes an all-Blue edge.
 
@@ -133,8 +121,8 @@ def _lanes(T: int) -> tuple[int, int, int]:
     return R, I, R * _M64
 
 
-def _trial_keys(p: int, seed: int, start: int, stop: int) -> list[int]:
-    """SplitMix64 keys of trials start..stop-1: one int per vertex, one 128-bit lane per trial.
+def _trial_keys(p: int, seed: int, start: int, stop: int, vertices: Iterable[int]) -> list[int]:
+    """SplitMix64 keys of trials start..stop-1: one int per listed vertex, one 128-bit lane per trial.
 
     Lane i of vertex v holds output (start + i) * p + v of SplitMix64
     (Steele, Lea & Flood 2014; output k of seed s mixes s + (k + 1) * _GAMMA
@@ -147,7 +135,7 @@ def _trial_keys(p: int, seed: int, start: int, stop: int) -> list[int]:
     R, I, M = _lanes(stop - start)
     step = I * (p * _GAMMA & _M64)
     keys = []
-    for v in range(p):
+    for v in vertices:
         z = ((seed + (start * p + v + 1) * _GAMMA & _M64) * R + step) & M
         z = ((z ^ z >> 30) & M) * 0xBF58476D1CE4E5B9 & M
         z = ((z ^ z >> 27) & M) * 0x94D049BB133111EB & M
@@ -164,7 +152,7 @@ def _trial_orders(p: int, seed: int, start: int, stop: int) -> list[tuple[int, .
     """
     T = stop - start
     columns = []
-    for key in _trial_keys(p, seed, start, stop):
+    for key in _trial_keys(p, seed, start, stop, range(p)):
         # native order puts each lane's low word first, in lane order, on a
         # little-endian host, and last, in reverse lane order, on a big-endian one
         words = memoryview(key.to_bytes(16 * T, sys.byteorder)).cast("Q")
@@ -213,11 +201,13 @@ def _trial_planes(H: Hypergraph, seed: int, start: int, stop: int) -> tuple[list
     eight.
     """
     T = stop - start
-    keys = _trial_keys(H.p, seed, start, stop)
-    high = _lanes(T)[0] << 64
-    raised = [k | high for k in keys]
-    ones = int.from_bytes(b"\x01" * T, "little")
     pairs = _adjacency(H)[0]
+    # only vertices that share an edge have planes, so only they need keys
+    touched = {v for pair in pairs for v in pair}
+    keys = dict(zip(touched, _trial_keys(H.p, seed, start, stop, touched)))
+    high = _lanes(T)[0] << 64
+    raised = {v: k | high for v, k in keys.items()}
+    ones = int.from_bytes(b"\x01" * T, "little")
     firsts: list[int] = []
     for g in range(0, len(pairs), 8):
         group = pairs[g : g + 8]

@@ -25,14 +25,6 @@ class InvalidOrdering(PropBError):
     """A visit order is not a permutation of the vertex ids, or has the wrong length."""
 
 
-class IncompleteColoring(PropBError):
-    """A coloring leaves some vertex unassigned."""
-
-
-class NotSimple(PropBError):
-    """Edge pair does not intersect in exactly one vertex."""
-
-
 class BudgetExceeded(PropBError):
     """An enumeration or search would exceed its explicit budget."""
 

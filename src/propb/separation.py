@@ -1,10 +1,11 @@
-"""Permutation separation: predicate, exact probabilities, exact ordering statistics, Monte Carlo.
+"""Permutation separation: separated-pair counts, exact ordering statistics, Monte Carlo.
 
 An ordering is its visit sequence, a permutation of the vertex ids with
 the first-visited vertex first.  It separates a simple pair (X, Y) with
 shared vertex y when all of X minus y precedes y and y precedes all of
-Y minus y.  Exact paths use
-Fraction throughout; only Monte Carlo summaries may be rendered as floats.
+Y minus y; one random ordering does so with probability
+(n-1)!^2 / (2n-1)! = 1 / bound(n).  Exact paths use Fraction throughout;
+only Monte Carlo summaries may be rendered as floats.
 
 Whether placing y separates a pair with meet y depends only on the set S
 of vertices placed before it, so the histogram of separated-pair counts
@@ -22,11 +23,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .coloring import TRIAL_BLOCK, _all_of, _order_planes, _trial_planes, check_order
-from .errors import BudgetExceeded, NotSimple
+from .errors import BudgetExceeded
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
 
@@ -34,26 +34,6 @@ class SeparationStats(namedtuple("SeparationStats", "trials mean_separated succe
     """Per-trial separated-pair counts aggregated over random orderings; mean and rate are exact Fractions."""
 
     __slots__ = ()
-
-
-def separates(order, X: Iterable[int], Y: Iterable[int]) -> bool:
-    """Whether the visit order puts all of X\\{y} before the shared vertex y and all of Y\\{y} after."""
-    pos = {v: k for k, v in enumerate(check_order(order))}
-    xs, ys = frozenset(X), frozenset(Y)
-    meet = xs & ys
-    if len(meet) != 1:
-        raise NotSimple(f"edges share {len(meet)} vertices, expected exactly 1")
-    (y,) = meet
-    return all(pos[u] < pos[y] for u in xs - meet) and all(pos[v] > pos[y] for v in ys - meet)
-
-
-def _pair_masks(H: Hypergraph) -> list[tuple[int, int, int]]:
-    """(mask of X\\y, mask of Y\\y, y) per ordered simple pair."""
-    out = []
-    for sp in enumerate_simple_pairs(H):
-        bit = 1 << sp.meet
-        out.append((H.masks[sp.first] ^ bit, H.masks[sp.second] ^ bit, sp.meet))
-    return out
 
 
 def _pair_slots(H: Hypergraph) -> list[tuple[int, int]]:
@@ -101,13 +81,6 @@ def count_separated(H: Hypergraph, order) -> int:
     return count
 
 
-def exact_separation_probability(n: int) -> Fraction:
-    """Closed form (n-1)!^2 / (2n-1)! for a random permutation separating a simple pair."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return Fraction(math.factorial(n - 1) ** 2, math.factorial(2 * n - 1))
-
-
 def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
     """How many of the p! orderings separate exactly k simple pairs, as {k: orderings}.
 
@@ -118,8 +91,9 @@ def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
     if H.p > max_vertices:
         raise BudgetExceeded(f"p = {H.p} exceeds full-enumeration budget {max_vertices}")
     by_meet: list[list[tuple[int, int]]] = [[] for _ in range(H.p)]
-    for xo, yo, y in _pair_masks(H):
-        by_meet[y].append((xo, yo))
+    for sp in enumerate_simple_pairs(H):
+        bit = 1 << sp.meet
+        by_meet[sp.meet].append((H.masks[sp.first] ^ bit, H.masks[sp.second] ^ bit))
     layer: dict[int, Counter[int]] = {0: Counter({0: 1})}
     for _ in range(H.p):
         nxt: dict[int, Counter[int]] = {}

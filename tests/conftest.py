@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from propb.coloring import Color, Colorability, Coloring, ColoringOutcome
-from propb.errors import BudgetExceeded, NotSimple
+from propb.errors import BudgetExceeded
 from propb.hypergraph import (
     Hypergraph,
     SimplePair,
@@ -136,6 +136,14 @@ def brute_separates(order, X, Y) -> bool:
     return all(u < pos[y] for u in left) and all(v > pos[y] for v in right)
 
 
+def is_proper(H, colors) -> int | None:
+    """Index of the first monochromatic edge in canonical order, or None: the properness oracle."""
+    for ei, e in enumerate(H.edges):
+        if len({colors[v] for v in e}) == 1:
+            return ei
+    return None
+
+
 def is_bipartite(H) -> bool:
     """BFS 2-coloring of a graph (n = 2) over adjacency bitsets: the scan's cut-test oracle."""
     if H.n != 2:
@@ -246,7 +254,7 @@ def enumerate_separation_probability(X, Y, max_union=10) -> Fraction:
     xs, ys = frozenset(X), frozenset(Y)
     meet = xs & ys
     if len(meet) != 1:
-        raise NotSimple(f"edges share {len(meet)} vertices, expected exactly 1")
+        raise ValueError(f"edges share {len(meet)} vertices, expected exactly 1")
     union = sorted(xs | ys)
     if len(union) > max_union:
         raise BudgetExceeded(f"|X union Y| = {len(union)} exceeds enumeration budget {max_union}")

@@ -36,10 +36,10 @@ from propb.hypergraph import (
 )
 from propb.report import monte_carlo_section, to_json
 from propb.search import verify_bound_exhaustive
-from propb.separation import count_separated, monte_carlo_separation, separates
+from propb.separation import count_separated, monte_carlo_separation
 from propb.setpairs import bollobas_family, build_M, evaluate_family, find_clique
 
-from conftest import brute_ordering_histogram, enumerate_separation_probability, random_ordering
+from conftest import brute_ordering_histogram, brute_separates, enumerate_separation_probability, random_ordering
 
 
 @contextmanager
@@ -101,7 +101,7 @@ def test_criterion_3_greedy_failure_witnesses():
                 w = out.separated_witness
                 X, Y = H.edges[w.first], H.edges[w.second]
                 assert set(X) & set(Y) == {w.meet}
-                assert separates(pi, X, Y)
+                assert brute_separates(pi, X, Y)
         assert improper > 100  # the sample genuinely exercises the failure path
 
 

@@ -365,6 +365,24 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "fano", "--out", "/dev/full"],
+        ["analyze", "{k35}", "--out", "/dev/full"],
+        # the stream is cut to its kept length first, which /dev/full refuses
+        ["verify", "--n", "2", "--max-p", "3", "--out", "/dev/full"],
+    ],
+    ids=["gen", "analyze", "verify"],
+)
+def test_out_write_failure_exit_2(capsys, k35_file, argv):
+    assert main([a.format(k35=k35_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestGen:
     def test_clique_header(self, capsys):
         code = main(["gen", "--kind", "clique", "--n", "3"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,17 +13,19 @@ from propb.coloring import (
     check_order,
     exhaustive_decide,
     greedy_color,
-    is_proper,
     random_restart_color,
     TRIAL_BLOCK,
     _trial_orders,
     _trial_planes,
 )
-from propb.errors import IncompleteColoring, InvalidOrdering
+from propb.errors import InvalidOrdering
 from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad
-from propb.separation import count_separated, separates
+from propb.separation import count_separated, monte_carlo_separation
 
 from conftest import (
+    brute_separates,
+    is_proper,
+    oracle_monte_carlo,
     oracle_decide,
     oracle_greedy,
     oracle_restart,
@@ -44,8 +47,6 @@ class TestOrdering:
                 greedy_color(triangle, bad)
             with pytest.raises(InvalidOrdering, match="is not a permutation of 0..2"):
                 count_separated(triangle, bad)
-            with pytest.raises(InvalidOrdering, match="is not a permutation of 0..2"):
-                separates(bad, [0, 1], [1, 2])
 
     def test_messages(self):
         with pytest.raises(InvalidOrdering) as exc:
@@ -70,7 +71,6 @@ class TestOrdering:
         want = greedy_color(k35, seq)
         assert all(greedy_color(k35, o) == want for o in forms)
         assert [count_separated(k35, o) for o in forms] == [1, 1, 1]
-        assert [separates(o, [1, 3, 4], [0, 2, 4]) for o in forms] == [True, True, True]
 
 
 class TestGreedyColor:
@@ -109,7 +109,7 @@ class TestGreedyColor:
             w = out.separated_witness
             X, Y = H.edges[w.first], H.edges[w.second]
             assert set(X) & set(Y) == {w.meet}
-            assert separates(pi, X, Y)
+            assert brute_separates(pi, X, Y)
             # the monochromatic edge is Y and it is all Red
             assert all(out.coloring.colors[v] is R for v in Y)
         assert checked > 20
@@ -139,12 +139,6 @@ class TestIsProper:
         colors = (R, R, B, B, B)
         # the all-Blue triple {2,3,4} is an edge; canonical index verified directly
         assert k35.edges[is_proper(k35, colors)] == (2, 3, 4)
-
-    def test_incomplete(self, triangle):
-        with pytest.raises(IncompleteColoring):
-            is_proper(triangle, (B, R))
-        with pytest.raises(IncompleteColoring):
-            is_proper(triangle, (B, R, None))
 
 
 class TestExhaustiveDecide:
@@ -399,6 +393,30 @@ class TestLaneEdgeCases:
         H = normalize(H.edges[math.comb(2 * n - 1, n) :], n=n, p=24)
         for seed in range(8):
             assert _restart_agrees(H, 300, seed)
+
+
+class TestIsolatedVertices:
+    @pytest.mark.parametrize("run", [monte_carlo_separation, random_restart_color], ids=["mc", "restart"])
+    def test_keys_only_for_vertices_in_an_edge(self, run):
+        # 16-byte keys for all 4000 vertices over a 1024-trial block would take 64 MB
+        H = normalize([[0, 1, 2], [2, 3, 4]], n=3, p=4000)
+        tracemalloc.start()
+        try:
+            run(H, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_padded_with_isolated_vertices_matches_oracles(self):
+        rng = random.Random(200)
+        support = rng.sample(range(200), 20)
+        H = normalize([rng.sample(support, 3) for _ in range(15)], n=3, p=200)
+        clique = pad(complete_hypergraph(3), 195, 1)
+        for seed in range(3):
+            for G in (H, clique):
+                assert monte_carlo_separation(G, 300, seed) == oracle_monte_carlo(G, 300, seed)
+                assert _restart_agrees(G, 300, seed)
 
 
 class TestTrialStream:

@@ -1,12 +1,15 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
 
+from propb import search
+from propb.cli import main
 from propb.coloring import Colorability, exhaustive_decide
-from propb.errors import BudgetExceeded
+from propb.errors import BudgetExceeded, CounterexampleFound, FixtureFailure
 from propb.hypergraph import (
     Hypergraph,
     complete_hypergraph,
@@ -368,3 +371,102 @@ class TestFixtureSuite:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             verify_fixture_suite(5)
+
+
+# Each breaker patches one step of the verifier so that it reports a failure.
+
+_C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+
+def _census_finds_c5(monkeypatch):
+    """The p = 5 census chunk also reports the 5-cycle, non-bipartite with m2 = 10 and no triangle."""
+    scan = search._scan_graph_chunk
+    mask = sum(1 << _edge_slots(5).index(e) for e in _C5)
+
+    def with_c5(p, lo, hi):
+        out = scan(p, lo, hi)
+        if p == 5:
+            out["counterexample_masks"] = [mask, *out["counterexample_masks"]]
+        return out
+
+    monkeypatch.setattr(search, "_scan_graph_chunk", with_c5)
+
+
+def _bound_above_every_sample(monkeypatch):
+    monkeypatch.setattr(search, "bound", lambda n: 10**9)
+
+
+def _decider_says_yes(monkeypatch):
+    real = search.analyze
+
+    def colorable(H, *args, **kwargs):
+        analysis, bollobas = real(H, *args, **kwargs)
+        return {**analysis, "colorable": Colorability.YES.value}, bollobas
+
+    monkeypatch.setattr(search, "analyze", colorable)
+
+
+def _histogram_off(monkeypatch):
+    monkeypatch.setattr(search, "ordering_histogram", lambda H: {0: 1, 1: math.factorial(H.p) - 1})
+
+
+def _no_sampling_attempts(monkeypatch):
+    monkeypatch.setattr(search, "_random_noncolorable", partial(search._random_noncolorable, attempts=0))
+
+
+class TestVerifierFailures:
+    def test_census_counterexample(self, monkeypatch):
+        _census_finds_c5(monkeypatch)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_bound_exhaustive(2, 5)
+        form = canonical_form(normalize(_C5, n=2, p=5))
+        assert exc.value.record == {
+            "n": 2, "p": 5, "edge_count": 5, "m2": 10, "meets_bound": False, "has_clique": False,
+            "canonical_form": form,
+        }
+        assert str(exc.value).endswith(f": {form}")
+
+    def test_sampled_counterexample(self, monkeypatch):
+        _bound_above_every_sample(monkeypatch)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_bound_exhaustive(3, 8)
+        record = exc.value.record
+        assert record["n"] == 3 and record["m2"] < 10**9 and not record["meets_bound"]
+        assert str(exc.value).endswith(f": {record['canonical_form']}")
+
+    @pytest.mark.parametrize(
+        "breaker, message",
+        [
+            (_decider_says_yes, "complete: expected non-2-colorable, decider said yes"),
+            (_histogram_off, "complete: not every ordering separates exactly one simple pair"),
+        ],
+        ids=["decider", "histogram"],
+    )
+    def test_fixture_failure_names_the_fixture(self, monkeypatch, breaker, message):
+        breaker(monkeypatch)
+        with pytest.raises(FixtureFailure, match=f"^{message}$"):
+            verify_fixture_suite(2)
+
+    def test_random_fixture_without_attempts(self):
+        with pytest.raises(FixtureFailure, match="no non-2-colorable 3-graph found in 0 rejection samples"):
+            search._random_noncolorable(3, 0, attempts=0)
+
+    @pytest.mark.parametrize(
+        "breaker, argv, message",
+        [
+            (_census_finds_c5, ["--n", "2", "--max-p", "5"], "graph on 5 vertices violates the bound"),
+            (_bound_above_every_sample, ["--n", "3", "--max-p", "8"], "sampled non-colorable 3-graph violates"),
+            (_decider_says_yes, ["--n", "2", "--fixtures"], "complete: expected non-2-colorable"),
+            (_histogram_off, ["--n", "2", "--fixtures"], "complete: not every ordering separates"),
+            (_no_sampling_attempts, ["--n", "3", "--fixtures"], "no non-2-colorable 3-graph found"),
+        ],
+        ids=["census", "sampled", "decider", "histogram", "random-fixture"],
+    )
+    def test_cli_exit_1_with_one_error_line(self, capsys, monkeypatch, breaker, argv, message):
+        breaker(monkeypatch)
+        assert main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
