@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 malformed input (file or arguments) or a file
 that cannot be read or written, 3 budget exceeded (enum on large p, or
-analyze --strict left undetermined), 1 any other failure.  All machine
-output derives from the same report document as the human rendering;
---deterministic suppresses the timestamp so identical invocations are
-byte-identical.
+analyze --strict left undetermined), 1 any other failure.  A failed
+write to stdout is an exit-2 error like one to an --out file.  The
+output of analyze, mc, enum and verify is the report document, as JSON
+or as its human rendering; color prints lines of its own, and gen writes
+a hypergraph file.  --deterministic suppresses the timestamp so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -64,9 +66,14 @@ def _human_lines(value, indent: int = 0):
 
 
 class _Writing:
-    """Context for I/O on the --out file `path`: an OSError there is a one-line usage error (exit 2)."""
+    """Context for I/O on the --out file `path`, or on stdout when path is None.
 
-    def __init__(self, path: str):
+    An OSError there is a one-line usage error (exit 2).  After a failed
+    stdout write, stdout is pointed at the null device, so the bytes still
+    buffered cannot fail again in the interpreter's shutdown flush.
+    """
+
+    def __init__(self, path: str | None):
         self.path = path
 
     def __enter__(self):
@@ -74,7 +81,11 @@ class _Writing:
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, OSError):
-            raise FileAccessError(f"cannot write {self.path}: {exc.strerror}") from None
+            if self.path is None:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+            raise FileAccessError(f"cannot write {self.path or '<stdout>'}: {exc.strerror}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -82,7 +93,8 @@ def _write(text: str, out: str | None) -> None:
         with _Writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        with _Writing(None):
+            sys.stdout.write(text)
 
 
 def _emit(doc: dict, as_json: bool, out: str | None) -> None:
@@ -133,17 +145,15 @@ def cmd_color(args) -> int:
             outcome = greedy_color(H, args.order)
         except InvalidOrdering as exc:
             return _usage_error(str(exc))
-        for line in _coloring_lines(H, args.order, outcome.coloring, outcome.separated_witness):
-            print(line)
-        return 0
-    result = random_restart_color(H, max_trials=args.trials, seed=args.seed)
-    if result is None:
-        print(f"exhausted: no proper coloring in {args.trials} trials (seed {args.seed})")
-        return 0
-    order, coloring = result
-    print(f"proper coloring found (seed {args.seed})")
-    for line in _coloring_lines(H, order, coloring, None):
-        print(line)
+        lines = _coloring_lines(H, args.order, outcome.coloring, outcome.separated_witness)
+    else:
+        result = random_restart_color(H, max_trials=args.trials, seed=args.seed)
+        if result is None:
+            lines = [f"exhausted: no proper coloring in {args.trials} trials (seed {args.seed})"]
+        else:
+            order, coloring = result
+            lines = [f"proper coloring found (seed {args.seed})", *_coloring_lines(H, order, coloring, None)]
+    _write("".join(line + "\n" for line in lines), None)
     return 0
 
 
@@ -412,7 +422,10 @@ def main(argv=None) -> int:
     if args.command == "gen":
         _check_gen(args)
     try:
-        return args.func(args)
+        code = args.func(args)
+        with _Writing(None):
+            sys.stdout.flush()
+        return code
     except (ParseError, FileAccessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ simple-pair bound exactly, the family satisfies Bollobas's two-families
 conditions, its sum hits 1, and the forced equality structure identifies
 the vertex set of a complete n-graph on 2n-1 vertices.
 :func:`evaluate_family` returns that verdict as the report document's
-bollobas section.
+bollobas section.  :func:`find_clique` finds that complete n-graph in the
+hypergraph itself, by a pruned depth-first search whose work is bounded
+by a budget on the prefixes it visits.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceeded, DegenerateBinomial, EqualityStructureViolated
-from .hypergraph import (
-    Hypergraph,
-    SimplePair,
-    covered_vertices,
-    enumerate_simple_pairs,
-)
+from .hypergraph import Hypergraph, SimplePair, enumerate_simple_pairs
 
 
 class SetPairFamily(namedtuple("SetPairFamily", "ground_size members")):
@@ -145,60 +142,40 @@ def evaluate_family(F: SetPairFamily) -> dict:
     }
 
 
-def _clique_via_equality(H: Hypergraph, need: int) -> frozenset[int] | None:
-    """Derive the clique vertex set from the equality structure, verified."""
-    try:
-        F = bollobas_family(H, build_M(H))
-        verdict = evaluate_family(F)
-    except (DegenerateBinomial, EqualityStructureViolated):
-        return None
-    if not verdict["equality"]:
-        return None
-    u = frozenset(verdict["ground_U"])
-    if len(u) != 2 * H.n - 1:
-        return None
-    edge_set = set(H.masks)
-    um_edges = sum(
-        1 for sub in combinations(sorted(u), H.n) if _mask(sub) in edge_set
-    )
-    return u if um_edges == need else None
+def find_clique(H: Hypergraph, node_budget: int = 10_000_000) -> frozenset[int] | None:
+    """Lexicographically smallest (2n-1)-set whose n-subsets are all edges, or None.
 
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def find_clique(H: Hypergraph, subset_budget: int = 10_000_000) -> frozenset[int] | None:
-    """Canonically smallest (2n-1)-set whose n-subsets are all edges, or None.
-
-    Brute force scans candidate subsets in lexicographic order; candidates
-    are covered vertices lying in at least C(2n-2, n-1) edges, a necessary
-    degree for clique membership.  Above subset_budget candidate subsets
-    the equality-structure shortcut is tried, else BudgetExceeded.
+    A depth-first search extends a sorted prefix of candidates, the
+    vertices lying in at least C(2n-2, n-1) edges (a necessary degree for
+    clique membership).  Vertex v joins the prefix only if v with every
+    n-1 prefix vertices is an edge.  Being a clique is hereditary, so
+    pruning loses no clique, and the first (2n-1)-prefix reached is the
+    lexicographically smallest.  Each prefix visited tests at most every
+    candidate against C(2n-2, n-1) edges; beyond node_budget prefixes,
+    BudgetExceeded.
     """
-    k = 2 * H.n - 1
-    need = math.comb(k, H.n)
-    if len(H.edges) < need:
+    n, k = H.n, 2 * H.n - 1
+    if len(H.edges) < math.comb(k, n):
         return None
-    min_degree = math.comb(2 * H.n - 2, H.n - 1)
+    min_degree = math.comb(2 * n - 2, n - 1)
     degree = Counter(v for e in H.edges for v in e)
-    candidates = sorted(v for v in covered_vertices(H) if degree[v] >= min_degree)
-    if len(candidates) < k:
+    candidates = sorted(v for v, d in degree.items() if d >= min_degree)
+    edges = set(H.masks)
+    nodes = 0
+
+    def extend(prefix: list[int], start: int) -> frozenset[int] | None:
+        nonlocal nodes
+        if len(prefix) == k:
+            return frozenset(prefix)
+        for i in range(start, len(candidates) - (k - len(prefix)) + 1):
+            bit = 1 << candidates[i]
+            if all(sum(1 << u for u in sub) | bit in edges for sub in combinations(prefix, n - 1)):
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceeded(f"clique search visited more than {node_budget} prefixes")
+                found = extend(prefix + [candidates[i]], i + 1)
+                if found is not None:
+                    return found
         return None
-    if math.comb(len(candidates), k) > subset_budget:
-        u = _clique_via_equality(H, need)
-        if u is not None:
-            return u
-        raise BudgetExceeded(
-            f"C({len(candidates)},{k}) candidate subsets exceed budget {subset_budget} "
-            "and the equality shortcut does not apply"
-        )
-    for combo in combinations(candidates, k):
-        um = _mask(combo)
-        inside = sum(1 for em in H.masks if em & um == em)
-        if inside == need:
-            return frozenset(combo)
-    return None
+
+    return extend([], 0)

@@ -125,6 +125,16 @@ def second_meet_collisions(H) -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
+def brute_clique(H) -> frozenset[int] | None:
+    """Lexicographically first (2n-1)-set of covered vertices whose n-subsets are all edges, by scanning every such set."""
+    edges = set(H.edges)
+    covered = sorted({v for e in H.edges for v in e})
+    for combo in itertools.combinations(covered, 2 * H.n - 1):
+        if all(sub in edges for sub in itertools.combinations(combo, H.n)):
+            return frozenset(combo)
+    return None
+
+
 def brute_separates(order, X, Y) -> bool:
     """Separation by positional comparison on a visit order."""
     pos = {v: k for k, v in enumerate(order)}

@@ -383,6 +383,33 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "fano"],
+        ["verify", "--n", "2", "--max-p", "4", "--json"],
+        ["analyze", "{k35}"],
+        ["color", "{k35}", "--trials", "1"],
+    ],
+    ids=["gen", "verify-json", "analyze", "color"],
+)
+def test_stdout_write_failure_exit_2(k35_file, argv, unbuffered):
+    # buffered, the bytes a failed flush keeps must not fail again at interpreter shutdown
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(propb.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "propb", *(a.format(k35=k35_file) for a in argv)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
+
+
 class TestGen:
     def test_clique_header(self, capsys):
         code = main(["gen", "--kind", "clique", "--n", "3"])

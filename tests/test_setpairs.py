@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from propb.hypergraph import (
     m2,
     normalize,
     pad,
+    random_hypergraph,
     relabel,
 )
 from propb.setpairs import (
@@ -25,7 +27,7 @@ from propb.setpairs import (
     find_clique,
 )
 
-from conftest import random_instances, second_meet_collisions
+from conftest import brute_clique, planted_instance, random_instances, second_meet_collisions
 
 
 class TestBuildM:
@@ -201,19 +203,61 @@ class TestFindClique:
         H = normalize([[3, 4], [3, 5], [4, 5], [0, 1], [0, 2], [1, 2]], n=2, p=6)
         assert find_clique(H) == frozenset({0, 1, 2})
 
-    def test_budget_and_equality_shortcut(self, k35):
-        padded = pad(k35, 6, 2)
-        # tiny budget forces the equality-structure path, which still succeeds
-        assert find_clique(padded, subset_budget=1) == frozenset(range(5))
+    def test_default_budget_on_padded_k35(self, k35):
+        assert find_clique(pad(k35, 6, 2)) == frozenset(range(5))
 
-    def test_budget_exceeded_without_shortcut(self):
-        # long cycle: every vertex passes the degree filter, no equality structure
+    def test_budget_exceeded(self):
+        # long cycle: every vertex passes the degree filter, so the search must visit prefixes
         H = normalize([[i, (i + 1) % 41] for i in range(41)], n=2, p=41)
         with pytest.raises(BudgetExceeded):
-            find_clique(H, subset_budget=1)
+            find_clique(H, node_budget=1)
+
+    @pytest.mark.parametrize("n, p, m", [(3, 45, 3000), (4, 32, 3000)])
+    def test_dense_random_within_node_budget(self, n, p, m):
+        # a scan of every C(p, 2n-1) candidate subset against m edges each would take minutes here
+        assert find_clique(random_hypergraph(n, p, m, seed=5), node_budget=10_000) is None
 
     def test_none_when_too_few_edges(self, disjoint_edges):
         assert find_clique(disjoint_edges) is None
+
+
+class TestFindCliqueOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_instances(self, n):
+        instances = random_instances(150, seed=n, n_choices=(n,), p_max=2 * n + 4)
+        assert sum(brute_clique(H) is not None for H in instances) >= 10
+        for H in instances:
+            assert find_clique(H) == brute_clique(H)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_planted(self, n):
+        for seed in range(10):
+            H = planted_instance(n, 2 * n + 3, extra=3 * n, seed=seed)
+            assert find_clique(H) == brute_clique(H) is not None
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [((1, 2, 3, 4, 5), (0, 2, 3, 6, 7)), ((2, 3, 4, 5, 6), (0, 1, 2, 3, 7)), ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))],
+    )
+    def test_two_overlapping_k35_lexmin(self, first, second):
+        edges = [e for clique in (first, second) for e in combinations(clique, 3)]
+        H = normalize(edges, n=3, p=8)
+        assert find_clique(H) == brute_clique(H) == frozenset(min(first, second))
+
+    def test_relabelled_copies(self, k35):
+        rng = random.Random(3)
+        bases = [pad(k35, 6, 2), normalize([*combinations((1, 2, 3, 4, 5), 3), *combinations((0, 2, 3, 6, 7), 3)], n=3, p=8)]
+        bases += [planted_instance(3, 9, extra=8, seed=s) for s in range(4)]
+        bases += random_instances(20, seed=11, n_choices=(3,), p_max=9)
+        for H in bases:
+            exists = brute_clique(H) is not None
+            for _ in range(5):
+                mapping = list(range(H.p))
+                rng.shuffle(mapping)
+                G = relabel(H, mapping)
+                found = find_clique(G)
+                assert found == brute_clique(G)
+                assert (found is not None) == exists
 
 
 class TestEndToEndExtremal:
@@ -232,8 +276,6 @@ class TestEndToEndExtremal:
     def test_extremal_tail_need_not_be_disjoint(self):
         # extra edges overlapping each other in 2 vertices add no simple pair,
         # so the instance stays extremal without being clique-plus-matching
-        from itertools import combinations
-
         edges = list(combinations(range(5), 3)) + [(5, 6, 7), (6, 7, 8)]
         H = normalize(edges, n=3, p=9)
         assert m2(H) == bound(3) == 30

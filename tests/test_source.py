@@ -10,21 +10,40 @@ import propb
 CALLED_FROM_OUTSIDE = {"count_separated"}
 
 
-def test_every_public_name_is_referenced_in_the_package():
-    # a reference is a loaded name, an attribute, or an entry of a `from .x import` list;
-    # slow oracles and reference versions of a kernel belong in the tests
+def _references(node) -> set[str]:
+    # a reference is a loaded name, an attribute, or an entry of a `from .x import` list
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.level:
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _unreferenced() -> dict[str, str]:
+    """Top-level functions and classes of src/propb that no other top-level statement references, by module.
+
+    A definition's references to itself (recursion) do not count.
+    """
     defined, referenced = {}, set()
     for path in sorted(Path(propb.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            refs = _references(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                referenced.update(alias.name for alias in node.names)
-    unreferenced = {name: module for name, module in defined.items() if name not in referenced | CALLED_FROM_OUTSIDE}
-    assert unreferenced == {}
+                refs.discard(node.name)
+            referenced |= refs
+    return {name: module for name, module in defined.items() if name not in referenced | CALLED_FROM_OUTSIDE}
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    # slow oracles and reference versions of a kernel belong in the tests
+    assert {name: module for name, module in _unreferenced().items() if not name.startswith("_")} == {}
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    # a helper orphaned by a deleted caller fails here
+    assert {name: module for name, module in _unreferenced().items() if name.startswith("_")} == {}
