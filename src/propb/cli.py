@@ -317,6 +317,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text is written like any other output.
+
+    argparse drops an OSError raised while printing help and exits 0; here
+    a failed write to stdout is the usual one-line error with exit 2.
+    """
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        with _Writing(None):
+            sys.stdout.write(self.format_help())
+            sys.stdout.flush()
+
+
 def _int_at_least(lo: int, at_most: int | None = None):
     """argparse type: an integer >= lo (and <= at_most if given), else a one-line usage error (exit 2)."""
 
@@ -343,7 +358,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="propb",
         description="Property B analysis of n-uniform hypergraphs",
     )
@@ -416,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
-        args.parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
-    if args.command == "gen":
-        _check_gen(args)
     try:
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
+            args.parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
+        if args.command == "gen":
+            _check_gen(args)
         code = args.func(args)
         with _Writing(None):
             sys.stdout.flush()

@@ -17,7 +17,12 @@ enumeration is out of reach, so the run degrades to seeded rejection
 sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
-into vertex cells, then a lexmin search over relabelings inside cells.
+into vertex cells, then a lexmin search over relabelings inside cells,
+which also counts |Aut(H)|.  The census names its equality classes by
+groups of masks with one sorted degree sequence: the equality set is
+closed under relabeling, so a group with |group| * |Aut| = p! for its
+first graph is that graph's orbit and takes one canonical form; any
+other group is canonicalised mask by mask.
 """
 
 from __future__ import annotations
@@ -63,6 +68,16 @@ def canonical_form(H: Hypergraph) -> str:
     same edge lists.  More than CANONICAL_BUDGET = 8! such relabelings
     (never at p <= 8) raise BudgetExceeded.
     """
+    return _canonical(H)[0]
+
+
+def _canonical(H: Hypergraph) -> tuple[str, int]:
+    """:func:`canonical_form` of H, and |Aut(H)|.
+
+    Every automorphism preserves the refined colouring, so it permutes
+    vertices only inside cells: the relabelings that reach the lexmin edge
+    list are a coset of Aut(H), and :func:`_canonical_edges` counts them.
+    """
     colour = _refine(H)
     sizes = tuple(count for _, count in sorted(Counter(colour).items()))
     relabelings = math.prod(math.factorial(s) for s in sizes)
@@ -74,7 +89,8 @@ def canonical_form(H: Hypergraph) -> str:
     new_id = [0] * H.p
     for i, v in enumerate(sorted(range(H.p), key=lambda v: (colour[v], v))):
         new_id[v] = i
-    return _encode_edges(_canonical_edges(sizes, relabel(H, new_id).edges))
+    edges, aut = _canonical_edges(sizes, relabel(H, new_id).edges)
+    return _encode_edges(edges), aut
 
 
 def _refine(H: Hypergraph) -> list[int]:
@@ -98,20 +114,26 @@ def _refine(H: Hypergraph) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def _canonical_edges(sizes: tuple[int, ...], edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Lexmin edge list over relabelings that permute vertices only inside a cell.
+def _canonical_edges(
+    sizes: tuple[int, ...], edges: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Lexmin edge list over relabelings that permute vertices only inside a cell, and how many reach it.
 
     Cell i holds the consecutive ids sum(sizes[:i]) .. sum(sizes[:i+1]) - 1.
     """
     starts = [0, *accumulate(sizes)]
     cells = [permutations(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
-    best = None
+    best, ties = None, 0
     for parts in product(*cells):
         perm = tuple(chain.from_iterable(parts))
         cand = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
-        if best is None or cand < best:
-            best = cand
-    return best
+        # one comparison for the usual candidate above the minimum
+        if best is None or cand <= best:
+            if cand == best:
+                ties += 1
+            else:
+                best, ties = cand, 1
+    return best, ties
 
 
 def _encode_edges(edges) -> str:
@@ -271,6 +293,29 @@ def _graph_from_mask(p: int, mask: int) -> Hypergraph:
     return Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 
+def _class_representatives(p: int, masks: list[int]) -> dict[str, int]:
+    """{canonical form: first mask} over labeled graphs on p vertices, for a set closed under relabeling.
+
+    The masks are grouped by sorted degree sequence, an isomorphism
+    invariant, so each group is a union of whole orbits.  The orbit of a
+    graph with |Aut| automorphisms has p! / |Aut| labelings, so a group of
+    that size is the orbit of its first graph and takes one canonical form;
+    any other group is canonicalised mask by mask.
+    """
+    stars = [sum(1 << i for i, e in enumerate(_edge_slots(p)) if v in e) for v in range(p)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for mask in masks:
+        groups.setdefault(tuple(sorted((mask & s).bit_count() for s in stars)), []).append(mask)
+    reps: dict[str, int] = {}
+    for first, *rest in groups.values():
+        form, aut = _canonical(_graph_from_mask(p, first))
+        reps.setdefault(form, first)
+        if (1 + len(rest)) * aut != math.factorial(p):
+            for mask in rest:
+                reps.setdefault(_canonical(_graph_from_mask(p, mask))[0], mask)
+    return reps
+
+
 def _record(H: Hypergraph, m2_val: int, form: str | None = None) -> dict:
     """One verified non-colorable instance, keyed as the report and the --out stream print it."""
     return {
@@ -351,9 +396,7 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
                 record=rec,
             )
 
-        class_reps: dict[str, int] = {}
-        for mask in eq_masks:
-            class_reps.setdefault(canonical_form(_graph_from_mask(p, mask)), mask)
+        class_reps = _class_representatives(p, eq_masks)
         p_records = []
         for form in sorted(class_reps):
             rec = _record(_graph_from_mask(p, class_reps[form]), 6, form)

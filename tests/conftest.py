@@ -135,6 +135,15 @@ def brute_clique(H) -> frozenset[int] | None:
     return None
 
 
+def brute_automorphism_count(H) -> int:
+    """Relabelings among all p! that map the edge set onto itself: the |Aut(H)| oracle."""
+    edges = set(map(frozenset, H.edges))
+    return sum(
+        {frozenset(perm[v] for v in e) for e in H.edges} == edges
+        for perm in itertools.permutations(range(H.p))
+    )
+
+
 def brute_separates(order, X, Y) -> bool:
     """Separation by positional comparison on a visit order."""
     pos = {v: k for k, v in enumerate(order)}

@@ -392,8 +392,11 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
         ["verify", "--n", "2", "--max-p", "4", "--json"],
         ["analyze", "{k35}"],
         ["color", "{k35}", "--trials", "1"],
+        # argparse itself drops an OSError while it prints help
+        ["--help"],
+        ["analyze", "--help"],
     ],
-    ids=["gen", "verify-json", "analyze", "color"],
+    ids=["gen", "verify-json", "analyze", "color", "help", "analyze-help"],
 )
 def test_stdout_write_failure_exit_2(k35_file, argv, unbuffered):
     # buffered, the bytes a failed flush keeps must not fail again at interpreter shutdown

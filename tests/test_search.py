@@ -14,12 +14,16 @@ from propb.hypergraph import (
     Hypergraph,
     complete_hypergraph,
     covered_vertices,
+    fano_plane,
     m2,
     normalize,
+    pad,
     random_hypergraph,
     relabel,
 )
 from propb.search import (
+    _canonical,
+    _class_representatives,
     _edge_slots,
     _extension_tables,
     _scan_graph_chunk,
@@ -29,7 +33,7 @@ from propb.search import (
 )
 from propb.setpairs import find_clique
 
-from conftest import is_bipartite, oracle_scan_chunk
+from conftest import brute_automorphism_count, is_bipartite, oracle_scan_chunk, random_instances
 
 
 def _labeled_graphs(p):
@@ -192,6 +196,88 @@ class TestCanonicalForm:
         # one cell of 9 vertices admits 9! relabelings, past the 8! budget
         with pytest.raises(BudgetExceeded):
             canonical_form(complete_hypergraph(5))
+
+
+_AUT_CASES = {
+    "c5": (normalize([(i, (i + 1) % 5) for i in range(5)], n=2, p=5), 10),
+    "k5-3": (complete_hypergraph(3), 120),
+    "fano": (fano_plane(), 168),
+    "padded-k5-3": (pad(complete_hypergraph(3), 3, 1), 720),
+    "triangle-matching-p7": (normalize([(0, 1), (0, 2), (1, 2), (3, 4), (5, 6)], n=2, p=7), 48),
+}
+
+
+class TestAutomorphismCount:
+    @pytest.mark.parametrize("name", _AUT_CASES)
+    def test_named_graphs(self, name):
+        H, aut = _AUT_CASES[name]
+        assert _canonical(H) == (canonical_form(H), aut)
+        assert brute_automorphism_count(H) == aut
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_instances(self, n):
+        for H in random_instances(40, seed=n, n_choices=(n,), p_max=6):
+            assert _canonical(H)[1] == brute_automorphism_count(H), H
+
+
+def _mask(p, edges):
+    slot = {e: i for i, e in enumerate(_edge_slots(p))}
+    return sum(1 << slot[tuple(sorted(e))] for e in edges)
+
+
+def _labelings(p, edges):
+    """Masks of every labeling of a graph on p vertices, ascending."""
+    return sorted({_mask(p, [(perm[u], perm[v]) for u, v in edges]) for perm in permutations(range(p))})
+
+
+def _per_mask_classes(p, masks):
+    reps = {}
+    for mask in masks:
+        reps.setdefault(canonical_form(search._graph_from_mask(p, mask)), mask)
+    return reps
+
+
+def _counting_canonical(monkeypatch):
+    """Patch search._canonical to count its calls; returns the running count as a one-item list."""
+    calls, real = [0], search._canonical
+
+    def counted(H):
+        calls[0] += 1
+        return real(H)
+
+    monkeypatch.setattr(search, "_canonical", counted)
+    return calls
+
+
+_C6 = [(i, (i + 1) % 6) for i in range(6)]
+_2K3 = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+
+
+class TestClassRepresentatives:
+    def test_one_degree_sequence_two_classes_falls_back(self, monkeypatch):
+        # 60 labeled C6 and 10 labeled 2K3, all 2-regular: no class fills the group's 6! / |Aut|
+        masks = sorted(_labelings(6, _C6) + _labelings(6, _2K3))
+        assert len(masks) == 70
+        calls = _counting_canonical(monkeypatch)
+        reps = _class_representatives(6, masks)
+        assert calls[0] == 70
+        assert reps == _per_mask_classes(6, masks) and len(reps) == 2
+
+    def test_set_not_closed_under_relabeling(self):
+        mask = _mask(6, _C6)
+        assert _class_representatives(6, [mask]) == _per_mask_classes(6, [mask])
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_census_equality_masks(self, p):
+        masks = _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))["equality_masks"]
+        assert _class_representatives(p, masks) == _per_mask_classes(p, masks)
+
+    def test_census_canonicalises_one_graph_per_class(self, monkeypatch):
+        # a work count, not a wall time: one canonical form per equality class
+        calls = _counting_canonical(monkeypatch)
+        _, summary = verify_bound_exhaustive(2, 7)
+        assert summary["equality_labeled"] == 455
+        assert calls[0] == summary["equality_classes"] == 9
 
 
 class TestOracleEquivalence:
