@@ -350,9 +350,9 @@ def _int_at_least(lo: int, at_most: int | None = None):
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers such as 0,2,1, else a usage error (exit 2)."""
+    """argparse type: comma-separated integers such as 0,2,1 ('' is the empty list), else a usage error (exit 2)."""
     try:
-        return [int(t) for t in text.split(",") if t != ""]
+        return [int(t) for t in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
 

@@ -16,7 +16,8 @@ that rule from all Blue until nothing changes gives the sequential result
 in every lane.  A single given order is the one-lane case, its planes
 read off its positions.  Random restarts draw TRIAL_BLOCK orders at a
 time from a counter-based SplitMix64 stream, itself computed lane-packed
-(one int per vertex that shares an edge, one 128-bit lane per trial).
+(one int per vertex that shares an edge, one 128-bit lane per trial);
+the winning trial's order is sorted from its own one-lane keys.
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -27,7 +28,6 @@ other color.
 from __future__ import annotations
 
 import operator
-import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
@@ -41,7 +41,7 @@ from .hypergraph import Hypergraph, SimplePair, covered_vertices
 # memory stays flat however many trials are asked for.
 TRIAL_BLOCK = 1024
 
-# The stream of _trial_orders, as the Monte Carlo document names it.
+# The stream of _trial_keys, as the Monte Carlo document names it.
 TRIAL_STREAM = "splitmix64-1"
 _GAMMA = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -141,24 +141,6 @@ def _trial_keys(p: int, seed: int, start: int, stop: int, vertices: Iterable[int
         z = ((z ^ z >> 27) & M) * 0x94D049BB133111EB & M
         keys.append((z ^ z >> 31) & M)
     return keys
-
-
-def _trial_orders(p: int, seed: int, start: int, stop: int) -> list[tuple[int, ...]]:
-    """Visit orders of trials start..stop-1: trial t sorts SplitMix64 outputs t*p..t*p+p-1.
-
-    The sort is stable, so equal keys visit the lower vertex first; each
-    trial is reproducible on its own and a block does not depend on the
-    blocks before it.
-    """
-    T = stop - start
-    columns = []
-    for key in _trial_keys(p, seed, start, stop, range(p)):
-        # native order puts each lane's low word first, in lane order, on a
-        # little-endian host, and last, in reverse lane order, on a big-endian one
-        words = memoryview(key.to_bytes(16 * T, sys.byteorder)).cast("Q")
-        columns.append(words[::2] if sys.byteorder == "little" else words[::-2])
-    rows = zip(*columns) if p else [()] * T
-    return [tuple(sorted(range(p), key=row.__getitem__)) for row in rows]
 
 
 @lru_cache(maxsize=64)
@@ -369,5 +351,7 @@ def random_restart_color(
         i = (ones ^ improper).to_bytes(stop - start, "little").find(1)
         if i >= 0:
             blue = sum(1 << v for v in range(H.p) if not red[v] >> 8 * i & 1)
-            return _trial_orders(H.p, seed, start + i, start + i + 1)[0], _coloring(H, blue, len(H.edges))
+            # a one-trial key is the plain SplitMix64 output; the stable sort visits tied keys lower vertex first
+            keys = _trial_keys(H.p, seed, start + i, start + i + 1, range(H.p))
+            return tuple(sorted(range(H.p), key=keys.__getitem__)), _coloring(H, blue, len(H.edges))
     return None

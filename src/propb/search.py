@@ -12,9 +12,9 @@ least m2 of a non-bipartite graph, come from a walk by ascending m2 that
 stops early; only the graphs at or below the bound get the triangle
 test.  Every non-bipartite graph is then checked against the bound
 (m2 >= 6) and the equality characterization (m2 = 6 forces a triangle).
-The census runs in one process on plain ints.  For n >= 3 exhaustive
-enumeration is out of reach, so the run degrades to seeded rejection
-sampling plus the curated fixture suite.
+The census scans each p whole, in one process, on plain ints.  For
+n >= 3 exhaustive enumeration is out of reach, so the run degrades to
+seeded rejection sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells,
@@ -233,31 +233,27 @@ def _column_increments(q: int, deg: int) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(inc), tuple(sorted(range(1 << q), key=inc.__getitem__))
 
 
-def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
-    """Verify one contiguous mask range [lo, hi) of labeled graphs on p vertices.
+def _scan_graphs(p: int) -> dict:
+    """Verify every labeled graph on p vertices.
 
     Vertex 0's p-1 edge slots come first in lexicographic slot order, so
     mask = (h << (p-1)) | N, where h is a labeled graph on vertices 1..p-1
-    and N is vertex 0's neighbourhood.  lo and hi must be multiples of
-    2^(p-1); the range is then the whole rows h in [lo >> (p-1), hi >> (p-1))
-    of all 2^(p-1) columns N.  The counts are popcounts of the rows'
-    bitmaps in :func:`_extension_tables`.  m2(h, N) >= m2(h), so the
-    masks at or below the bound m2 = 6 and the least m2 of a
-    non-bipartite mask come from visiting rows by ascending m2(h), and
-    columns by ascending m2(h, N), until neither can change; only those
-    masks get the triangle test.  Returns the range's counts and masks.
+    and N is vertex 0's neighbourhood: every row h of
+    :func:`_extension_tables` over all 2^(p-1) columns N.  The counts are
+    popcounts of the rows' bitmaps.  m2(h, N) >= m2(h), so the masks at or
+    below the bound m2 = 6 and the least m2 of a non-bipartite mask come
+    from visiting rows by ascending m2(h), and columns by ascending
+    m2(h, N), until neither can change; only those masks get the triangle
+    test.  Returns the counts and masks.
     """
     q = p - 1
-    if (lo | hi) & ((1 << q) - 1):
-        raise ValueError(f"chunk [{lo}, {hi}) is not a run of whole rows of 2^{q} masks")
     deg, m2_h, ext, sey = _extension_tables(q)
-    r0, r1 = lo >> q, hi >> q
     every_column = (1 << (1 << q)) - 1
 
     # least m2 of a non-bipartite mask so far; past the bound only a lower one matters
     best = math.inf
     low = []  # (mask, m2) of every non-bipartite mask with m2 <= 6
-    for h in sorted(range(r0, r1), key=m2_h.__getitem__):
+    for h in sorted(range(len(ext)), key=m2_h.__getitem__):
         if m2_h[h] >= max(best, 7):
             break
         nonbip = every_column & ~ext[h]
@@ -276,15 +272,16 @@ def _scan_graph_chunk(p: int, lo: int, hi: int) -> dict:
 
     # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
     triangles = _triangle_slot_masks(p)
+    graphs = len(ext) << q
     return {
-        "graphs": hi - lo,
-        "non_colorable": ((r1 - r0) << q) - sum(map(int.bit_count, ext[r0:r1])),
+        "graphs": graphs,
+        "non_colorable": graphs - sum(map(int.bit_count, ext)),
         "min_m2_non_colorable": None if best == math.inf else best,
         "equality_masks": [mask for mask, m in low if m == 6],
         "counterexample_masks": [
             mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)
         ],
-        "seymour_violations": sum(map(int.bit_count, sey[r0:r1])),
+        "seymour_violations": sum(map(int.bit_count, sey)),
     }
 
 
@@ -384,8 +381,7 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
         "per_p": [],
     }
     for p in ps:
-        total = 1 << math.comb(p, 2)
-        scan = _scan_graph_chunk(p, 0, total)
+        scan = _scan_graphs(p)
         eq_masks = scan["equality_masks"]
         if scan["counterexample_masks"]:
             H = _graph_from_mask(p, scan["counterexample_masks"][0])
@@ -405,7 +401,7 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
 
         p_summary = {
             "p": p,
-            "graphs": total,
+            "graphs": scan["graphs"],
             "non_colorable": scan["non_colorable"],
             "min_m2_non_colorable": scan["min_m2_non_colorable"],
             "equality_labeled": len(eq_masks),

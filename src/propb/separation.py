@@ -110,9 +110,9 @@ def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def exhaustive_separation_mean(H: Hypergraph, max_vertices: int = 8) -> Fraction:
-    """Exact mean of count_separated over all p! orderings, as a reduced rational."""
-    hist = ordering_histogram(H, max_vertices)
+def exhaustive_separation_mean(H: Hypergraph) -> Fraction:
+    """Exact mean of count_separated over all p! orderings, as a reduced rational (p <= 8)."""
+    hist = ordering_histogram(H)
     return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
 
 

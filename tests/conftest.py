@@ -213,18 +213,18 @@ def mono_slot_masks(p) -> np.ndarray:
     return np.array(masks, dtype=np.int32)
 
 
-def oracle_scan_chunk(p, lo, hi) -> dict:
-    """The census chunk over every mask on its own: int64 degree sums, triangle masks, cut test.
+def oracle_scan(p, lo=0, hi=None) -> dict:
+    """The census scan of p over each mask in [lo, hi) on its own: int64 degree sums, triangle masks, cut test.
 
     Each mask's degrees come from its incidence masks, a triangle from the
     C(p, 3) triangle slot masks, and bipartiteness of a triangle-free mask
     from the 2^(p-1) monochromatic-slot masks of :func:`mono_slot_masks`.
-    Any lo <= hi works.
+    hi defaults to every mask of p; the defaults give the dict of the whole scan.
     """
     E = _edge_slots(p)
     inc = [sum(1 << i for i, e in enumerate(E) if v in e) for v in range(p)]
     # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
-    G = np.arange(lo, hi, dtype=np.int32)
+    G = np.arange(lo, (1 << len(E)) if hi is None else hi, dtype=np.int32)
 
     m2_arr = np.zeros(len(G), dtype=np.int64)
     covered = np.zeros(len(G), dtype=np.int64)

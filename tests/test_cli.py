@@ -102,6 +102,11 @@ class TestColor:
         assert "proper: no" in out
         assert "separated_witness: X=(0, 1) Y=(1, 2) meet=1" in out
 
+    def test_empty_order_on_no_vertices(self, capsys, tmp_path):
+        path = write(tmp_path, "empty.hg", "2 0 0\n")
+        assert main(["color", path, "--order", ""]) == 0
+        assert "proper: yes" in capsys.readouterr().out
+
     def test_single_edge_one_trial(self, capsys, tmp_path):
         path = write(tmp_path, "edge.hg", "2 2 1\n0 1\n")
         code = main(["color", path, "--trials", "1", "--seed", "7"])
@@ -333,6 +338,9 @@ class TestVerify:
         (["color", "{bom}"], "cannot read {bom}: not UTF-8 text"),
         (["mc", "{bom}", "--trials", "1"], "cannot read {bom}: not UTF-8 text"),
         (["enum", "{bom}"], "cannot read {bom}: not UTF-8 text"),
+        (["color", "{k35}", "--order", "0,,1"], "argument --order: invalid comma-separated int list: '0,,1'"),
+        (["color", "{k35}", "--order", ",0,1"], "argument --order: invalid comma-separated int list: ',0,1'"),
+        (["color", "{k35}", "--order", "0,1,"], "argument --order: invalid comma-separated int list: '0,1,'"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):

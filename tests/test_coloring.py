@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 from collections import Counter
 
@@ -15,7 +16,7 @@ from propb.coloring import (
     greedy_color,
     random_restart_color,
     TRIAL_BLOCK,
-    _trial_orders,
+    _trial_keys,
     _trial_planes,
 )
 from propb.errors import InvalidOrdering
@@ -419,12 +420,29 @@ class TestIsolatedVertices:
                 assert _restart_agrees(G, 300, seed)
 
 
+def _lane_words(p, seed, start, stop):
+    """Per vertex, the 64-bit key of each trial start..stop-1, read lane by lane in little-endian byte order."""
+    T = stop - start
+    return [
+        list(struct.unpack(f"<{2 * T}Q", key.to_bytes(16 * T, "little"))[::2])
+        for key in _trial_keys(p, seed, start, stop, range(p))
+    ]
+
+
+def _keyed_orders(p, seed, start, stop):
+    """Visit order of each trial start..stop-1: its vertices by key, ties to the lower vertex."""
+    words = _lane_words(p, seed, start, stop)
+    return [tuple(sorted(range(p), key=lambda v: words[v][i])) for i in range(stop - start)]
+
+
 class TestTrialStream:
     def test_published_splitmix64_vector(self):
         want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
         assert [splitmix64(1234567, k) for k in range(3)] == want
-        # trial 0 at p = 3 visits the vertices in the order of those outputs
-        assert _trial_orders(3, 1234567, 0, 1) == [(1, 0, 2)]
+        # one trial's key is the plain output, and trial 0 at p = 3 visits the vertices in their order
+        assert _trial_keys(3, 1234567, 0, 1, range(3)) == want
+        order, _ = random_restart_color(normalize([], n=2, p=3), max_trials=1, seed=1234567)
+        assert order == (1, 0, 2)
 
     def test_final_step_orders_keys_tied_in_their_top_bits(self):
         # z ^= z >> 31 keeps the top 31 bits, so the last SplitMix64 step
@@ -433,35 +451,42 @@ class TestTrialStream:
         p = 1 << 17
         keys = [splitmix64(0, i) for i in range(p)]
         assert sum(c > 1 for c in Counter(k >> 33 for k in keys).values()) == 2
-        assert _trial_orders(p, 0, 0, 1)[0] == tuple(sorted(range(p), key=keys.__getitem__))
+        assert [w for (w,) in _lane_words(p, 0, 0, 1)] == keys
+        assert _keyed_orders(p, 0, 0, 1)[0] == tuple(sorted(range(p), key=keys.__getitem__))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_matches_scalar_oracle(self, seed):
         for p in (2, 5, 11, 71):
-            got = _trial_orders(p, seed, 40, 60)
+            words = _lane_words(p, seed, 40, 60)
+            assert words == [[splitmix64(seed, t * p + v) for t in range(40, 60)] for v in range(p)]
+            got = _keyed_orders(p, seed, 40, 60)
             assert got == [tuple(oracle_trial_order(p, seed, t)) for t in range(40, 60)]
 
     def test_block_layout_independent(self):
         p, seed = 11, 3
-        whole = _trial_orders(p, seed, 0, 3000)
-        blocks = [_trial_orders(p, seed, a, min(a + 1024, 3000)) for a in range(0, 3000, 1024)]
-        assert [row for block in blocks for row in block] == whole
+        whole = _lane_words(p, seed, 0, 3000)
+        blocks = [_lane_words(p, seed, a, min(a + 1024, 3000)) for a in range(0, 3000, 1024)]
+        assert [sum((block[v] for block in blocks), []) for v in range(p)] == whole
         for t in (0, 1023, 1024, 2999):
-            assert _trial_orders(p, seed, t, t + 1)[0] == whole[t]
+            assert _trial_keys(p, seed, t, t + 1, range(p)) == [words[t] for words in whole]
 
     def test_uniform_over_the_orders_of_four_vertices(self):
         trials = 240_000
-        orders = _trial_orders(4, 0, 0, trials)
+        orders = _keyed_orders(4, 0, 0, trials)
         counts = Counter(orders)
         assert set(counts) == set(itertools.permutations(range(4)))
         sigma = math.sqrt(trials * (1 / 24) * (23 / 24))
         assert all(abs(c - trials / 24) <= 5 * sigma for c in counts.values())
 
     def test_shapes_at_zero_and_one_vertex(self):
-        assert _trial_orders(0, 5, 0, 4) == [()] * 4
-        assert _trial_orders(1, 5, 3, 7) == [(0,)] * 4
+        assert _trial_keys(0, 5, 0, 4, range(0)) == []
+        assert _keyed_orders(0, 5, 0, 4) == [()] * 4
+        assert _lane_words(1, 5, 3, 7) == [[splitmix64(5, t) for t in range(3, 7)]]
+        assert _keyed_orders(1, 5, 3, 7) == [(0,)] * 4
+        assert random_restart_color(normalize([], n=2, p=0), max_trials=4, seed=5)[0] == ()
+        assert random_restart_color(normalize([], n=2, p=1), max_trials=4, seed=5)[0] == (0,)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_refused(self, seed):
         with pytest.raises(ValueError):
-            _trial_orders(3, seed, 0, 1)
+            _trial_keys(3, seed, 0, 1, range(3))

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 
 import pytest
@@ -26,14 +26,14 @@ from propb.search import (
     _class_representatives,
     _edge_slots,
     _extension_tables,
-    _scan_graph_chunk,
+    _scan_graphs,
     canonical_form,
     verify_bound_exhaustive,
     verify_fixture_suite,
 )
 from propb.setpairs import find_clique
 
-from conftest import brute_automorphism_count, is_bipartite, oracle_scan_chunk, random_instances
+from conftest import brute_automorphism_count, is_bipartite, oracle_scan, random_instances
 
 
 def _labeled_graphs(p):
@@ -42,8 +42,8 @@ def _labeled_graphs(p):
         yield Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
 
 
-def reference_chunk(p: int) -> dict:
-    """Slow no-shortcut census of every labeled graph on p vertices, as one scan chunk.
+def reference_scan(p: int) -> dict:
+    """Slow no-shortcut census of every labeled graph on p vertices, as the scan reports it.
 
     Object path throughout: the decider, m2, subset clique search and the
     covered-vertex set, per graph in mask order.
@@ -98,7 +98,7 @@ class TestBipartite:
     def test_scan_cut_test_matches_bfs(self, p):
         # the BFS is the independent oracle for the scan's coloring cut test
         expected = sum(not is_bipartite(H) for H in _labeled_graphs(p))
-        assert _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))["non_colorable"] == expected
+        assert _scan_graphs(p)["non_colorable"] == expected
 
 
 def brute_canonical(H):
@@ -269,7 +269,7 @@ class TestClassRepresentatives:
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_census_equality_masks(self, p):
-        masks = _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))["equality_masks"]
+        masks = _scan_graphs(p)["equality_masks"]
         assert _class_representatives(p, masks) == _per_mask_classes(p, masks)
 
     def test_census_canonicalises_one_graph_per_class(self, monkeypatch):
@@ -283,48 +283,54 @@ class TestClassRepresentatives:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_fast_pass_matches_reference(self, p):
-        fast = _scan_graph_chunk(p, 0, 1 << math.comb(p, 2))
-        slow = reference_chunk(p)
+        fast = _scan_graphs(p)
+        slow = reference_scan(p)
         # every field the census emits, counts and mask lists alike
         assert fast == slow
 
 
-# every p <= 6 as one range, and p = 7 split into eight ranges of 2^18 masks
-_SCAN_CHUNKS = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
+# every p <= 6 as one range, and p = 7 as eight ranges of 2^18 masks
+_SCAN_RANGES = [(p, 0, 1 << math.comb(p, 2)) for p in range(1, 7)] + [
     (7, lo, lo + (1 << 18)) for lo in range(0, 1 << 21, 1 << 18)
 ]
 
 
-@pytest.mark.parametrize("chunk", _SCAN_CHUNKS, ids=[f"p{p}-{lo >> 18}" for p, lo, _ in _SCAN_CHUNKS])
-def test_scan_matches_per_mask_oracle(chunk):
-    # whole dicts, mask lists included
-    assert _scan_graph_chunk(*chunk) == oracle_scan_chunk(*chunk)
+@cache
+def _whole_scan(p):
+    return _scan_graphs(p)
 
 
-def _rows(p, r0, r1):
-    return p, r0 << (p - 1), r1 << (p - 1)
+@cache
+def _oracle_range(p, lo, hi):
+    return oracle_scan(p, lo, hi)
 
 
-# whole-row ranges the census never uses: the early stop of the m2 walk depends on the range
-_ROW_RANGES = {
-    "p5-one-row": _rows(5, 37, 38),
-    "p7-one-row": _rows(7, 12345, 12346),
-    "p7-straddles-chunks-0-1": _rows(7, 4095, 4098),
-    "p6-last-row": _rows(6, 1023, 1024),
-    "p7-last-row": _rows(7, 32767, 32768),
-}
+def _masks_in(scan, lo, hi):
+    return {k: [m for m in v if lo <= m < hi] for k, v in scan.items() if k.endswith("_masks")}
 
 
-@pytest.mark.parametrize("chunk", _ROW_RANGES.values(), ids=_ROW_RANGES.keys())
-def test_scan_of_a_row_range_matches_per_mask_oracle(chunk):
-    assert _scan_graph_chunk(*chunk) == oracle_scan_chunk(*chunk)
+@pytest.mark.parametrize("r", _SCAN_RANGES, ids=[f"p{p}-{lo >> 18}" for p, lo, _ in _SCAN_RANGES])
+def test_scan_matches_per_mask_oracle(r):
+    # the scan's mask lists, cut to the range, against the oracle over that range alone
+    p, lo, hi = r
+    scan, oracle = _whole_scan(p), _oracle_range(*r)
+    assert _masks_in(scan, lo, hi) == _masks_in(oracle, lo, hi)
+    if (lo, hi) == (0, scan["graphs"]):
+        # whole dicts, counts and mask lists alike
+        assert scan == oracle
 
 
-@pytest.mark.parametrize("k", [3, 5, 6])
-def test_p7_chunks_with_nothing_at_the_bound_have_minimum_8(k):
-    # no non-bipartite graph of these chunks is at the bound, so the walk stops on the least m2 it has
-    # found; test_scan_matches_per_mask_oracle compares their whole dicts
-    assert _scan_graph_chunk(7, k << 18, (k + 1) << 18)["min_m2_non_colorable"] == 8
+def test_p7_scan_matches_its_eight_oracle_ranges():
+    # the whole p = 7 dict against the eight ranges of test_scan_matches_per_mask_oracle put together
+    parts = [_oracle_range(*r) for r in _SCAN_RANGES if r[0] == 7]
+    assert _whole_scan(7) == {
+        "graphs": sum(d["graphs"] for d in parts),
+        "non_colorable": sum(d["non_colorable"] for d in parts),
+        "min_m2_non_colorable": min(d["min_m2_non_colorable"] for d in parts if d["min_m2_non_colorable"] is not None),
+        "equality_masks": [m for d in parts for m in d["equality_masks"]],
+        "counterexample_masks": [m for d in parts for m in d["counterexample_masks"]],
+        "seymour_violations": sum(d["seymour_violations"] for d in parts),
+    }
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
@@ -338,11 +344,6 @@ def test_extendable_bit_is_bipartiteness_of_the_row_plus_a_vertex(q):
         for N in range(1 << q):
             G = normalize(h_edges + [(0, v + 1) for v in range(q) if N >> v & 1], n=2, p=q + 1)
             assert bool(bits >> N & 1) == is_bipartite(G), (h, N)
-
-
-def test_scan_rejects_a_chunk_that_splits_a_row():
-    with pytest.raises(ValueError):
-        _scan_graph_chunk(7, 32, 1 << 18)
 
 
 class TestVerifyGraphs:
@@ -465,17 +466,17 @@ _C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
 
 def _census_finds_c5(monkeypatch):
-    """The p = 5 census chunk also reports the 5-cycle, non-bipartite with m2 = 10 and no triangle."""
-    scan = search._scan_graph_chunk
+    """The p = 5 census scan also reports the 5-cycle, non-bipartite with m2 = 10 and no triangle."""
+    scan = search._scan_graphs
     mask = sum(1 << _edge_slots(5).index(e) for e in _C5)
 
-    def with_c5(p, lo, hi):
-        out = scan(p, lo, hi)
+    def with_c5(p):
+        out = scan(p)
         if p == 5:
             out["counterexample_masks"] = [mask, *out["counterexample_masks"]]
         return out
 
-    monkeypatch.setattr(search, "_scan_graph_chunk", with_c5)
+    monkeypatch.setattr(search, "_scan_graphs", with_c5)
 
 
 def _bound_above_every_sample(monkeypatch):
