@@ -28,14 +28,14 @@ other color.
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidOrdering
-from .hypergraph import Hypergraph, SimplePair, covered_vertices
+from .hypergraph import Hypergraph, SimplePair
 
 # Random orders are drawn and evaluated this many trials at a time, so
 # memory stays flat however many trials are asked for.
@@ -257,21 +257,24 @@ def exhaustive_decide(
     symmetrically; an edge left with no uncolored vertex and one color is
     a conflict.  When forcing stops, the search branches Blue-then-Red on
     the uncolored vertex in the most edges not yet holding both colors.
-    The highest-degree covered vertex starts Blue (color-swap symmetry).
-    Covered counts above vertex_budget return UNDETERMINED; uncolored and
-    uncovered vertices are Blue in any returned witness.
+    The highest-degree covered vertex (lowest id on a tie) starts Blue, by
+    color-swap symmetry.  Covered counts above vertex_budget return
+    UNDETERMINED; uncolored and uncovered vertices are Blue in any returned
+    witness.
     """
-    c = len(covered_vertices(H))
-    red = 0
-    if c:
-        if c > vertex_budget:
+    # read off the edges: a mask shift per vertex of range(p) would make this quadratic in p
+    degree = Counter(v for e in H.edges for v in e)
+    colors = [Color.BLUE] * H.p
+    if degree:
+        if len(degree) > vertex_budget:
             return Colorability.UNDETERMINED, None
-        first = max(range(H.p), key=lambda v: sum(m >> v & 1 for m in H.masks))
+        first = min(degree, key=lambda v: (-degree[v], v))
         red = _two_color(H.masks, 1 << first)
         if red is None:
             return Colorability.NO, None
-    colors = tuple(Color.RED if red >> v & 1 else Color.BLUE for v in range(H.p))
-    return Colorability.YES, Coloring(colors=colors, proper=True, violating_edge=None)
+        for v in degree:
+            colors[v] = Color.RED if red >> v & 1 else Color.BLUE
+    return Colorability.YES, Coloring(colors=tuple(colors), proper=True, violating_edge=None)
 
 
 def _two_color(edges, blue: int) -> int | None:

@@ -29,10 +29,6 @@ class BudgetExceeded(PropBError):
     """An enumeration or search would exceed its explicit budget."""
 
 
-class DegenerateBinomial(PropBError):
-    """Set-pair term 1/C(p-|B|, |A|) undefined because |A| > p-|B|."""
-
-
 class EqualityStructureViolated(PropBError):
     """Set-pair sum reached 1 but the forced equality structure is absent.
 

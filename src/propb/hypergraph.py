@@ -108,10 +108,7 @@ def normalize(raw_edges: Iterable[Iterable[int]], n: int, p: int) -> Hypergraph:
 
 def covered_vertices(H: Hypergraph) -> frozenset[int]:
     """Vertices that belong to at least one edge."""
-    cov = 0
-    for m in H.masks:
-        cov |= m
-    return frozenset(v for v in range(H.p) if cov >> v & 1)
+    return frozenset(v for e in H.edges for v in e)
 
 
 def enumerate_simple_pairs(H: Hypergraph) -> list[SimplePair]:

@@ -17,7 +17,7 @@ from . import __version__
 from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
 from .separation import SeparationStats
-from .setpairs import bollobas_family, build_M, evaluate_family, find_clique
+from .setpairs import evaluate_family, find_clique
 
 TOOL_NAME = "propb"
 
@@ -30,7 +30,7 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, dict | None]:
     clique = None
     bollobas = None
     if m2_val == b and verdict is Colorability.NO:
-        bollobas = evaluate_family(bollobas_family(H, build_M(H)))
+        bollobas = evaluate_family(H)
         found = find_clique(H)
         if found is not None:
             clique = sorted(found)

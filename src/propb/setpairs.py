@@ -1,139 +1,102 @@
 """Cross-intersecting set-pair families and complete-subhypergraph detection.
 
-From each selected simple pair (X, Y) the family takes A = X\\Y and
-B = V\\(X union Y).  For a non-2-colorable hypergraph meeting the
-simple-pair bound exactly, the family satisfies Bollobas's two-families
-conditions, its sum hits 1, and the forced equality structure identifies
-the vertex set of a complete n-graph on 2n-1 vertices.
-:func:`evaluate_family` returns that verdict as the report document's
-bollobas section.  :func:`find_clique` finds that complete n-graph in the
-hypergraph itself, by a pruned depth-first search whose work is bounded
-by a budget on the prefixes it visits.
+For each distinct second edge Y the family takes the simple pair (X, Y)
+with the smallest first edge, and from it A = X\\Y and B = V\\(X union Y),
+both int bitsets like the edge masks.  For a non-2-colorable hypergraph
+meeting the simple-pair bound exactly, the family satisfies Bollobas's
+two-families conditions, its sum hits 1, and the forced equality
+structure identifies the vertex set of a complete n-graph on 2n-1
+vertices.  :func:`evaluate_family` returns that verdict as the report
+document's bollobas section.  :func:`find_clique` finds that complete
+n-graph in the hypergraph itself, by a pruned depth-first search whose
+work is bounded by a budget on the prefixes it visits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, DegenerateBinomial, EqualityStructureViolated
-from .hypergraph import Hypergraph, SimplePair, enumerate_simple_pairs
+from .errors import BudgetExceeded, EqualityStructureViolated
+from .hypergraph import Hypergraph, enumerate_simple_pairs
 
 
-class SetPairFamily(namedtuple("SetPairFamily", "ground_size members")):
-    """Indexed (A_i, B_i) pairs over ground set 0..ground_size-1."""
+def _members(H: Hypergraph) -> list[tuple[int, int]]:
+    """(A, B) = (X\\Y, V\\(X union Y)) as bitsets, one per distinct second edge Y in index order.
 
-    __slots__ = ()
-
-
-def build_M(H: Hypergraph) -> list[SimplePair]:
-    """One simple pair per distinct second edge Y, choosing the smallest first edge.
-
-    Ties broken by canonical edge index (lexicographic on sorted vertex
-    lists), so the selection is deterministic.
+    X is Y's smallest first edge by canonical index; the simple pairs come
+    sorted by (first, second), so the first one seen per Y holds it.
     """
-    best: dict[int, SimplePair] = {}
+    first: dict[int, int] = {}
     for sp in enumerate_simple_pairs(H):
-        cur = best.get(sp.second)
-        if cur is None or sp.first < cur.first:
-            best[sp.second] = sp
-    return [best[k] for k in sorted(best)]
+        first.setdefault(sp.second, sp.first)
+    masks, full = H.masks, (1 << H.p) - 1
+    return [(masks[x] & ~masks[y], full & ~(masks[x] | masks[y])) for y, x in sorted(first.items())]
 
 
-def bollobas_family(H: Hypergraph, M: list[SimplePair]) -> SetPairFamily:
-    """A_s = X\\Y and B_s = V\\(X union Y) for each selected pair s = (X, Y)."""
-    ground = frozenset(range(H.p))
-    members = []
-    for sp in M:
-        X = frozenset(H.edges[sp.first])
-        Y = frozenset(H.edges[sp.second])
-        members.append((X - Y, ground - (X | Y)))
-    return SetPairFamily(ground_size=H.p, members=tuple(members))
+def _violations(members: list[tuple[int, int]]) -> list[tuple[str, tuple[int, ...]]]:
+    """Members i with A_i meet B_i nonempty, and pairs i != j with A_j within A_i union B_i, sorted."""
+    violations = [("disjointness", (i,)) for i, (a, b) in enumerate(members) if a & b]
+    for i, (ai, bi) in enumerate(members):
+        violations += [("containment", (i, j)) for j, (aj, _) in enumerate(members) if i != j and not aj & ~(ai | bi)]
+    return sorted(violations)
 
 
-def check_conditions(
-    F: SetPairFamily,
-) -> tuple[bool, list[tuple[str, tuple[int, ...]]]]:
-    """Pairwise disjointness (A_i, B_i) and non-containment A_j not within A_i union B_i.
-
-    Returns (ok, violations); each violation names its kind and the
-    indices involved, sorted for deterministic reporting.
-    """
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    for i, (a, b) in enumerate(F.members):
-        if a & b:
-            violations.append(("disjointness", (i,)))
-    for i, (ai, bi) in enumerate(F.members):
-        blocked = ai | bi
-        for j, (aj, _) in enumerate(F.members):
-            if i != j and aj <= blocked:
-                violations.append(("containment", (i, j)))
-    violations.sort()
-    return not violations, violations
+def _sum(p: int, members: list[tuple[int, int]]) -> Fraction:
+    """Exact sum of 1/C(p-|B_i|, |A_i|); |A_i| <= |X union Y| = p-|B_i| for a family built from H."""
+    return sum((Fraction(1, math.comb(p - b.bit_count(), a.bit_count())) for a, b in members), Fraction(0))
 
 
-def bollobas_sum(F: SetPairFamily) -> Fraction:
-    """Exact rational sum of 1/C(p-|B_i|, |A_i|) over the family."""
-    total = Fraction(0)
-    for i, (a, b) in enumerate(F.members):
-        n_choose = F.ground_size - len(b)
-        if len(a) > n_choose:
-            raise DegenerateBinomial(
-                f"member {i}: |A| = {len(a)} exceeds p - |B| = {n_choose}"
-            )
-        total += Fraction(1, math.comb(n_choose, len(a)))
-    return total
-
-
-def detect_equality_structure(F: SetPairFamily) -> tuple[frozenset[int], frozenset[int]]:
-    """Extract the structure forced at equality: common B, and A_i = all q-subsets of U.
+def _equality_structure(p: int, members: list[tuple[int, int]]) -> tuple[int, int]:
+    """The structure forced at equality: common B, and the A_i are all q-subsets of U = V\\B.
 
     Callers must have established the two conditions and sum == 1; if the
     structure is nonetheless absent the conditions check was buggy, since
     the two-families theorem forbids this combination.
     """
-    if not F.members:
+    if not members:
         raise EqualityStructureViolated("empty family cannot sum to 1")
-    b_sets = {b for _, b in F.members}
+    b_sets = {b for _, b in members}
     if len(b_sets) != 1:
         raise EqualityStructureViolated(f"B sets are not all identical ({len(b_sets)} distinct)")
     (common_b,) = b_sets
-    ground_u = frozenset(range(F.ground_size)) - common_b
-    sizes = {len(a) for a, _ in F.members}
+    ground_u = ((1 << p) - 1) & ~common_b
+    sizes = {a.bit_count() for a, _ in members}
     if len(sizes) != 1:
         raise EqualityStructureViolated(f"A sets have mixed sizes {sorted(sizes)}")
     (q,) = sizes
-    a_sets = {a for a, _ in F.members}
-    if len(a_sets) != len(F.members):
+    a_sets = {a for a, _ in members}
+    if len(a_sets) != len(members):
         raise EqualityStructureViolated("A sets repeat")
-    if any(not a <= ground_u for a in a_sets):
+    if any(a & ~ground_u for a in a_sets):
         raise EqualityStructureViolated("some A set leaves the ground minus B")
-    if len(a_sets) != math.comb(len(ground_u), q):
-        raise EqualityStructureViolated(
-            f"{len(a_sets)} A sets but C({len(ground_u)},{q}) = "
-            f"{math.comb(len(ground_u), q)} {q}-subsets exist"
-        )
+    u = ground_u.bit_count()
+    if len(a_sets) != math.comb(u, q):
+        raise EqualityStructureViolated(f"{len(a_sets)} A sets but C({u},{q}) = {math.comb(u, q)} {q}-subsets exist")
     return common_b, ground_u
 
 
-def evaluate_family(F: SetPairFamily) -> dict:
-    """Conditions, sum and equality detection: the report document's bollobas section.
+def _vertices(mask: int) -> list[int]:
+    """The set bits of mask in increasing order, in time linear in its width."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def evaluate_family(H: Hypergraph) -> dict:
+    """H's set-pair family checked for the conditions, summed and tested for equality: the bollobas section.
 
     The sum stays an exact Fraction; common_B and ground_U are sorted
     vertex lists, or None unless the equality structure holds.
     """
-    ok, violations = check_conditions(F)
-    total = bollobas_sum(F)
-    if ok:
-        assert total <= 1, "two-families sum exceeded 1 despite valid conditions"
-    equality = ok and total == 1
-    common_b = ground_u = None
-    if equality:
-        common_b, ground_u = map(sorted, detect_equality_structure(F))
+    members = _members(H)
+    violations = _violations(members)
+    total = _sum(H.p, members)
+    assert violations or total <= 1, "two-families sum exceeded 1 despite valid conditions"
+    equality = not violations and total == 1
+    common_b, ground_u = map(_vertices, _equality_structure(H.p, members)) if equality else (None, None)
     return {
-        "conditions_ok": ok,
+        "conditions_ok": not violations,
         "violations": [{"kind": kind, "indices": list(idx)} for kind, idx in violations],
         "sum": total,
         "equality": equality,

@@ -125,6 +125,49 @@ def second_meet_collisions(H) -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
+def brute_bollobas_section(H) -> dict:
+    """The report's bollobas section by frozensets: the evaluate_family oracle.
+
+    Per distinct second edge Y, the least first edge X over literal set
+    intersections gives A = X\\Y and B = V\\(X union Y); both conditions
+    are subset tests, and at equality every |A|-subset of U = V\\B must be
+    an A set, as the two-families theorem forces.
+    """
+    first: dict[int, int] = {}
+    for i, j, _ in brute_simple_pairs(H):
+        first[j] = min(i, first.get(j, i))
+    ground = frozenset(range(H.p))
+    members = []
+    for y in sorted(first):
+        X, Y = frozenset(H.edges[first[y]]), frozenset(H.edges[y])
+        members.append((X - Y, ground - (X | Y)))
+    violations = [("disjointness", (i,)) for i, (a, b) in enumerate(members) if a & b]
+    violations += [
+        ("containment", (i, j))
+        for i, (ai, bi) in enumerate(members)
+        for j, (aj, _) in enumerate(members)
+        if i != j and aj <= ai | bi
+    ]
+    violations.sort()
+    total = sum((Fraction(1, math.comb(H.p - len(b), len(a))) for a, b in members), Fraction(0))
+    equality = not violations and total == 1
+    common_b = ground_u = None
+    if equality:
+        (common_b,) = {b for _, b in members}
+        ground_u = ground - common_b
+        q = len(members[0][0])
+        assert {a for a, _ in members} == set(map(frozenset, itertools.combinations(ground_u, q)))
+        common_b, ground_u = sorted(common_b), sorted(ground_u)
+    return {
+        "conditions_ok": not violations,
+        "violations": [{"kind": kind, "indices": list(idx)} for kind, idx in violations],
+        "sum": total,
+        "equality": equality,
+        "common_B": common_b,
+        "ground_U": ground_u,
+    }
+
+
 def brute_clique(H) -> frozenset[int] | None:
     """Lexicographically first (2n-1)-set of covered vertices whose n-subsets are all edges, by scanning every such set."""
     edges = set(H.edges)

@@ -37,7 +37,7 @@ from propb.hypergraph import (
 from propb.report import monte_carlo_section, to_json
 from propb.search import verify_bound_exhaustive
 from propb.separation import count_separated, monte_carlo_separation
-from propb.setpairs import bollobas_family, build_M, evaluate_family, find_clique
+from propb.setpairs import evaluate_family, find_clique
 
 from conftest import brute_ordering_histogram, brute_separates, enumerate_separation_probability, random_ordering
 
@@ -128,7 +128,7 @@ def test_criterion_5_extremal_pipeline():
                 verdict, _ = exhaustive_decide(H)
                 assert verdict is Colorability.NO
                 assert m2(H) == bound(n)
-                v = evaluate_family(bollobas_family(H, build_M(H)))
+                v = evaluate_family(H)
                 assert v["conditions_ok"] and not v["violations"]
                 assert v["sum"] == Fraction(1)
                 assert v["equality"] and v["ground_U"] is not None

@@ -10,7 +10,7 @@ import propb
 from propb.cli import main
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, pad
-from propb.setpairs import bollobas_family, build_M, evaluate_family
+from propb.setpairs import evaluate_family
 
 
 def write(tmp_path, name, text):
@@ -88,7 +88,7 @@ class TestAnalyze:
         path = write(tmp_path, "padded.hg", render(H))
         code, doc = run_json(capsys, ["analyze", path, "--json", "--deterministic"])
         assert code == 0
-        v = evaluate_family(bollobas_family(H, build_M(H)))
+        v = evaluate_family(H)
         assert isinstance(v["sum"], Fraction)
         encoded = {"num": v["sum"].numerator, "den": v["sum"].denominator}
         assert {**v, "sum": encoded} == doc["bollobas"]

@@ -20,7 +20,6 @@ from propb.hypergraph import (
     seymour_check,
 )
 from propb.separation import SeparationStats
-from propb.setpairs import SetPairFamily
 
 from conftest import brute_simple_pairs, random_instances
 
@@ -75,7 +74,6 @@ class TestRecords:
             "trials": SeparationStats(
                 trials=2, mean_separated=Fraction(1, 2), success_rate=Fraction(0), histogram={0: 1, 1: 1}
             ),
-            "members": SetPairFamily(ground_size=3, members=((frozenset({0}), frozenset({2})),)),
         }
 
     def test_built_by_keyword_and_immutable(self):
@@ -92,7 +90,6 @@ class TestRecords:
         assert (r["first"].first, r["first"].second, r["first"].meet) == (0, 1, 2)
         assert r["separated_witness"].coloring.proper is True
         assert r["trials"].mean_separated == Fraction(1, 2) and r["trials"].histogram == {0: 1, 1: 1}
-        assert r["members"].ground_size == 3 and len(r["members"].members) == 1
 
     def test_hypergraph_equality_and_hash(self):
         a = Hypergraph(n=2, p=3, edges=((0, 1), (1, 2)))

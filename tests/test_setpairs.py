@@ -5,161 +5,198 @@ from itertools import combinations
 
 import pytest
 
-from propb.errors import BudgetExceeded, DegenerateBinomial, EqualityStructureViolated
+from propb.errors import BudgetExceeded, EqualityStructureViolated
 from propb.hypergraph import (
     bound,
     complete_hypergraph,
     enumerate_simple_pairs,
+    fano_plane,
     m2,
     normalize,
     pad,
     random_hypergraph,
     relabel,
 )
-from propb.setpairs import (
-    SetPairFamily,
-    bollobas_family,
-    bollobas_sum,
-    build_M,
-    check_conditions,
-    detect_equality_structure,
-    evaluate_family,
-    find_clique,
-)
+from propb.setpairs import _equality_structure, _members, _sum, _violations, evaluate_family, find_clique
 
-from conftest import brute_clique, planted_instance, random_instances, second_meet_collisions
+from conftest import (
+    brute_bollobas_section,
+    brute_clique,
+    planted_instance,
+    random_instances,
+    second_meet_collisions,
+)
 
 
 class TestBuildM:
+    """One (A, B) bitset pair per distinct second edge, from its smallest first edge."""
+
     def test_k35_one_per_second_edge(self, k35):
-        M = build_M(k35)
-        assert len(M) == 10
-        seconds = [sp.second for sp in M]
-        assert seconds == sorted(range(10))
+        members = _members(k35)
+        assert len(members) == 10
+        pairs = enumerate_simple_pairs(k35)
+        seconds = sorted({sp.second for sp in pairs})
+        assert seconds == list(range(10))
         # each second edge picks its canonically smallest first edge
-        for sp in M:
-            firsts = [q.first for q in enumerate_simple_pairs(k35) if q.second == sp.second]
-            assert sp.first == min(firsts)
+        for (a, b), y in zip(members, seconds):
+            x = min(q.first for q in pairs if q.second == y)
+            assert a == k35.masks[x] & ~k35.masks[y]
+            assert b == ((1 << k35.p) - 1) & ~(k35.masks[x] | k35.masks[y])
 
     def test_disjoint_empty(self, disjoint_edges):
-        assert build_M(disjoint_edges) == []
+        assert _members(disjoint_edges) == []
 
     def test_triangle_three(self, triangle):
-        assert len(build_M(triangle)) == 3
+        assert len(_members(triangle)) == 3
 
     def test_extremal_selection_size(self, k35, triangle):
         for H in (triangle, k35):
-            assert len(build_M(H)) >= math.ceil(m2(H) / H.n)
+            assert len(_members(H)) >= math.ceil(m2(H) / H.n)
 
 
 class TestBollobasFamily:
     def test_k35_member_shapes(self, k35):
-        F = bollobas_family(k35, build_M(k35))
-        assert F.ground_size == 5
-        for a, b in F.members:
-            assert len(a) == 2 and len(b) == 0
+        for a, b in _members(k35):
+            assert a.bit_count() == 2 and b == 0
+            assert a >> k35.p == 0
 
     def test_padded_common_b(self, k35):
         padded = pad(k35, 3, 1)
-        F = bollobas_family(padded, build_M(padded))
-        for a, b in F.members:
-            assert b == frozenset({5, 6, 7})
+        for a, b in _members(padded):
+            assert b == 0b111 << 5
 
     def test_triangle_member(self, triangle):
-        M = build_M(triangle)
-        F = bollobas_family(triangle, M)
-        for (a, b), sp in zip(F.members, M):
-            X = set(triangle.edges[sp.first])
-            Y = set(triangle.edges[sp.second])
-            assert a == X - Y and b == set()
+        pairs = enumerate_simple_pairs(triangle)
+        for (a, b), y in zip(_members(triangle), sorted({sp.second for sp in pairs})):
+            x = min(q.first for q in pairs if q.second == y)
+            X, Y = set(triangle.edges[x]), set(triangle.edges[y])
+            assert a == sum(1 << v for v in X - Y) and b == 0
 
 
 class TestConditions:
     def test_k35_family_ok(self, k35):
-        ok, violations = check_conditions(bollobas_family(k35, build_M(k35)))
-        assert ok and violations == []
+        assert _violations(_members(k35)) == []
 
     def test_disjointness_violation(self):
-        F = SetPairFamily(ground_size=1, members=((frozenset({0}), frozenset({0})),))
-        ok, violations = check_conditions(F)
-        assert not ok
+        violations = _violations([(0b1, 0b1)])
+        assert violations
         assert ("disjointness", (0,)) in violations
 
     def test_containment_violation(self):
-        member = (frozenset({0}), frozenset())
-        F = SetPairFamily(ground_size=2, members=(member, member))
-        ok, violations = check_conditions(F)
-        assert not ok
+        member = (0b1, 0)
+        violations = _violations([member, member])
+        assert violations
         assert ("containment", (0, 1)) in violations and ("containment", (1, 0)) in violations
+
+    def test_violations_sorted(self):
+        # containment sorts before disjointness, each kind by its indices
+        violations = _violations([(0b1, 0b1), (0b1, 0)])
+        assert violations == [("containment", (0, 1)), ("containment", (1, 0)), ("disjointness", (0,))]
 
 
 class TestBollobasSum:
     def test_k35_exactly_one(self, k35):
-        F = bollobas_family(k35, build_M(k35))
-        assert bollobas_sum(F) == Fraction(1)
+        assert _sum(k35.p, _members(k35)) == Fraction(1)
+        assert evaluate_family(k35)["sum"] == Fraction(1)
 
     def test_single_member(self):
-        F = SetPairFamily(ground_size=3, members=((frozenset({0}), frozenset()),))
-        assert bollobas_sum(F) == Fraction(1, 3)
+        assert _sum(3, [(0b1, 0)]) == Fraction(1, 3)
 
-    def test_degenerate(self):
-        F = SetPairFamily(ground_size=2, members=((frozenset({0, 1}), frozenset({0})),))
-        with pytest.raises(DegenerateBinomial):
-            bollobas_sum(F)
+    def test_empty_family_sums_to_fraction_zero(self):
+        total = _sum(4, [])
+        assert total == 0 and isinstance(total, Fraction)
 
     def test_relabel_invariant(self, k35):
         rng = random.Random(3)
         padded = pad(k35, 4, 1)
-        base = bollobas_sum(bollobas_family(padded, build_M(padded)))
+        base = evaluate_family(padded)["sum"]
         for _ in range(5):
             mapping = list(range(padded.p))
             rng.shuffle(mapping)
-            G = relabel(padded, mapping)
-            assert bollobas_sum(bollobas_family(G, build_M(G))) == base
+            assert evaluate_family(relabel(padded, mapping))["sum"] == base
 
     def test_at_most_one_when_conditions_hold(self):
         # theorem-level sanity over random extremal-free selections
         for H in random_instances(30, seed=77, p_max=9):
-            M = build_M(H)
-            if not M:
+            members = _members(H)
+            if not members:
                 continue
-            F = bollobas_family(H, M)
-            ok, _ = check_conditions(F)
-            if ok:
-                assert bollobas_sum(F) <= 1
+            if not _violations(members):
+                assert _sum(H.p, members) <= 1
 
 
 class TestEqualityStructure:
     def test_k35(self, k35):
-        F = bollobas_family(k35, build_M(k35))
-        common_b, ground_u = detect_equality_structure(F)
-        assert common_b == frozenset()
-        assert ground_u == frozenset(range(5))
+        common_b, ground_u = _equality_structure(k35.p, _members(k35))
+        assert common_b == 0
+        assert ground_u == 0b11111
 
     def test_padded(self, k35):
         padded = pad(k35, 3, 1)
-        F = bollobas_family(padded, build_M(padded))
-        common_b, ground_u = detect_equality_structure(F)
-        assert common_b == frozenset({5, 6, 7})
-        assert len(ground_u) == 5
+        common_b, ground_u = _equality_structure(padded.p, _members(padded))
+        assert common_b == 0b111 << 5
+        assert ground_u.bit_count() == 5
 
     def test_violation_detected_on_bogus_family(self):
-        member = (frozenset({0}), frozenset())
-        F = SetPairFamily(ground_size=2, members=(member, member))
-        with pytest.raises(EqualityStructureViolated):
-            detect_equality_structure(F)
+        member = (0b1, 0)
+        with pytest.raises(EqualityStructureViolated, match="A sets repeat"):
+            _equality_structure(2, [member, member])
+
+    @pytest.mark.parametrize(
+        "p, members, message",
+        [
+            (2, [], "empty family"),
+            (3, [(0b1, 0), (0b10, 0b100)], "not all identical"),
+            (3, [(0b1, 0), (0b110, 0)], "mixed sizes"),
+            (1, [(0b1, 0b1)], "leaves the ground"),
+            (3, [(0b1, 0)], r"1 A sets but C\(3,1\) = 3"),
+        ],
+    )
+    def test_each_missing_structure_raises(self, p, members, message):
+        with pytest.raises(EqualityStructureViolated, match=message):
+            _equality_structure(p, members)
 
     def test_evaluate_family_full_verdict(self, k35):
-        v = evaluate_family(bollobas_family(k35, build_M(k35)))
+        v = evaluate_family(k35)
         assert v["conditions_ok"] and v["equality"]
         assert v["sum"] == 1
         assert v["common_B"] == []
         assert v["ground_U"] == list(range(5))
 
     def test_evaluate_family_non_extremal(self, fano):
-        v = evaluate_family(bollobas_family(fano, build_M(fano)))
+        v = evaluate_family(fano)
         assert not v["equality"] or not v["conditions_ok"]
         assert v["common_B"] is None and v["ground_U"] is None
+
+
+def oracle_inputs() -> list:
+    """Random instances, the extremal fixtures, Fano and an overlapping tail, each extremal one also relabelled."""
+    rng = random.Random(19)
+    extremal = [
+        H
+        for n in (2, 3, 4)
+        for H in (complete_hypergraph(n), pad(complete_hypergraph(n), n, 1), pad(complete_hypergraph(n), n + 2, 1))
+    ]
+    extremal.append(normalize([*combinations(range(5), 3), (5, 6, 7), (6, 7, 8)], n=3, p=9))
+    inputs = random_instances(600, seed=19, n_choices=(2, 3, 4), p_max=9)
+    for H in [*extremal, fano_plane()]:
+        inputs.append(H)
+        for _ in range(5):
+            mapping = list(range(H.p))
+            rng.shuffle(mapping)
+            inputs.append(relabel(H, mapping))
+    return inputs
+
+
+class TestEvaluateFamilyOracle:
+    def test_matches_frozenset_chain(self):
+        inputs = oracle_inputs()
+        assert len(inputs) >= 656
+        sections = [evaluate_family(H) for H in inputs]
+        assert sum(v["equality"] for v in sections) >= 60
+        assert sum(bool(v["violations"]) for v in sections) >= 100
+        for H, v in zip(inputs, sections):
+            assert v == brute_bollobas_section(H), H
 
 
 class TestMeetCollisions:
@@ -266,7 +303,7 @@ class TestEndToEndExtremal:
             K = complete_hypergraph(n)
             for H in (K, pad(K, n, 1), pad(K, n + 2, 1)):
                 assert m2(H) == bound(n)
-                v = evaluate_family(bollobas_family(H, build_M(H)))
+                v = evaluate_family(H)
                 assert v["conditions_ok"]
                 assert v["sum"] == 1
                 assert v["equality"]
@@ -279,7 +316,7 @@ class TestEndToEndExtremal:
         edges = list(combinations(range(5), 3)) + [(5, 6, 7), (6, 7, 8)]
         H = normalize(edges, n=3, p=9)
         assert m2(H) == bound(3) == 30
-        v = evaluate_family(bollobas_family(H, build_M(H)))
+        v = evaluate_family(H)
         assert v["conditions_ok"] and v["equality"]
         assert v["common_B"] == [5, 6, 7, 8]
         assert sorted(find_clique(H)) == v["ground_U"] == list(range(5))

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import propb
+from propb import errors
 
 # count_separated is the one-lane kernel the README documents for general
 # hypergraphs; no command calls it.
@@ -47,3 +48,25 @@ def test_every_public_name_is_referenced_in_the_package():
 def test_every_private_name_is_referenced_in_the_package():
     # a helper orphaned by a deleted caller fails here
     assert {name: module for name, module in _unreferenced().items() if name.startswith("_")} == {}
+
+
+def _raised() -> set[str]:
+    """Names of the exception classes that some `raise` statement in src/propb raises."""
+    out = set()
+    for path in Path(propb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    out.add(exc.id)
+    return out
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # an error type no code path raises documents a failure no caller can meet
+    declared = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.PropBError) and obj is not errors.PropBError
+    }
+    assert declared and declared - _raised() == set()
