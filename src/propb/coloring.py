@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidOrdering
-from .hypergraph import Hypergraph, SimplePair
+from .hypergraph import Hypergraph, SimplePair, covered_vertices
 
 # Random orders are drawn and evaluated this many trials at a time, so
 # memory stays flat however many trials are asked for.
@@ -95,18 +95,17 @@ def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
     """
     order = check_order(order, H.p)
     red = _greedy_red(H, _order_planes(H, order), 1, order)
-    blue = sum(1 << v for v in range(H.p) if not red[v])
     violating = next((ei for ei, e in enumerate(H.edges) if all(red[v] for v in e)), len(H.edges))
-    coloring = _coloring(H, blue, violating)
+    coloring = _coloring(H, red, 0, violating)
 
     witness = None
     if not coloring.proper:
-        assert blue & H.masks[violating] == 0, "greedy rule never completes an all-Blue edge"
+        assert all(red[v] for v in H.edges[violating]), "greedy rule never completes an all-Blue edge"
         if H.n >= 2:
             pos = {v: k for k, v in enumerate(order)}
             y = min(H.edges[violating], key=pos.__getitem__)
             for ei, e in enumerate(H.edges):
-                if y in e and all(blue >> u & 1 and pos[u] < pos[y] for u in e if u != y):
+                if y in e and all(not red[u] and pos[u] < pos[y] for u in e if u != y):
                     witness = SimplePair(first=ei, second=violating, meet=y)
                     break
             assert witness is not None, "a Red vertex always has a completing edge"
@@ -240,10 +239,14 @@ def _all_of(planes: list[int], ones: int) -> int:
     return ones
 
 
-def _coloring(H: Hypergraph, blue: int, violating: int) -> Coloring:
-    colors = tuple(Color.BLUE if blue >> v & 1 else Color.RED for v in range(H.p))
+def _coloring(H: Hypergraph, red: list[int], lane: int, violating: int) -> Coloring:
+    """The Coloring in one byte lane of the Red lanes, read off the covered vertices: linear in p."""
+    colors = [Color.BLUE] * H.p
+    for v in covered_vertices(H):
+        if red[v] >> 8 * lane & 1:
+            colors[v] = Color.RED
     proper = violating == len(H.edges)
-    return Coloring(colors=colors, proper=proper, violating_edge=None if proper else violating)
+    return Coloring(colors=tuple(colors), proper=proper, violating_edge=None if proper else violating)
 
 
 def exhaustive_decide(
@@ -353,8 +356,7 @@ def random_restart_color(
                 break
         i = (ones ^ improper).to_bytes(stop - start, "little").find(1)
         if i >= 0:
-            blue = sum(1 << v for v in range(H.p) if not red[v] >> 8 * i & 1)
             # a one-trial key is the plain SplitMix64 output; the stable sort visits tied keys lower vertex first
             keys = _trial_keys(H.p, seed, start + i, start + i + 1, range(H.p))
-            return tuple(sorted(range(H.p), key=keys.__getitem__)), _coloring(H, blue, len(H.edges))
+            return tuple(sorted(range(H.p), key=keys.__getitem__)), _coloring(H, red, i, len(H.edges))
     return None

@@ -3,18 +3,16 @@
 For n = 2 every labeled graph on up to max_p vertices is enumerated as a
 bitmask over the C(p, 2) edge slots of the complete graph.  Vertex 0's
 slots come first, so each mask is a graph h on the other p-1 vertices
-plus vertex 0's neighbourhood N.  Tables over every h hold Python-int
-bitsets over the columns N: which N a proper 2-coloring of h can put on
-one side (so which graphs are bipartite), and which graphs have fewer
-edges than covered vertices; popcounts of them give the counts.
+plus vertex 0's neighbourhood N.  Byte lanes over every h (one byte per
+row, built with bytes.translate and int.from_bytes sums) hold degrees and
+m2(h); per h, a Python-int bitset over the columns N marks which N a
+proper 2-coloring of h can put on one side, so which graphs are bipartite.
 m2 never falls when N grows, so the graphs at or below the bound, and the
 least m2 of a non-bipartite graph, come from a walk by ascending m2 that
-stops early; only the graphs at or below the bound get the triangle
-test.  Every non-bipartite graph is then checked against the bound
-(m2 >= 6) and the equality characterization (m2 = 6 forces a triangle).
-The census scans each p whole, in one process, on plain ints.  For
-n >= 3 exhaustive enumeration is out of reach, so the run degrades to
-seeded rejection sampling plus the curated fixture suite.
+stops early; only those graphs get the triangle test, which with the
+bound (m2 >= 6) checks the equality characterization (m2 = 6 forces a
+triangle).  For n >= 3 exhaustive enumeration is out of reach, so the run
+degrades to seeded rejection sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells,
@@ -32,7 +30,7 @@ import random
 from collections import Counter
 from collections.abc import Callable, Collection
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, compress, permutations, product
 
 from .coloring import Colorability, exhaustive_decide
 from .errors import BudgetExceeded, CounterexampleFound, FixtureFailure
@@ -152,36 +150,51 @@ def _edge_slots(p: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=16)
 def _triangle_slot_masks(p: int) -> tuple[int, ...]:
-    E = _edge_slots(p)
-    slot = {e: i for i, e in enumerate(E)}
-    masks = []
-    for a, b, c in combinations(range(p), 3):
-        masks.append((1 << slot[(a, b)]) | (1 << slot[(a, c)]) | (1 << slot[(b, c)]))
-    return tuple(masks)
+    slot = {e: 1 << i for i, e in enumerate(_edge_slots(p))}
+    return tuple(slot[a, b] | slot[a, c] | slot[b, c] for a, b, c in combinations(range(p), 3))
+
+
+def _below(t) -> bytes:
+    """ASCII translate table: b"1" for a byte below t, b"0" for the rest."""
+    t = min(t, 256)
+    return b"1" * t + b"0" * (256 - t)
 
 
 @lru_cache(maxsize=8)
 def _extension_tables(q: int):
-    """Per labeled graph h on q <= 6 vertices: packed degrees, m2, and bitmaps over N.
+    """Per labeled graph h on q <= 6 vertices: degree and m2 byte lanes, bitmaps over N, the Seymour count.
 
-    Returns (deg, m2_h, ext, sey), each indexed by h:
-    - deg[h] packs h's degree vector 4 bits per vertex (vertex v at bit 4v);
-    - m2_h[h] is m2(h);
-    - ext[h] is a 2^q-bit int whose bit N is set iff some proper
-      2-coloring of h puts every vertex of N on one side, that is, iff the
-      graph h plus a vertex adjacent to N is bipartite;
-    - sey[h] has bit N set iff that graph is non-bipartite and has fewer
-      edges than covered vertices.
+    deg[q*h : q*h + q] is h's degree vector and m2_h[h] is m2(h); bit N of
+    ext[h] is set iff h plus a vertex adjacent to N is bipartite, that is,
+    iff a proper 2-coloring of h puts all of N on one side; seymour counts
+    the non-bipartite (h, N) with fewer edges than covered vertices.  Lanes
+    are doubled over the slots with bytes.translate and summed over
+    vertices as ints; the q <= 6 guard bounds the rows at 2^15 and keeps
+    every lane below 256 (deg <= 5, m2 <= 120), so no sum carries.
     """
     if q > 6:
         raise ValueError(f"the tables hold 2^C(q, 2) rows, at most 2^15 at q <= 6; got q = {q}")
     E = _edge_slots(q)
+    rows = 1 << len(E)
+    plus_one = bytes(range(1, 256)) + b"\0"
     # doubling over the slots: row h | 1 << i is row h plus edge E[i]
-    deg, m2_h, cov = [0], [0], [0]
+    lanes, edges = [b"\0"] * q, b"\0"
     for u, v in E:
-        m2_h += [m + 2 * ((d >> 4 * u & 15) + (d >> 4 * v & 15)) for m, d in zip(m2_h, deg)]
-        deg += [d + (1 << 4 * u) + (1 << 4 * v) for d in deg]
-        cov += [c | 1 << u | 1 << v for c in cov]
+        lanes = [lane + lane.translate(plus_one) if w in (u, v) else lane * 2 for w, lane in enumerate(lanes)]
+        edges += edges.translate(plus_one)
+    deg = bytearray(q * rows)
+    for v, lane in enumerate(lanes):
+        deg[v::q] = lane
+
+    pairs = bytes(d * (d - 1) for d in range(6)).ljust(256, b"\0")
+    m2_h = sum(int.from_bytes(lane.translate(pairs), "little") for lane in lanes).to_bytes(rows, "little")
+    covers = [int.from_bytes(lane.translate(b"\0" + b"\1" * 255), "little") for lane in lanes]
+    # 16 + |cov(h)| - e(h), in 1..22: at least 16 iff e(h) <= |cov(h)|, and then in 16..19, as e(h) >= |cov(h)| / 2
+    ones = int.from_bytes(b"\1" * rows, "little")
+    room = sum(covers) + 16 * ones - int.from_bytes(edges, "little")
+    picked = room.to_bytes(rows, "little").translate(bytes(16) + b"\1" * 240)
+    # the key c | slack << 6 of a picked row: c its cover mask, slack = |cov(h)| - e(h), the low bits of room
+    keys = (sum(b << v for v, b in enumerate(covers)) | (room & 3 * ones) << 6).to_bytes(rows, "little")
 
     # down[S] has bit N set for every N inside S
     down = [1]
@@ -190,7 +203,7 @@ def _extension_tables(q: int):
     full = (1 << q) - 1
     # S and its complement are one 2-coloring, so S runs over the sets without vertex q-1;
     # it colors h properly iff h lies inside the slots S cuts
-    ext = [0] * len(deg)
+    ext = [0] * rows
     for S in range(1 << max(q - 1, 0)):
         cut = sum(1 << i for i, (u, v) in enumerate(E) if (S >> u ^ S >> v) & 1)
         sides = down[S] | down[full ^ S]
@@ -203,34 +216,41 @@ def _extension_tables(q: int):
 
     # (h, N) has e(h) + |N| edges and |cov(h) | N| + (N != 0) covered vertices, so it
     # falls short iff N != 0 and |N & cov(h)| <= |cov(h)| - e(h), or N = 0 and e(h) < |cov(h)|
-    short_columns: dict[tuple[int, int], int] = {}
-    sey = []
-    for h, (c, x) in enumerate(zip(cov, ext)):
-        slack = c.bit_count() - h.bit_count()
-        if slack < 0:
-            sey.append(0)
-            continue
-        if (c, slack) not in short_columns:
-            short_columns[c, slack] = int(slack > 0) | sum(
-                1 << N for N in range(1, full + 1) if (N & c).bit_count() <= slack
-            )
-        sey.append(short_columns[c, slack] & ~x)
-    return tuple(deg), tuple(m2_h), tuple(ext), tuple(sey)
+    short_columns = {}
+    for key in set(compress(keys, picked)):
+        c, slack = key & 63, key >> 6
+        meets = sum(m for v, m in enumerate(_column_lanes(q)[1]) if c >> v & 1).to_bytes(1 << q, "big")
+        short_columns[key] = int(meets.translate(_below(slack + 1)), 2) & ~1 | (slack > 0)
+    seymour = sum((short_columns[k] & ~x).bit_count() for k, x in zip(compress(keys, picked), compress(ext, picked)))
+    return bytes(deg), m2_h, tuple(ext), seymour
+
+
+def _rows_by_m2(m2_h: bytes):
+    """Rows h by ascending m2(h), ties by ascending h: one bytes.find pass per m2 value."""
+    for value in range(256):
+        h = m2_h.find(value)
+        while h >= 0:
+            yield h
+            h = m2_h.find(value, h + 1)
+
+
+@lru_cache(maxsize=8)
+def _column_lanes(q: int) -> tuple[int, list[int]]:
+    """Over the columns N, one byte each at 256^N: |N| (|N| - 1), and per vertex v whether v is in N."""
+    base = int.from_bytes(bytes(N.bit_count() * (N.bit_count() - 1) for N in range(1 << q)), "little")
+    return base, [int.from_bytes(bytes(N >> v & 1 for N in range(1 << q)), "little") for v in range(q)]
 
 
 @lru_cache(maxsize=4096)
-def _column_increments(q: int, deg: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """m2(h, N) - m2(h) for every column N, and the columns by ascending increment.
+def _column_increments(deg: bytes) -> bytes:
+    """m2(h, N) - m2(h) per column N, one byte each, big-endian so int(..., 2) of a translate puts N at bit N.
 
-    deg is row h's packed degree vector.  Vertex 0 adds |N| (|N| - 1) pairs
-    at itself and each neighbour v's d(d - 1) term grows by 2 deg_h(v), so
-    adding vertex j to an N inside 0..j-1 adds 2 |N| + 2 deg_h(j).
+    Vertex 0 adds |N| (|N| - 1) pairs and each neighbour v's d(d - 1) term
+    grows by 2 deg_h(v): base + sum over v of 2 deg_h(v) [v in N], at most 90.
     """
-    inc = [0]
-    for j in range(q):
-        dj = 2 * (deg >> 4 * j & 15)
-        inc += [s + dj + 2 * N.bit_count() for N, s in enumerate(inc)]
-    return tuple(inc), tuple(sorted(range(1 << q), key=inc.__getitem__))
+    q = len(deg)
+    base, members = _column_lanes(q)
+    return (base + 2 * sum(d * m for d, m in zip(deg, members))).to_bytes(1 << q, "big")
 
 
 def _scan_graphs(p: int) -> dict:
@@ -239,35 +259,34 @@ def _scan_graphs(p: int) -> dict:
     Vertex 0's p-1 edge slots come first in lexicographic slot order, so
     mask = (h << (p-1)) | N, where h is a labeled graph on vertices 1..p-1
     and N is vertex 0's neighbourhood: every row h of
-    :func:`_extension_tables` over all 2^(p-1) columns N.  The counts are
-    popcounts of the rows' bitmaps.  m2(h, N) >= m2(h), so the masks at or
-    below the bound m2 = 6 and the least m2 of a non-bipartite mask come
-    from visiting rows by ascending m2(h), and columns by ascending
-    m2(h, N), until neither can change; only those masks get the triangle
-    test.  Returns the counts and masks.
+    :func:`_extension_tables` over all 2^(p-1) columns N.  m2(h, N) >=
+    m2(h), so the masks at or below the bound m2 = 6 and the least m2 of a
+    non-bipartite mask come from visiting rows by ascending m2(h), each
+    row's columns under the limit as one bitmap, until neither can change;
+    only those masks get the triangle test.  Returns the counts and masks.
     """
     q = p - 1
-    deg, m2_h, ext, sey = _extension_tables(q)
+    deg, m2_h, ext, seymour = _extension_tables(q)
     every_column = (1 << (1 << q)) - 1
 
     # least m2 of a non-bipartite mask so far; past the bound only a lower one matters
     best = math.inf
     low = []  # (mask, m2) of every non-bipartite mask with m2 <= 6
-    for h in sorted(range(len(ext)), key=m2_h.__getitem__):
+    for h in _rows_by_m2(m2_h):
         if m2_h[h] >= max(best, 7):
             break
         nonbip = every_column & ~ext[h]
         if not nonbip:
             continue
-        inc, order = _column_increments(q, deg[h])
-        for N in order:
-            m = m2_h[h] + inc[N]
-            if m >= max(best, 7):
-                break
-            if nonbip >> N & 1:
-                best = min(best, m)
-                if m <= 6:
-                    low.append((h << q | N, m))
+        inc = _column_increments(deg[q * h : q * h + q])
+        under = int(inc.translate(_below(max(best, 7) - m2_h[h])), 2) & nonbip
+        while under:
+            N = under.bit_length() - 1
+            under ^= 1 << N
+            m = m2_h[h] + inc[-1 - N]
+            best = min(best, m)
+            if m <= 6:
+                low.append((h << q | N, m))
     low.sort()
 
     # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
@@ -281,13 +300,12 @@ def _scan_graphs(p: int) -> dict:
         "counterexample_masks": [
             mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)
         ],
-        "seymour_violations": sum(map(int.bit_count, sey)),
+        "seymour_violations": seymour,
     }
 
 
 def _graph_from_mask(p: int, mask: int) -> Hypergraph:
-    E = _edge_slots(p)
-    return Hypergraph(n=2, p=p, edges=tuple(E[i] for i in range(len(E)) if mask >> i & 1))
+    return Hypergraph(n=2, p=p, edges=tuple(e for i, e in enumerate(_edge_slots(p)) if mask >> i & 1))
 
 
 def _class_representatives(p: int, masks: list[int]) -> dict[str, int]:

@@ -419,6 +419,17 @@ class TestIsolatedVertices:
                 assert monte_carlo_separation(G, 300, seed) == oracle_monte_carlo(G, 300, seed)
                 assert _restart_agrees(G, 300, seed)
 
+    def test_colours_of_two_far_edges_at_200000_vertices(self):
+        # each edge's last-visited vertex is Red and every other vertex Blue, read off the edges, not range(p)
+        p = 200_000
+        H = normalize([[0, 1, 2], [p - 3, p - 2, p - 1]], n=3, p=p)
+        coloring = greedy_color(H, range(p)).coloring
+        assert coloring.proper and [v for v, c in enumerate(coloring.colors) if c is R] == [2, p - 1]
+        order, coloring = random_restart_color(H, 1)
+        pos = {v: k for k, v in enumerate(order)}
+        last = sorted(max(e, key=pos.__getitem__) for e in H.edges)
+        assert coloring.proper and [v for v, c in enumerate(coloring.colors) if c is R] == last
+
 
 def _lane_words(p, seed, start, stop):
     """Per vertex, the 64-bit key of each trial start..stop-1, read lane by lane in little-endian byte order."""

@@ -346,6 +346,48 @@ def test_extendable_bit_is_bipartiteness_of_the_row_plus_a_vertex(q):
             assert bool(bits >> N & 1) == is_bipartite(G), (h, N)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 4, 5])
+def test_row_lanes_hold_each_rows_degrees_and_m2(q):
+    E = _edge_slots(q)
+    deg, m2_h, _, _ = _extension_tables(q)
+    assert len(deg) == q << len(E) and len(m2_h) == 1 << len(E)
+    for h in range(1 << len(E)):
+        H = normalize([E[i] for i in range(len(E)) if h >> i & 1], n=2, p=q)
+        degrees = Counter(v for e in H.edges for v in e)
+        assert list(deg[q * h : q * h + q]) == [degrees[v] for v in range(q)], h
+        assert m2_h[h] == m2(H), h
+
+
+@pytest.mark.parametrize("q", range(7))
+def test_rows_by_m2_is_the_stable_sort_by_m2(q):
+    m2_h = _extension_tables(q)[1]
+    assert list(search._rows_by_m2(m2_h)) == sorted(range(len(m2_h)), key=m2_h.__getitem__)
+
+
+def test_tables_refuse_q7():
+    with pytest.raises(ValueError):
+        _extension_tables(7)
+
+
+def test_cold_p7_scan_work(monkeypatch):
+    # work counts, not a wall time: 372 increment lanes, and rows read only up to the first past m2 = 6
+    m2_h, expected = _extension_tables(6)[1], _whole_scan(7)
+    rows, rows_by_m2 = [], search._rows_by_m2
+
+    def recorded(lane):
+        for h in rows_by_m2(lane):
+            rows.append(h)
+            yield h
+
+    monkeypatch.setattr(search, "_rows_by_m2", recorded)
+    search._column_increments.cache_clear()
+    assert search._scan_graphs(7) == expected
+    assert search._column_increments.cache_info().misses == 372
+    *visited, stop = rows
+    assert visited == [h for h in sorted(range(len(m2_h)), key=m2_h.__getitem__) if m2_h[h] <= 6]
+    assert m2_h[stop] > 6
+
+
 class TestVerifyGraphs:
     def test_p5_clean_run(self):
         records, summary = verify_bound_exhaustive(2, 5)
