@@ -4,19 +4,20 @@ Header line "n p m" (uniformity, vertex count, edge count), then m lines
 of n whitespace-separated 0-based vertex ids.  Lines starting with '#'
 and blank lines are ignored.  render(parse(...)) is canonical and
 parse(render(H)) == H for every valid H.
+
+parse checks outside input and names the line of each defect; the
+Hypergraph it builds checks the sorted edges as it checks any edge list.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .hypergraph import Hypergraph, normalize
+from .hypergraph import Hypergraph
 
 
 def parse(text: str) -> Hypergraph:
     """Parse the text format, reporting 1-based line numbers on any defect."""
     header = None
-    header_line = 0
-    edges: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -35,10 +36,9 @@ def parse(text: str) -> Hypergraph:
             if n < 1 or p < 0 or m < 0:
                 raise ParseError(lineno, f"header values out of range: n={n} p={p} m={m}")
             header = (n, p, m)
-            header_line = lineno
             continue
         n, p, m = header
-        if len(edges) == m:
+        if len(seen) == m:
             raise ParseError(lineno, f"more than the {m} edges announced in the header")
         try:
             ids = tuple(int(t) for t in tokens)
@@ -54,16 +54,12 @@ def parse(text: str) -> Hypergraph:
         if key in seen:
             raise ParseError(lineno, f"duplicate edge {ids} (first on line {seen[key]})")
         seen[key] = lineno
-        edges.append(ids)
     if header is None:
         raise ParseError(1, "empty input: missing 'n p m' header")
     n, p, m = header
-    if len(edges) != m:
-        raise ParseError(
-            max(last_line, header_line),
-            f"header announced {m} edges, found {len(edges)}",
-        )
-    return normalize(edges, n=n, p=p)
+    if len(seen) != m:
+        raise ParseError(last_line, f"header announced {m} edges, found {len(seen)}")
+    return Hypergraph(n, p, tuple(sorted(seen)))
 
 
 def render(H: Hypergraph) -> str:

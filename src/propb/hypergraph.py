@@ -29,9 +29,10 @@ class Hypergraph:
 
     Invariants enforced on construction: every edge is a strictly
     increasing n-tuple of ids in [0, p); the edge list is sorted
-    lexicographically with no duplicates.  Use :func:`normalize` to build
-    one from unsorted/duplicated raw input.  Equality and hashing cover
-    (n, p, edges); masks holds each edge as an int bitset.
+    lexicographically with no duplicates.  This is the one edge-list
+    check: :func:`normalize` (unsorted/duplicated raw input), pickle and
+    copy build through it.  Equality and hashing cover (n, p, edges);
+    masks holds each edge as an int bitset.
     """
 
     __slots__ = ("n", "p", "edges", "masks")
@@ -86,24 +87,11 @@ class SimplePair(namedtuple("SimplePair", "first second meet")):
 
 
 def normalize(raw_edges: Iterable[Iterable[int]], n: int, p: int) -> Hypergraph:
-    """Validate, deduplicate and canonically order raw edge lists.
+    """Sort each edge, drop repeated edges and build the Hypergraph, which checks them.
 
-    Raises NonUniformEdge for a wrong-size edge or a repeated vertex
-    within an edge, VertexOutOfRange for ids outside [0, p).
+    NonUniformEdge for a wrong-size edge or a repeated vertex, VertexOutOfRange for an id outside [0, p).
     """
-    seen = set()
-    out = []
-    for raw in raw_edges:
-        e = tuple(sorted(raw))
-        if len(e) != n or len(set(e)) != n:
-            raise NonUniformEdge(f"edge {tuple(raw)} is not an {n}-set of distinct vertices")
-        if e and (e[0] < 0 or e[-1] >= p):
-            raise VertexOutOfRange(f"edge {e} leaves vertex range [0, {p})")
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    out.sort()
-    return Hypergraph(n=n, p=p, edges=tuple(out))
+    return Hypergraph(n, p, tuple(sorted({tuple(sorted(raw)) for raw in raw_edges})))
 
 
 def covered_vertices(H: Hypergraph) -> frozenset[int]:
@@ -114,18 +102,18 @@ def covered_vertices(H: Hypergraph) -> frozenset[int]:
 def enumerate_simple_pairs(H: Hypergraph) -> list[SimplePair]:
     """All ordered pairs (X, Y) of distinct edges with |X meet Y| = 1.
 
-    Both (i, j) and (j, i) appear when the pair is simple; the result is
-    sorted by (first, second) and its length is m2(H).
+    Each edge pair is intersected once and yields (i, j) and (j, i) when
+    simple; the result is sorted by (first, second), of length m2(H).
     """
     pairs = []
     masks = H.masks
-    for i in range(len(masks)):
-        for j in range(len(masks)):
-            if i == j:
-                continue
-            inter = masks[i] & masks[j]
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            inter = mi & masks[j]
             if inter.bit_count() == 1:
-                pairs.append(SimplePair(first=i, second=j, meet=inter.bit_length() - 1))
+                meet = inter.bit_length() - 1
+                pairs += (SimplePair(i, j, meet), SimplePair(j, i, meet))
+    pairs.sort()
     return pairs
 
 

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from propb.errors import ParseError
 from propb.hgio import parse, render
-from propb.hypergraph import complete_hypergraph
+from propb.hypergraph import complete_hypergraph, fano_plane, normalize, pad
 
 from conftest import random_instances
 
@@ -23,6 +25,29 @@ class TestRoundTrip:
 
     def test_unsorted_input_normalized(self):
         assert parse("2 3 3\n1 0\n2 0\n2 1\n") == complete_hypergraph(2)
+
+
+class TestParseMatchesNormalize:
+    """parse and normalize each build a Hypergraph from raw edges; they must agree."""
+
+    @staticmethod
+    def inputs():
+        yield from random_instances(200, seed=72)
+        for n in (2, 3, 4):
+            K = complete_hypergraph(n)
+            yield from (K, pad(K, n, 1), pad(K, n + 2, 1))
+        yield fano_plane()
+
+    def test_shuffled_renderings(self):
+        rng = random.Random(73)
+        for H in self.inputs():
+            raw = [rng.sample(e, len(e)) for e in H.edges]
+            rng.shuffle(raw)
+            lines = ["# shuffled", "", f"{H.n} {H.p} {len(raw)}"]
+            for e in raw:
+                lines += rng.choice([[], [""], ["# comment"], ["  "]]) + [" ".join(map(str, e))]
+            text = "\n".join(lines) + "\n"
+            assert parse(text) == normalize(raw, n=H.n, p=H.p) == H
 
 
 class TestParseErrors:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -57,6 +59,24 @@ class TestNormalize:
             Hypergraph(n=2, p=3, edges=((1, 0),))
         with pytest.raises(NonUniformEdge):
             Hypergraph(n=2, p=3, edges=((0, 1), (0, 1)))
+
+
+class TestPickleAndCopy:
+    """pickle and copy rebuild a Hypergraph through __init__, the one edge-list check."""
+
+    def test_round_trip(self):
+        for H in random_instances(60, seed=102):
+            for clone in (pickle.loads(pickle.dumps(H)), copy.copy(H), copy.deepcopy(H)):
+                assert clone == H and clone.masks == H.masks
+
+    def test_unsorted_payload_rejected(self):
+        class Forged:
+            def __reduce__(self):
+                return Hypergraph, (2, 3, ((1, 2), (0, 1)))
+
+        payload = pickle.dumps(Forged())
+        with pytest.raises(NonUniformEdge):
+            pickle.loads(payload)
 
 
 class TestRecords:
@@ -148,6 +168,23 @@ class TestSimplePairs:
         for H in random_instances(40, seed=8):
             got = [(sp.first, sp.second, sp.meet) for sp in enumerate_simple_pairs(H)]
             assert got == brute_simple_pairs(H)
+
+    def test_each_edge_pair_intersected_once(self):
+        # a work count, not a wall time: m edges cost m(m-1)/2 mask intersections
+        class CountingMask(int):
+            ands = 0
+
+            def __and__(self, other):
+                CountingMask.ands += 1
+                return int(self) & int(other)
+
+        for H in random_instances(40, seed=10):
+            expected = enumerate_simple_pairs(H)
+            object.__setattr__(H, "masks", tuple(map(CountingMask, H.masks)))
+            CountingMask.ands = 0
+            assert enumerate_simple_pairs(H) == expected
+            m = len(H.edges)
+            assert CountingMask.ands == m * (m - 1) // 2
 
 
 class TestM2:
