@@ -435,6 +435,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
             args.parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
+        if args.command == "verify" and not args.fixtures and args.n >= 3 and args.max_p is not None:
+            if args.max_p < 2 * args.n - 1:
+                need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
+                args.parser.error(f"argument --max-p: {need}, got {args.max_p}")
         if args.command == "gen":
             _check_gen(args)
         code = args.func(args)

@@ -1,18 +1,18 @@
 """Small-case verification of the simple-pair bound and the extremal structure.
 
 For n = 2 every labeled graph on up to max_p vertices is enumerated as a
-bitmask over the C(p, 2) edge slots of the complete graph.  Vertex 0's
-slots come first, so each mask is a graph h on the other p-1 vertices
-plus vertex 0's neighbourhood N.  Byte lanes over every h (one byte per
-row, built with bytes.translate and int.from_bytes sums) hold degrees and
-m2(h); per h, a Python-int bitset over the columns N marks which N a
-proper 2-coloring of h can put on one side, so which graphs are bipartite.
-m2 never falls when N grows, so the graphs at or below the bound, and the
-least m2 of a non-bipartite graph, come from a walk by ascending m2 that
-stops early; only those graphs get the triangle test, which with the
-bound (m2 >= 6) checks the equality characterization (m2 = 6 forces a
-triangle).  For n >= 3 exhaustive enumeration is out of reach, so the run
-degrades to seeded rejection sampling plus the curated fixture suite.
+bitmask over the C(p, 2) edge slots of the complete graph.  The slots of
+vertices 0 and 1 come first, so each mask is a graph h on the other p-2
+vertices (a row) plus the edges at 0 and 1 (a column).  Byte lanes over
+the rows and over the columns (built with bytes.translate and
+int.from_bytes sums) hold degrees and m2; per row, a Python-int bitset
+over the columns marks the bipartite graphs.  m2 never falls when the
+column grows, so the graphs at or below the bound come from a walk by
+ascending m2(h) that stops past it; only those graphs get the triangle
+test, which with the bound (m2 >= 6) checks the equality
+characterization (m2 = 6 forces a triangle).  For n >= 3 exhaustive
+enumeration is out of reach, so the run degrades to seeded rejection
+sampling plus the curated fixture suite.
 
 Records name isomorphism classes by :func:`canonical_form`: refinement
 into vertex cells, then a lexmin search over relabelings inside cells,
@@ -63,8 +63,9 @@ def canonical_form(H: Hypergraph) -> str:
     (id order inside a cell); the encoding is the lexicographically minimal
     edge list over relabelings that permute vertices only inside a cell.
     Refinement commutes with relabeling, so isomorphic inputs search the
-    same edge lists.  More than CANONICAL_BUDGET = 8! such relabelings
-    (never at p <= 8) raise BudgetExceeded.
+    same edge lists.  Vertices in no edge keep their order.  More than
+    CANONICAL_BUDGET = 8! such relabelings (never at p <= 8) raise
+    BudgetExceeded.
     """
     return _canonical(H)[0]
 
@@ -77,8 +78,12 @@ def _canonical(H: Hypergraph) -> tuple[str, int]:
     list are a coset of Aut(H), and :func:`_canonical_edges` counts them.
     """
     colour = _refine(H)
-    sizes = tuple(count for _, count in sorted(Counter(colour).items()))
-    relabelings = math.prod(math.factorial(s) for s in sizes)
+    cells = sorted(Counter(colour).items())
+    # refinement leaves the vertices in no edge one cell of their own, and permuting it never changes
+    # the edge list: the search keeps its order, and its k! orders multiply the tie count
+    free = set(colour) - {colour[v] for e in H.edges for v in e}
+    sizes = tuple(chain.from_iterable([1] * n if c in free else [n] for c, n in cells))
+    relabelings = math.prod(map(math.factorial, sizes))
     if relabelings > CANONICAL_BUDGET:
         raise BudgetExceeded(
             f"canonical form of a {H.n}-graph on {H.p} vertices: cells {sizes} "
@@ -87,8 +92,8 @@ def _canonical(H: Hypergraph) -> tuple[str, int]:
     new_id = [0] * H.p
     for i, v in enumerate(sorted(range(H.p), key=lambda v: (colour[v], v))):
         new_id[v] = i
-    edges, aut = _canonical_edges(sizes, relabel(H, new_id).edges)
-    return _encode_edges(edges), aut
+    edges, ties = _canonical_edges(sizes, relabel(H, new_id).edges)
+    return _encode_edges(edges), ties * math.prod(math.factorial(n) for c, n in cells if c in free)
 
 
 def _refine(H: Hypergraph) -> list[int]:
@@ -155,74 +160,100 @@ def _triangle_slot_masks(p: int) -> tuple[int, ...]:
 
 
 def _below(t) -> bytes:
-    """ASCII translate table: b"1" for a byte below t, b"0" for the rest."""
-    t = min(t, 256)
+    """ASCII translate table: b"1" for a byte below t <= 256, b"0" for the rest."""
     return b"1" * t + b"0" * (256 - t)
 
 
-@lru_cache(maxsize=8)
-def _extension_tables(q: int):
-    """Per labeled graph h on q <= 6 vertices: degree and m2 byte lanes, bitmaps over N, the Seymour count.
+_NONZERO = b"\0" + b"\1" * 255
+_PAIRS = bytes(d * (d - 1) for d in range(16)).ljust(256, b"\0")
 
-    deg[q*h : q*h + q] is h's degree vector and m2_h[h] is m2(h); bit N of
-    ext[h] is set iff h plus a vertex adjacent to N is bipartite, that is,
-    iff a proper 2-coloring of h puts all of N on one side; seymour counts
-    the non-bipartite (h, N) with fewer edges than covered vertices.  Lanes
-    are doubled over the slots with bytes.translate and summed over
-    vertices as ints; the q <= 6 guard bounds the rows at 2^15 and keeps
-    every lane below 256 (deg <= 5, m2 <= 120), so no sum carries.
+
+def _degree_lanes(p: int, slots) -> list[bytes]:
+    """Per vertex of K_p, one byte per subset r of the slots, at byte r: the vertex's degree in r.
+
+    Built by doubling over the slots: subset r | 1 << i is subset r plus slots[i].
     """
-    if q > 6:
-        raise ValueError(f"the tables hold 2^C(q, 2) rows, at most 2^15 at q <= 6; got q = {q}")
-    E = _edge_slots(q)
-    rows = 1 << len(E)
     plus_one = bytes(range(1, 256)) + b"\0"
-    # doubling over the slots: row h | 1 << i is row h plus edge E[i]
-    lanes, edges = [b"\0"] * q, b"\0"
-    for u, v in E:
+    lanes = [b"\0"] * p
+    for u, v in slots:
         lanes = [lane + lane.translate(plus_one) if w in (u, v) else lane * 2 for w, lane in enumerate(lanes)]
-        edges += edges.translate(plus_one)
+    return lanes
+
+
+@lru_cache(maxsize=8)
+def _extension_tables(p: int):
+    """Two-vertex extension tables over the labeled graphs on p <= 7 vertices.
+
+    The added vertices 0 and 1 (only 0 at p = 1) own the first slots, so
+    mask = h << L | c: the row h is a graph on the other q vertices and the
+    column c a subset of the L slots at an added vertex (bit 0 is 0~1, then
+    vertex 0's neighbours, then vertex 1's).  deg[q*h : q*h + q] is h's
+    degree vector and m2_h[h] is m2(h); bit c of ext[h] is set iff h + c is
+    bipartite; seymour counts the non-bipartite h + c with fewer edges than
+    covered vertices.  base and meets are int lanes over the columns, byte
+    c the m2 of c alone and, per row vertex v, how many edges of c meet v.
+    p <= 7 keeps the rows at 2^10, the columns at 2^11, every lane below
+    256 (m2(h + c) - m2(h) <= m2(K_7) - m2(K_5) = 110) and a row's slack in
+    its key's two bits (a perfect matching on 6 vertices needs three).
+    """
+    if p > 7:
+        raise ValueError(f"the tables hold 2^C(p-2, 2) rows of 2^(2p-3) columns, up to p = 7; got p = {p}")
+    k = min(p, 2)
+    q = p - k
+    E = _edge_slots(p)
+    L = len(E) - math.comb(q, 2)
+    rows, columns = 1 << (len(E) - L), 1 << L
+
+    lanes = _degree_lanes(q, _edge_slots(q))
     deg = bytearray(q * rows)
     for v, lane in enumerate(lanes):
         deg[v::q] = lane
-
-    pairs = bytes(d * (d - 1) for d in range(6)).ljust(256, b"\0")
-    m2_h = sum(int.from_bytes(lane.translate(pairs), "little") for lane in lanes).to_bytes(rows, "little")
-    covers = [int.from_bytes(lane.translate(b"\0" + b"\1" * 255), "little") for lane in lanes]
-    # 16 + |cov(h)| - e(h), in 1..22: at least 16 iff e(h) <= |cov(h)|, and then in 16..19, as e(h) >= |cov(h)| / 2
+    m2_h = sum(int.from_bytes(lane.translate(_PAIRS), "little") for lane in lanes).to_bytes(rows, "little")
+    covers = [int.from_bytes(lane.translate(_NONZERO), "little") for lane in lanes]
     ones = int.from_bytes(b"\1" * rows, "little")
-    room = sum(covers) + 16 * ones - int.from_bytes(edges, "little")
+    # 17 + |cov(h)| - e(h), in 12..19: at least 16 iff slack = |cov(h)| - e(h) >= -1, and then slack + 1 <= 3
+    room = 17 * ones + sum(covers) - sum(int.from_bytes(lane, "little") for lane in lanes) // 2
     picked = room.to_bytes(rows, "little").translate(bytes(16) + b"\1" * 240)
-    # the key c | slack << 6 of a picked row: c its cover mask, slack = |cov(h)| - e(h), the low bits of room
-    keys = (sum(b << v for v, b in enumerate(covers)) | (room & 3 * ones) << 6).to_bytes(rows, "little")
+    # the key C | (slack + 1) << q of a picked row, below 128: C its cover mask, slack + 1 the low two bits of room
+    keys = (sum(b << v for v, b in enumerate(covers)) | (room & 3 * ones) << q).to_bytes(rows, "little")
 
-    # down[S] has bit N set for every N inside S
-    down = [1]
-    for j in range(q):
-        down += [d | d << (1 << j) for d in down]
-    full = (1 << q) - 1
-    # S and its complement are one 2-coloring, so S runs over the sets without vertex q-1;
-    # it colors h properly iff h lies inside the slots S cuts
+    column_lanes = _degree_lanes(p, E[:L])
+    base = sum(int.from_bytes(lane.translate(_PAIRS), "little") for lane in column_lanes)
+    meets = [int.from_bytes(lane, "little") for lane in column_lanes[k:]]
+
+    # h + c is bipartite iff some 2-coloring x of K_p cuts all of h and all of c: x colors added vertex a
+    # by bit a and row vertex v by bit k + v, and S and its complement are one coloring of h
     ext = [0] * rows
     for S in range(1 << max(q - 1, 0)):
-        cut = sum(1 << i for i, (u, v) in enumerate(E) if (S >> u ^ S >> v) & 1)
-        sides = down[S] | down[full ^ S]
-        sub = cut
+        sides = 0
+        for x in range(S << k, (S + 1) << k):
+            cut = sum(1 << i for i, (u, v) in enumerate(E) if (x >> u ^ x >> v) & 1)
+            # the columns inside the cut, by doubling over its slots at the added vertices
+            down = 1
+            for j in range(L):
+                if cut >> j & 1:
+                    down |= down << (1 << j)
+            sides |= down
+        cut = sub = cut >> L
         while True:
             ext[sub] |= sides
             if not sub:
                 break
             sub = (sub - 1) & cut
 
-    # (h, N) has e(h) + |N| edges and |cov(h) | N| + (N != 0) covered vertices, so it
-    # falls short iff N != 0 and |N & cov(h)| <= |cov(h)| - e(h), or N = 0 and e(h) < |cov(h)|
+    # h + c has e(h) + |c| edges and covers C, the added vertices c meets and the row vertices off C
+    # that c meets, so it falls short iff 2 + |c| - (the last two counts) < slack + 2; the left side
+    # is at least 0, as every component of c holds an added vertex
+    column_covers = [int.from_bytes(lane.translate(_NONZERO), "little") for lane in column_lanes]
+    sizes = sum(int.from_bytes(lane, "little") for lane in column_lanes) // 2
+    short_base = 2 * int.from_bytes(b"\1" * columns, "little") + sizes - sum(column_covers[:k])
     short_columns = {}
     for key in set(compress(keys, picked)):
-        c, slack = key & 63, key >> 6
-        meets = sum(m for v, m in enumerate(_column_lanes(q)[1]) if c >> v & 1).to_bytes(1 << q, "big")
-        short_columns[key] = int(meets.translate(_below(slack + 1)), 2) & ~1 | (slack > 0)
-    seymour = sum((short_columns[k] & ~x).bit_count() for k, x in zip(compress(keys, picked), compress(ext, picked)))
-    return bytes(deg), m2_h, tuple(ext), seymour
+        C, slack = key & ((1 << q) - 1), (key >> q) - 1
+        lane = short_base - sum(t for v, t in enumerate(column_covers[k:]) if not C >> v & 1)
+        short_columns[key] = int(lane.to_bytes(columns, "big").translate(_below(slack + 2)), 2)
+    seymour = sum((short_columns[y] & ~x).bit_count() for y, x in zip(compress(keys, picked), compress(ext, picked)))
+    return bytes(deg), m2_h, tuple(ext), seymour, base, meets
 
 
 def _rows_by_m2(m2_h: bytes):
@@ -234,72 +265,50 @@ def _rows_by_m2(m2_h: bytes):
             h = m2_h.find(value, h + 1)
 
 
-@lru_cache(maxsize=8)
-def _column_lanes(q: int) -> tuple[int, list[int]]:
-    """Over the columns N, one byte each at 256^N: |N| (|N| - 1), and per vertex v whether v is in N."""
-    base = int.from_bytes(bytes(N.bit_count() * (N.bit_count() - 1) for N in range(1 << q)), "little")
-    return base, [int.from_bytes(bytes(N >> v & 1 for N in range(1 << q)), "little") for v in range(q)]
-
-
-@lru_cache(maxsize=4096)
-def _column_increments(deg: bytes) -> bytes:
-    """m2(h, N) - m2(h) per column N, one byte each, big-endian so int(..., 2) of a translate puts N at bit N.
-
-    Vertex 0 adds |N| (|N| - 1) pairs and each neighbour v's d(d - 1) term
-    grows by 2 deg_h(v): base + sum over v of 2 deg_h(v) [v in N], at most 90.
-    """
-    q = len(deg)
-    base, members = _column_lanes(q)
-    return (base + 2 * sum(d * m for d, m in zip(deg, members))).to_bytes(1 << q, "big")
-
-
 def _scan_graphs(p: int) -> dict:
-    """Verify every labeled graph on p vertices.
+    """Verify every labeled graph on p vertices: h << L | c over the rows and columns of :func:`_extension_tables`.
 
-    Vertex 0's p-1 edge slots come first in lexicographic slot order, so
-    mask = (h << (p-1)) | N, where h is a labeled graph on vertices 1..p-1
-    and N is vertex 0's neighbourhood: every row h of
-    :func:`_extension_tables` over all 2^(p-1) columns N.  m2(h, N) >=
-    m2(h), so the masks at or below the bound m2 = 6 and the least m2 of a
-    non-bipartite mask come from visiting rows by ascending m2(h), each
-    row's columns under the limit as one bitmap, until neither can change;
-    only those masks get the triangle test.  Returns the counts and masks.
+    Every p >= 3 has a triangle, a non-bipartite graph at m2 = 6, so the
+    least m2 of a non-bipartite mask is the least at or below the bound.
+    m2(h + c) >= m2(h), so those masks come from the rows by ascending m2(h)
+    up to 6, each row's columns under the bound as one bitmap, where
+    m2(h + c) - m2(h) = base(c) + 2 sum over v of deg_h(v) meets_v(c): one
+    lane per degree vector.  Only those masks get the triangle test.
     """
-    q = p - 1
-    deg, m2_h, ext, seymour = _extension_tables(q)
-    every_column = (1 << (1 << q)) - 1
+    deg, m2_h, ext, seymour, base, meets = _extension_tables(p)
+    q = len(meets)
+    L = math.comb(p, 2) - math.comb(q, 2)
+    every_column = (1 << (1 << L)) - 1
 
-    # least m2 of a non-bipartite mask so far; past the bound only a lower one matters
-    best = math.inf
     low = []  # (mask, m2) of every non-bipartite mask with m2 <= 6
+    steps = {}  # degree vector -> (increments, big-endian; bitmap of the columns c with m2(h + c) <= 6)
     for h in _rows_by_m2(m2_h):
-        if m2_h[h] >= max(best, 7):
+        if m2_h[h] > 6:
             break
         nonbip = every_column & ~ext[h]
         if not nonbip:
             continue
-        inc = _column_increments(deg[q * h : q * h + q])
-        under = int(inc.translate(_below(max(best, 7) - m2_h[h])), 2) & nonbip
+        d = deg[q * h : q * h + q]
+        if d not in steps:
+            inc = (base + 2 * sum(x * m for x, m in zip(d, meets))).to_bytes(1 << L, "big")
+            steps[d] = inc, int(inc.translate(_below(7 - m2_h[h])), 2)
+        inc, under = steps[d]
+        under &= nonbip
         while under:
-            N = under.bit_length() - 1
-            under ^= 1 << N
-            m = m2_h[h] + inc[-1 - N]
-            best = min(best, m)
-            if m <= 6:
-                low.append((h << q | N, m))
+            c = under.bit_length() - 1
+            under ^= 1 << c
+            low.append((h << L | c, m2_h[h] + inc[-1 - c]))
     low.sort()
 
     # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
     triangles = _triangle_slot_masks(p)
-    graphs = len(ext) << q
+    graphs = len(ext) << L
     return {
         "graphs": graphs,
         "non_colorable": graphs - sum(map(int.bit_count, ext)),
-        "min_m2_non_colorable": None if best == math.inf else best,
+        "min_m2_non_colorable": min((m for _, m in low), default=None),
         "equality_masks": [mask for mask, m in low if m == 6],
-        "counterexample_masks": [
-            mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)
-        ],
+        "counterexample_masks": [mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)],
         "seymour_violations": seymour,
     }
 
@@ -444,7 +453,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
     p_hi = min(max_p, 8)
     p_lo = 2 * n - 1
     if p_hi < p_lo:
-        raise BudgetExceeded(f"max_p = {max_p} below the {p_lo} vertices a non-colorable {n}-graph needs")
+        raise BudgetExceeded(f"sampling reaches p = {p_hi}, below the {p_lo} vertices a non-colorable {n}-graph needs")
     rng = random.Random(f"sampling:{seed}")
     records: list[dict] = []
     summary = {

@@ -341,6 +341,7 @@ class TestVerify:
         (["color", "{k35}", "--order", "0,,1"], "argument --order: invalid comma-separated int list: '0,,1'"),
         (["color", "{k35}", "--order", ",0,1"], "argument --order: invalid comma-separated int list: ',0,1'"),
         (["color", "{k35}", "--order", "0,1,"], "argument --order: invalid comma-separated int list: '0,1,'"),
+        (["verify", "--n", "3", "--max-p", "4"], "argument --max-p: a non-colorable 3-graph needs 5 vertices, got 4"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):

@@ -192,6 +192,20 @@ class TestCanonicalForm:
             agreed[iso] += 1
         assert agreed[True] and agreed[False]
 
+    def test_isolated_vertices_stay_out_of_the_budget(self):
+        import random
+
+        # cells (9,) and (6, 3, 5) admit 9! and 6! 3! 5! relabelings, but the 9 and the 6 lie in no edge
+        edgeless = Hypergraph(n=2, p=9, edges=())
+        assert _canonical(edgeless) == ("", math.factorial(9))
+        padded = pad(complete_hypergraph(3), 9, 1)
+        form, aut = _canonical(padded)
+        # Aut is every permutation of the 6 isolated vertices, of the extra edge and of the K_5^(3)
+        assert aut == math.factorial(6) * math.factorial(3) * math.factorial(5)
+        rng = random.Random(14)
+        for _ in range(10):
+            assert canonical_form(random_shuffled(rng, padded)) == form
+
     def test_vertex_transitive_p9_exceeds_budget(self):
         # one cell of 9 vertices admits 9! relabelings, past the 8! budget
         with pytest.raises(BudgetExceeded):
@@ -217,6 +231,12 @@ class TestAutomorphismCount:
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_instances(self, n):
         for H in random_instances(40, seed=n, n_choices=(n,), p_max=6):
+            assert _canonical(H)[1] == brute_automorphism_count(H), H
+
+    def test_isolated_vertices(self):
+        # two more vertices in no edge: the search leaves their cell out, and its k! orders still count
+        for H in random_instances(30, seed=5, p_max=5):
+            H = pad(H, 2, 0)
             assert _canonical(H)[1] == brute_automorphism_count(H), H
 
 
@@ -333,59 +353,91 @@ def test_p7_scan_matches_its_eight_oracle_ranges():
     }
 
 
-@pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
-def test_extendable_bit_is_bipartiteness_of_the_row_plus_a_vertex(q):
-    # bit N of ext[h]: the graph h on vertices 1..q plus vertex 0 joined to N is bipartite
-    E = _edge_slots(q)
-    _, _, ext, _ = _extension_tables(q)
-    assert len(ext) == 1 << len(E)
+def _added(p):
+    """(added vertices, row vertices, column bits) of the census tables at p."""
+    k = min(p, 2)
+    return k, p - k, math.comb(p, 2) - math.comb(p - k, 2)
+
+
+def _column_edges(p, c):
+    """Column c's edges as the tables lay them out: bit 0 is 0~1, then vertex 0's row neighbours, then vertex 1's."""
+    k, q, _ = _added(p)
+    slots = [(0, 1)] * (k == 2) + [(a, k + v) for a in range(k) for v in range(q)]
+    return [e for i, e in enumerate(slots) if c >> i & 1]
+
+
+def _row_edges(q, h):
+    return [e for i, e in enumerate(_edge_slots(q)) if h >> i & 1]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_extendable_bit_is_bipartiteness_of_the_row_plus_two_vertices(p):
+    # bit c of ext[h]: the row h on vertices k..p-1 plus column c at the k added vertices is bipartite
+    k, q, L = _added(p)
+    ext = _extension_tables(p)[2]
+    assert len(ext) == 1 << math.comb(q, 2)
     for h, bits in enumerate(ext):
-        h_edges = [(u + 1, v + 1) for i, (u, v) in enumerate(E) if h >> i & 1]
-        for N in range(1 << q):
-            G = normalize(h_edges + [(0, v + 1) for v in range(q) if N >> v & 1], n=2, p=q + 1)
-            assert bool(bits >> N & 1) == is_bipartite(G), (h, N)
+        for c in range(1 << L):
+            edges = [(u + k, v + k) for u, v in _row_edges(q, h)] + _column_edges(p, c)
+            assert _mask(p, edges) == h << L | c
+            assert bool(bits >> c & 1) == is_bipartite(normalize(edges, n=2, p=p)), (h, c)
 
 
-@pytest.mark.parametrize("q", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", range(6))
 def test_row_lanes_hold_each_rows_degrees_and_m2(q):
-    E = _edge_slots(q)
-    deg, m2_h, _, _ = _extension_tables(q)
-    assert len(deg) == q << len(E) and len(m2_h) == 1 << len(E)
-    for h in range(1 << len(E)):
-        H = normalize([E[i] for i in range(len(E)) if h >> i & 1], n=2, p=q)
+    # the rows on q vertices, and the column lanes, of the tables at p = q + 2
+    p = q + 2
+    deg, m2_h, _, _, base, meets = _extension_tables(p)
+    assert len(deg) == q << math.comb(q, 2) and len(m2_h) == 1 << math.comb(q, 2)
+    for h in range(len(m2_h)):
+        H = normalize(_row_edges(q, h), n=2, p=q)
         degrees = Counter(v for e in H.edges for v in e)
         assert list(deg[q * h : q * h + q]) == [degrees[v] for v in range(q)], h
         assert m2_h[h] == m2(H), h
+    # per column c, one byte at 256^c: the m2 of c alone, and how many edges of c meet each row vertex
+    assert len(meets) == q
+    for c in range(1 << _added(p)[2]):
+        G = normalize(_column_edges(p, c), n=2, p=p)
+        degrees = Counter(v for e in G.edges for v in e)
+        assert base >> 8 * c & 255 == m2(G), c
+        assert [lane >> 8 * c & 255 for lane in meets] == [degrees[2 + v] for v in range(q)], c
 
 
-@pytest.mark.parametrize("q", range(7))
+@pytest.mark.parametrize("q", range(6))
 def test_rows_by_m2_is_the_stable_sort_by_m2(q):
-    m2_h = _extension_tables(q)[1]
+    m2_h = _extension_tables(q + 2)[1]
     assert list(search._rows_by_m2(m2_h)) == sorted(range(len(m2_h)), key=m2_h.__getitem__)
 
 
-def test_tables_refuse_q7():
+def test_tables_refuse_p8():
+    # at p = 8 the rows reach 2^15 and a row's slack no longer fits its key lane
     with pytest.raises(ValueError):
-        _extension_tables(7)
+        _extension_tables(8)
 
 
 def test_cold_p7_scan_work(monkeypatch):
-    # work counts, not a wall time: 372 increment lanes, and rows read only up to the first past m2 = 6
-    m2_h, expected = _extension_tables(6)[1], _whole_scan(7)
-    rows, rows_by_m2 = [], search._rows_by_m2
+    # work counts, not a wall time: the 246 rows at m2 <= 6, then the first past it, and one increment
+    # lane (one _below table) per degree vector among them
+    m2_h, expected = _extension_tables(7)[1], _whole_scan(7)
+    rows, rows_by_m2, below, lanes = [], search._rows_by_m2, search._below, [0]
 
     def recorded(lane):
         for h in rows_by_m2(lane):
             rows.append(h)
             yield h
 
+    def counted(t):
+        lanes[0] += 1
+        return below(t)
+
     monkeypatch.setattr(search, "_rows_by_m2", recorded)
-    search._column_increments.cache_clear()
+    monkeypatch.setattr(search, "_below", counted)
     assert search._scan_graphs(7) == expected
-    assert search._column_increments.cache_info().misses == 372
     *visited, stop = rows
     assert visited == [h for h in sorted(range(len(m2_h)), key=m2_h.__getitem__) if m2_h[h] <= 6]
-    assert m2_h[stop] > 6
+    assert len(visited) == 246 and m2_h[stop] > 6
+    deg = _extension_tables(7)[0]
+    assert lanes[0] == len({deg[5 * h : 5 * h + 5] for h in visited}) == 121
 
 
 class TestVerifyGraphs:
@@ -432,6 +484,15 @@ class TestVerifyGraphs:
         assert summary["equality_classes"] == sum((p - 1) // 2 for p in ps if p >= 3) == 9
         assert summary["counterexamples"] == 0
         assert len(records) == 9
+        # each p on its own, so errors at two values of p cannot cancel in the totals
+        assert [s["p"] for s in summary["per_p"]] == list(ps)
+        for s in summary["per_p"]:
+            p = s["p"]
+            assert s["graphs"] == 1 << math.comb(p, 2)
+            assert s["non_colorable"] == (1 << math.comb(p, 2)) - bipartite[p]
+            assert s["equality_labeled"] == (math.comb(p, 3) * matchings[p - 3] if p >= 3 else 0)
+            assert s["equality_classes"] == ((p - 1) // 2 if p >= 3 else 0)
+            assert s["min_m2_non_colorable"] == (6 if p >= 3 else None)
 
     def test_skip_p_resumes(self):
         full_records, full_summary = verify_bound_exhaustive(2, 4)
