@@ -1,13 +1,14 @@
 """Command-line interface: analyze, color, mc, enum, verify, gen.
 
 Exit codes: 0 success, 2 malformed input (file or arguments) or a file
-that cannot be read or written, 3 budget exceeded (enum on large p, or
-analyze --strict left undetermined), 1 any other failure.  A failed
-write to stdout is an exit-2 error like one to an --out file.  The
-output of analyze, mc, enum and verify is the report document, as JSON
-or as its human rendering; color prints lines of its own, and gen writes
-a hypergraph file.  --deterministic suppresses the timestamp so
-identical invocations are byte-identical.
+that cannot be read or written, 3 budget exceeded (enum on large p,
+analyze --strict left undetermined, or the verify census past p = 7 or
+its --budget), 1 any other failure.  A failed write to stdout is an
+exit-2 error like one to an --out file.  The output of analyze, mc, enum
+and verify is the report document, as JSON or as its human rendering;
+color prints lines of its own, and gen writes a hypergraph file.
+--deterministic suppresses the timestamp so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .report import (
     monte_carlo_section,
     to_json,
 )
-from .search import FIXTURE_NS, verify_bound_exhaustive, verify_fixture_suite
+from .search import verify_bound_exhaustive, verify_fixture_suite
 from .separation import exhaustive_separation_mean, monte_carlo_separation
 
 
@@ -186,14 +187,18 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
 
     The kept bytes end after the last complete p_summary line (the header
     when no p is complete), which drops the records of a p cut short and a
-    cut-short last line.  A missing or empty stream keeps nothing.  A
-    non-empty stream must start with `header`; otherwise it was written by a
-    different run, and a ValueError says which parameters differ.
+    cut-short last line.  A missing or empty stream keeps nothing; one that
+    cannot be read raises FileAccessError.  A non-empty stream must start
+    with `header`; otherwise it was written by a different run, and a
+    ValueError says which parameters differ.
     """
     if not os.path.isfile(path) or os.path.getsize(path) == 0:
         return [], 0
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path}: {exc.strerror}") from None
     objs = [_json_or_none(line) if line.endswith(b"\n") else None for line in lines]
     first = objs[0]
     if not isinstance(first, dict) or first.get("type") != "header":
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
-    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--n", type=_int_at_least(2, at_most=4), required=True, help="uniformity (2..4)")
     p.add_argument("--max-p", type=_int_at_least(1), default=None, dest="max_p")
     p.add_argument("--budget", type=_int_at_least(0), default=None, help="graph budget (n=2) or sample count (n>=3)")
     p.add_argument("--seed", type=int, default=0)
@@ -433,8 +438,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.fixtures and args.n not in FIXTURE_NS:
-            args.parser.error(f"argument --n: the fixture suite covers n in {set(FIXTURE_NS)}, got {args.n}")
         if args.command == "verify" and not args.fixtures and args.n >= 3 and args.max_p is not None:
             if args.max_p < 2 * args.n - 1:
                 need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"

@@ -8,19 +8,21 @@ the rows and over the columns (built with bytes.translate and
 int.from_bytes sums) hold degrees and m2; per row, a Python-int bitset
 over the columns marks the bipartite graphs.  m2 never falls when the
 column grows, so the graphs at or below the bound come from a walk by
-ascending m2(h) that stops past it; only those graphs get the triangle
-test, which with the bound (m2 >= 6) checks the equality
-characterization (m2 = 6 forces a triangle).  For n >= 3 exhaustive
-enumeration is out of reach, so the run degrades to seeded rejection
-sampling plus the curated fixture suite.
+ascending m2(h) that stops past it.  For n >= 3 exhaustive enumeration
+is out of reach, so the run degrades to seeded rejection sampling plus
+the curated fixture suite.
 
-Records name isomorphism classes by :func:`canonical_form`: refinement
-into vertex cells, then a lexmin search over relabelings inside cells,
-which also counts |Aut(H)|.  The census names its equality classes by
-groups of masks with one sorted degree sequence: the equality set is
-closed under relabeling, so a group with |group| * |Aut| = p! for its
-first graph is that graph's orbit and takes one canonical form; any
-other group is canonicalised mask by mask.
+Both modes only find non-colorable instances; :func:`_record` alone
+judges them, by the bound and the equality characterization.  Records
+name isomorphism classes by :func:`canonical_form`: refinement into
+vertex cells, then a lexmin search over relabelings inside cells, which
+also counts |Aut(H)|.  The census names the classes of its non-bipartite
+graphs at or below the bound by groups of masks with one sorted degree
+sequence: that set is closed under relabeling, so a group with
+|group| * |Aut| = p! for its first graph is that graph's orbit and takes
+one canonical form; any other group is canonicalised mask by mask.  Both
+halves of the rule are isomorphism invariants, so one record per class
+judges every mask of it.
 """
 
 from __future__ import annotations
@@ -153,12 +155,6 @@ def _edge_slots(p: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(p), 2))
 
 
-@lru_cache(maxsize=16)
-def _triangle_slot_masks(p: int) -> tuple[int, ...]:
-    slot = {e: 1 << i for i, e in enumerate(_edge_slots(p))}
-    return tuple(slot[a, b] | slot[a, c] | slot[b, c] for a, b, c in combinations(range(p), 3))
-
-
 def _below(t) -> bytes:
     """ASCII translate table: b"1" for a byte below t <= 256, b"0" for the rest."""
     return b"1" * t + b"0" * (256 - t)
@@ -266,22 +262,22 @@ def _rows_by_m2(m2_h: bytes):
 
 
 def _scan_graphs(p: int) -> dict:
-    """Verify every labeled graph on p vertices: h << L | c over the rows and columns of :func:`_extension_tables`.
+    """Find every non-bipartite labeled graph on p vertices at m2 <= 6: h << L | c over :func:`_extension_tables`.
 
-    Every p >= 3 has a triangle, a non-bipartite graph at m2 = 6, so the
-    least m2 of a non-bipartite mask is the least at or below the bound.
-    m2(h + c) >= m2(h), so those masks come from the rows by ascending m2(h)
-    up to 6, each row's columns under the bound as one bitmap, where
+    m2(h + c) >= m2(h), so those masks come from the rows by ascending
+    m2(h) up to 6, each row's columns under the bound as one bitmap, where
     m2(h + c) - m2(h) = base(c) + 2 sum over v of deg_h(v) meets_v(c): one
-    lane per degree vector.  Only those masks get the triangle test.
+    bitmap per degree vector, which also fixes m2(h).  candidate_masks,
+    ascending, is closed under relabeling, as m2 and bipartiteness are
+    isomorphism invariants.
     """
     deg, m2_h, ext, seymour, base, meets = _extension_tables(p)
     q = len(meets)
     L = math.comb(p, 2) - math.comb(q, 2)
     every_column = (1 << (1 << L)) - 1
 
-    low = []  # (mask, m2) of every non-bipartite mask with m2 <= 6
-    steps = {}  # degree vector -> (increments, big-endian; bitmap of the columns c with m2(h + c) <= 6)
+    low = []
+    under_by_degrees = {}  # degree vector -> bitmap of the columns c with m2(h + c) <= 6
     for h in _rows_by_m2(m2_h):
         if m2_h[h] > 6:
             break
@@ -289,26 +285,21 @@ def _scan_graphs(p: int) -> dict:
         if not nonbip:
             continue
         d = deg[q * h : q * h + q]
-        if d not in steps:
+        if d not in under_by_degrees:
             inc = (base + 2 * sum(x * m for x, m in zip(d, meets))).to_bytes(1 << L, "big")
-            steps[d] = inc, int(inc.translate(_below(7 - m2_h[h])), 2)
-        inc, under = steps[d]
-        under &= nonbip
+            under_by_degrees[d] = int(inc.translate(_below(7 - m2_h[h])), 2)
+        under = under_by_degrees[d] & nonbip
         while under:
             c = under.bit_length() - 1
             under ^= 1 << c
-            low.append((h << L | c, m2_h[h] + inc[-1 - c]))
+            low.append(h << L | c)
     low.sort()
 
-    # a non-bipartite graph at or below the bound is a counterexample unless m2 = 6 and it has a triangle
-    triangles = _triangle_slot_masks(p)
     graphs = len(ext) << L
     return {
         "graphs": graphs,
         "non_colorable": graphs - sum(map(int.bit_count, ext)),
-        "min_m2_non_colorable": min((m for _, m in low), default=None),
-        "equality_masks": [mask for mask, m in low if m == 6],
-        "counterexample_masks": [mask for mask, m in low if m < 6 or not any(mask & t == t for t in triangles)],
+        "candidate_masks": low,
         "seymour_violations": seymour,
     }
 
@@ -340,17 +331,30 @@ def _class_representatives(p: int, masks: list[int]) -> dict[str, int]:
     return reps
 
 
-def _record(H: Hypergraph, m2_val: int, form: str | None = None) -> dict:
-    """One verified non-colorable instance, keyed as the report and the --out stream print it."""
-    return {
+def _record(H: Hypergraph, form: str | None = None) -> dict:
+    """One verified non-colorable instance, keyed as the report and the --out stream print it.
+
+    The counterexample rule of every verify mode: unless m2 >= bound(n)
+    and, at equality, the complete n-graph on 2n-1 vertices is present,
+    CounterexampleFound carries the record.
+    """
+    m2_val, b = m2(H), bound(H.n)
+    rec = {
         "n": H.n,
         "p": H.p,
         "edge_count": len(H.edges),
         "m2": m2_val,
-        "meets_bound": m2_val == bound(H.n),
+        "meets_bound": m2_val == b,
         "has_clique": find_clique(H) is not None,
         "canonical_form": canonical_form(H) if form is None else form,
     }
+    if m2_val < b or (m2_val == b and not rec["has_clique"]):
+        raise CounterexampleFound(
+            f"non-colorable {H.n}-graph on {H.p} vertices violates the bound or the "
+            f"equality characterization: {rec['canonical_form']}",
+            record=rec,
+        )
+    return rec
 
 
 def verify_bound_exhaustive(
@@ -364,15 +368,13 @@ def verify_bound_exhaustive(
 ) -> tuple[list[dict], dict]:
     """Check the simple-pair bound and equality characterization at desk scale.
 
-    n = 2: full enumeration of all labeled graphs on p <= max_p vertices
-    (max_p <= 7).  Every non-bipartite graph must have m2 >= 6 and, at
-    m2 = 6, contain a triangle; a violation raises CounterexampleFound.
-    One record (see :func:`_record`) per isomorphism class of equality
-    cases is emitted.
-
-    n >= 3: seeded rejection sampling (budget = sample count, p <= min(max_p, 8));
-    every sampled non-colorable instance must satisfy m2 >= bound(n), and
-    equality cases must contain the complete n-graph on 2n-1 vertices.
+    Each record (see :func:`_record`, which raises CounterexampleFound)
+    is one non-colorable instance.  n = 2: full enumeration of all labeled
+    graphs on p <= max_p vertices (max_p <= 7), one record per isomorphism
+    class of the non-bipartite graphs at m2 <= 6; a triangle lies there
+    from p = 3 on, so their least m2 is the least of any.  n >= 3: seeded
+    rejection sampling (budget = sample count, p <= min(max_p, 8)), one
+    record per non-colorable sample.
 
     The summary counts instances failing |E| >= |covered V|; that check is
     only a theorem for edge-minimal instances, so nonzero counts are
@@ -409,29 +411,15 @@ def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
     }
     for p in ps:
         scan = _scan_graphs(p)
-        eq_masks = scan["equality_masks"]
-        if scan["counterexample_masks"]:
-            H = _graph_from_mask(p, scan["counterexample_masks"][0])
-            rec = _record(H, m2(H))
-            raise CounterexampleFound(
-                f"graph on {p} vertices violates the bound or the equality "
-                f"characterization: {rec['canonical_form']}",
-                record=rec,
-            )
-
-        class_reps = _class_representatives(p, eq_masks)
-        p_records = []
-        for form in sorted(class_reps):
-            rec = _record(_graph_from_mask(p, class_reps[form]), 6, form)
-            assert rec["has_clique"], "equality case without a triangle must have aborted"
-            p_records.append(rec)
-
+        masks = scan["candidate_masks"]
+        reps = _class_representatives(p, masks)
+        p_records = [_record(_graph_from_mask(p, reps[form]), form) for form in sorted(reps)]
         p_summary = {
             "p": p,
             "graphs": scan["graphs"],
             "non_colorable": scan["non_colorable"],
-            "min_m2_non_colorable": scan["min_m2_non_colorable"],
-            "equality_labeled": len(eq_masks),
+            "min_m2_non_colorable": min((rec["m2"] for rec in p_records), default=None),
+            "equality_labeled": len(masks),
             "equality_classes": len(p_records),
             "counterexamples": 0,
             "seymour_violations": scan["seymour_violations"],
@@ -467,7 +455,6 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
         "counterexamples": 0,
         "seymour_violations": 0,
     }
-    b = bound(n)
     for s in range(samples):
         p = rng.randint(p_lo, p_hi)
         total_edges = math.comb(p, n)
@@ -480,13 +467,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
             continue
         if verdict is Colorability.YES:
             continue
-        rec = _record(H, m2(H))
-        if rec["m2"] < b or (rec["meets_bound"] and not rec["has_clique"]):
-            raise CounterexampleFound(
-                f"sampled non-colorable {n}-graph violates the bound or the "
-                f"equality characterization: {rec['canonical_form']}",
-                record=rec,
-            )
+        rec = _record(H)
         summary["non_colorable"] += 1
         summary["equality_cases"] += rec["meets_bound"]
         summary["seymour_violations"] += not seymour_check(H)
@@ -501,7 +482,6 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
 # ---------------------------------------------------------------------------
 
 _RANDOM_FIXTURE_SHAPE = {2: (6, 8), 3: (7, 25), 4: (8, 60)}
-FIXTURE_NS = tuple(_RANDOM_FIXTURE_SHAPE)
 
 
 def _random_noncolorable(n: int, seed, attempts: int = 1000) -> Hypergraph:
@@ -528,8 +508,8 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     Returns the report's fixture section: {"n", "bound", "ok", "fixtures"},
     one entry per fixture, with the set-pair sum as an exact Fraction.
     """
-    if n not in FIXTURE_NS:
-        raise ValueError(f"fixture suite covers n in {set(FIXTURE_NS)}")
+    if n not in _RANDOM_FIXTURE_SHAPE:
+        raise ValueError(f"fixture suite covers n in {set(_RANDOM_FIXTURE_SHAPE)}")
     K = complete_hypergraph(n)
     clique_verts = list(range(2 * n - 1))
     fixtures: list[tuple[str, Hypergraph, list[int] | None]] = [

@@ -18,7 +18,7 @@ from propb.hypergraph import (
     normalize,
     random_hypergraph,
 )
-from propb.search import _edge_slots, _triangle_slot_masks
+from propb.search import _edge_slots
 from propb.separation import SeparationStats
 
 
@@ -262,9 +262,12 @@ def oracle_scan(p, lo=0, hi=None) -> dict:
     Each mask's degrees come from its incidence masks, a triangle from the
     C(p, 3) triangle slot masks, and bipartiteness of a triangle-free mask
     from the 2^(p-1) monochromatic-slot masks of :func:`mono_slot_masks`.
-    hi defaults to every mask of p; the defaults give the dict of the whole scan.
+    Asserts the theorem per mask: every non-bipartite mask has m2 >= 6, and
+    one at m2 = 6 holds a triangle.  hi defaults to every mask of p; the
+    defaults give the dict of the whole scan.
     """
     E = _edge_slots(p)
+    slot = {e: 1 << i for i, e in enumerate(E)}
     inc = [sum(1 << i for i, e in enumerate(E) if v in e) for v in range(p)]
     # int32 holds the C(p, 2) <= 28 edge slots of every p <= 8
     G = np.arange(lo, (1 << len(E)) if hi is None else hi, dtype=np.int32)
@@ -280,7 +283,8 @@ def oracle_scan(p, lo=0, hi=None) -> dict:
     edge_count = np.bitwise_count(G)
 
     tri_any = np.zeros(len(G), dtype=bool)
-    for tm in _triangle_slot_masks(p):
+    for a, b, c in itertools.combinations(range(p), 3):
+        tm = slot[a, b] | slot[a, c] | slot[b, c]
         tri_any |= (G & tm) == tm
 
     # a triangle is an odd cycle; the rest are bipartite iff some coloring cuts every edge
@@ -292,16 +296,13 @@ def oracle_scan(p, lo=0, hi=None) -> dict:
     nonbip = tri_any.copy()
     nonbip[tri_free] = ~bip
 
-    prop_violation = nonbip & (m2_arr < 6)
-    thm_violation = nonbip & (m2_arr == 6) & ~tri_any
-    equality = nonbip & (m2_arr == 6)
+    assert not (nonbip & (m2_arr < 6)).any(), "a non-bipartite mask below the bound"
+    assert not (nonbip & (m2_arr == 6) & ~tri_any).any(), "a non-bipartite mask at the bound without a triangle"
     seymour_bad = nonbip & (edge_count < covered)
     return {
         "graphs": len(G),
         "non_colorable": int(nonbip.sum()),
-        "min_m2_non_colorable": int(m2_arr[nonbip].min()) if nonbip.any() else None,
-        "equality_masks": G[equality].tolist(),
-        "counterexample_masks": G[prop_violation | thm_violation].tolist(),
+        "candidate_masks": G[nonbip & (m2_arr <= 6)].tolist(),
         "seymour_violations": int(seymour_bad.sum()),
     }
 

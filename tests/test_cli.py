@@ -234,6 +234,24 @@ class TestVerify:
         assert main([*argv, "--out", str(mixed)]) == 0
         assert mixed.read_bytes() == whole.read_bytes()
 
+    def test_unreadable_stream_exit_2(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_text('{"type": "header"}\n')
+        real_open = open
+
+        def unreadable(file, *args, **kwargs):
+            if file == str(out_path):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", unreadable)
+        code = main(["verify", "--n", "2", "--max-p", "3", "--out", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {out_path}: Permission denied\n"
+        assert out_path.read_text() == '{"type": "header"}\n'
+
     def test_resume_of_a_utf16_stream_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
         out_path.write_bytes(b'\xff\xfe{"type": "header"}\n')
@@ -306,7 +324,7 @@ class TestVerify:
         (["color", "{k35}", "--order", "a,b"], "argument --order: invalid comma-separated int list: 'a,b'"),
         (["color", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
         (["mc", "{k35}", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
-        (["verify", "--n", "5", "--fixtures"], "argument --n: the fixture suite covers n in {2, 3, 4}, got 5"),
+        (["verify", "--n", "5", "--fixtures"], "argument --n: must be <= 4, got 5"),
         (["gen", "--kind", "padded", "--n", "3", "--extra-vertices", "-1"], "argument --extra-vertices: must be >= 0, got -1"),
         (["gen", "--kind", "padded", "--n", "3", "--extra-edges", "-2"], "argument --extra-edges: must be >= 0, got -2"),
         (["gen", "--kind", "random", "--p", "2", "--n", "3", "--m", "1"], "argument --m: only C(2, 3) = 0 edges exist, got 1"),
@@ -342,6 +360,7 @@ class TestVerify:
         (["color", "{k35}", "--order", ",0,1"], "argument --order: invalid comma-separated int list: ',0,1'"),
         (["color", "{k35}", "--order", "0,1,"], "argument --order: invalid comma-separated int list: '0,1,'"),
         (["verify", "--n", "3", "--max-p", "4"], "argument --max-p: a non-colorable 3-graph needs 5 vertices, got 4"),
+        (["verify", "--n", "5"], "argument --n: must be <= 4, got 5"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):

@@ -31,7 +31,6 @@ from propb.search import (
     verify_bound_exhaustive,
     verify_fixture_suite,
 )
-from propb.setpairs import find_clique
 
 from conftest import brute_automorphism_count, is_bipartite, oracle_scan, random_instances
 
@@ -45,20 +44,22 @@ def _labeled_graphs(p):
 def reference_scan(p: int) -> dict:
     """Slow no-shortcut census of every labeled graph on p vertices, as the scan reports it.
 
-    Object path throughout: the decider, m2, subset clique search and the
-    covered-vertex set, per graph in mask order.
+    Object path throughout: the decider, m2 and the covered-vertex set, per
+    graph in mask order.  Asserts the theorem per graph: a non-bipartite
+    graph has m2 >= 6, and one at m2 = 6 holds a triangle.
     """
     if p > 5:
         raise BudgetExceeded("reference enumeration is budgeted at p <= 5")
     graphs = list(_labeled_graphs(p))
     nc = [(mask, H, m2(H)) for mask, H in enumerate(graphs) if exhaustive_decide(H)[0] is Colorability.NO]
+    for _, H, v in nc:
+        triangle = any({(a, b), (a, c), (b, c)} <= set(H.edges) for a, b, c in combinations(range(p), 3))
+        assert v > 6 or (v == 6 and triangle), H
     return {
         "graphs": len(graphs),
         "non_colorable": len(nc),
-        "min_m2_non_colorable": min((v for _, _, v in nc), default=None),
+        "candidate_masks": [mask for mask, _, v in nc if v <= 6],
         "seymour_violations": sum(len(H.edges) < len(covered_vertices(H)) for _, H, _ in nc),
-        "equality_masks": [mask for mask, _, v in nc if v == 6],
-        "counterexample_masks": [mask for mask, H, v in nc if v < 6 or (v == 6 and find_clique(H) is None)],
     }
 
 
@@ -289,7 +290,7 @@ class TestClassRepresentatives:
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_census_equality_masks(self, p):
-        masks = _scan_graphs(p)["equality_masks"]
+        masks = _scan_graphs(p)["candidate_masks"]
         assert _class_representatives(p, masks) == _per_mask_classes(p, masks)
 
     def test_census_canonicalises_one_graph_per_class(self, monkeypatch):
@@ -346,9 +347,7 @@ def test_p7_scan_matches_its_eight_oracle_ranges():
     assert _whole_scan(7) == {
         "graphs": sum(d["graphs"] for d in parts),
         "non_colorable": sum(d["non_colorable"] for d in parts),
-        "min_m2_non_colorable": min(d["min_m2_non_colorable"] for d in parts if d["min_m2_non_colorable"] is not None),
-        "equality_masks": [m for d in parts for m in d["equality_masks"]],
-        "counterexample_masks": [m for d in parts for m in d["counterexample_masks"]],
+        "candidate_masks": [m for d in parts for m in d["candidate_masks"]],
         "seymour_violations": sum(d["seymour_violations"] for d in parts),
     }
 
@@ -565,21 +564,15 @@ class TestFixtureSuite:
 
 # Each breaker patches one step of the verifier so that it reports a failure.
 
-_C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+def _bound_above_the_triangle(monkeypatch):
+    """The triangle, at m2 = 6, falls below a bound of 7."""
+    monkeypatch.setattr(search, "bound", lambda n: 7)
 
 
-def _census_finds_c5(monkeypatch):
-    """The p = 5 census scan also reports the 5-cycle, non-bipartite with m2 = 10 and no triangle."""
-    scan = search._scan_graphs
-    mask = sum(1 << _edge_slots(5).index(e) for e in _C5)
-
-    def with_c5(p):
-        out = scan(p)
-        if p == 5:
-            out["counterexample_masks"] = [mask, *out["counterexample_masks"]]
-        return out
-
-    monkeypatch.setattr(search, "_scan_graphs", with_c5)
+def _no_clique_found(monkeypatch):
+    """The triangle meets the bound, but the clique search finds no triangle in it."""
+    monkeypatch.setattr(search, "find_clique", lambda H: None)
 
 
 def _bound_above_every_sample(monkeypatch):
@@ -606,15 +599,24 @@ def _no_sampling_attempts(monkeypatch):
 
 class TestVerifierFailures:
     def test_census_counterexample(self, monkeypatch):
-        _census_finds_c5(monkeypatch)
+        _bound_above_the_triangle(monkeypatch)
         with pytest.raises(CounterexampleFound) as exc:
             verify_bound_exhaustive(2, 5)
-        form = canonical_form(normalize(_C5, n=2, p=5))
         assert exc.value.record == {
-            "n": 2, "p": 5, "edge_count": 5, "m2": 10, "meets_bound": False, "has_clique": False,
-            "canonical_form": form,
+            "n": 2, "p": 3, "edge_count": 3, "m2": 6, "meets_bound": False, "has_clique": True,
+            "canonical_form": "0,1;0,2;1,2",
         }
-        assert str(exc.value).endswith(f": {form}")
+        assert str(exc.value).endswith(": 0,1;0,2;1,2")
+
+    def test_census_equality_without_clique(self, monkeypatch):
+        _no_clique_found(monkeypatch)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_bound_exhaustive(2, 5)
+        assert exc.value.record == {
+            "n": 2, "p": 3, "edge_count": 3, "m2": 6, "meets_bound": True, "has_clique": False,
+            "canonical_form": "0,1;0,2;1,2",
+        }
+        assert str(exc.value).endswith(": 0,1;0,2;1,2")
 
     def test_sampled_counterexample(self, monkeypatch):
         _bound_above_every_sample(monkeypatch)
@@ -644,13 +646,14 @@ class TestVerifierFailures:
     @pytest.mark.parametrize(
         "breaker, argv, message",
         [
-            (_census_finds_c5, ["--n", "2", "--max-p", "5"], "graph on 5 vertices violates the bound"),
-            (_bound_above_every_sample, ["--n", "3", "--max-p", "8"], "sampled non-colorable 3-graph violates"),
+            (_bound_above_the_triangle, ["--n", "2", "--max-p", "5"], "non-colorable 2-graph on 3 vertices violates"),
+            (_bound_above_every_sample, ["--n", "3", "--max-p", "8"], "non-colorable 3-graph on "),
             (_decider_says_yes, ["--n", "2", "--fixtures"], "complete: expected non-2-colorable"),
             (_histogram_off, ["--n", "2", "--fixtures"], "complete: not every ordering separates"),
             (_no_sampling_attempts, ["--n", "3", "--fixtures"], "no non-2-colorable 3-graph found"),
+            (_no_clique_found, ["--n", "2", "--max-p", "5"], "non-colorable 2-graph on 3 vertices violates"),
         ],
-        ids=["census", "sampled", "decider", "histogram", "random-fixture"],
+        ids=["census", "sampled", "decider", "histogram", "random-fixture", "census-clique"],
     )
     def test_cli_exit_1_with_one_error_line(self, capsys, monkeypatch, breaker, argv, message):
         breaker(monkeypatch)

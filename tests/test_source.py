@@ -70,3 +70,16 @@ def test_every_error_class_is_raised_in_the_package():
         if isinstance(obj, type) and issubclass(obj, errors.PropBError) and obj is not errors.PropBError
     }
     assert declared and declared - _raised() == set()
+
+
+def test_conftest_oracles_import_no_private_kernel():
+    # the oracles stay independent of the kernels they check; _edge_slots is the slot layout masks are written in
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "propb"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_edge_slots"}
