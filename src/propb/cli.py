@@ -1,14 +1,18 @@
 """Command-line interface: analyze, color, mc, enum, verify, gen.
 
-Exit codes: 0 success, 2 malformed input (file or arguments) or a file
-that cannot be read or written, 3 budget exceeded (enum on large p,
-analyze --strict left undetermined, or the verify census past p = 7 or
-its --budget), 1 any other failure.  A failed write to stdout is an
-exit-2 error like one to an --out file.  The output of analyze, mc, enum
-and verify is the report document, as JSON or as its human rendering;
-color prints lines of its own, and gen writes a hypergraph file.
---deterministic suppresses the timestamp so identical invocations are
-byte-identical.
+A command computes, writes its output and raises on failure; it returns
+nothing.  :func:`main` alone flushes stdout, prints the one `error:`
+line and picks the exit code: 0 success, 2 malformed input (file or
+arguments, including a color --order that is no ordering of the input)
+or a file that cannot be read or written, 3 budget exceeded (enum on
+large p, analyze --strict left undetermined, or the verify census past
+p = 7 or its --budget), 1 any other failure.  A failed write to stdout
+is an exit-2 error like one to an --out file, and it replaces any
+earlier error of the command.  The output of analyze, mc, enum and
+verify is the report document, which :func:`_emit` alone builds, as
+JSON or as its human rendering; color prints lines of its own, and gen
+writes a hypergraph file.  --deterministic suppresses the timestamp so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -98,24 +102,18 @@ def _write(text: str, out: str | None) -> None:
             sys.stdout.write(text)
 
 
-def _emit(doc: dict, as_json: bool, out: str | None) -> None:
-    _write(to_json(doc) if as_json else "\n".join(_human_lines(doc)) + "\n", out)
+def _emit(args, out: str | None, **sections) -> None:
+    """Write the report document of `sections` to `out` (stdout when None), as JSON or its human rendering."""
+    doc = make_document(**sections, deterministic=args.deterministic)
+    _write(to_json(doc) if args.json else "\n".join(_human_lines(doc)) + "\n", out)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     text, H = _load(args.input)
     analysis, bollobas = analyze(H, vertex_budget=args.budget)
-    doc = make_document(
-        input_info=input_section(args.input, text, H),
-        analysis=analysis,
-        bollobas=bollobas,
-        deterministic=args.deterministic,
-    )
-    _emit(doc, args.json, args.out)
+    _emit(args, args.out, input_info=input_section(args.input, text, H), analysis=analysis, bollobas=bollobas)
     if args.strict and analysis["colorable"] == Colorability.UNDETERMINED.value:
-        print("error: colorability undetermined within vertex budget", file=sys.stderr)
-        return 3
-    return 0
+        raise BudgetExceeded("colorability undetermined within vertex budget")
 
 
 def _coloring_lines(H, order, coloring, witness):
@@ -133,19 +131,10 @@ def _coloring_lines(H, order, coloring, witness):
             )
 
 
-def _usage_error(message: str) -> int:
-    """One error line for arguments that do not fit the input or an existing file; exit 2."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def cmd_color(args) -> int:
+def cmd_color(args) -> None:
     _, H = _load(args.input)
     if args.order is not None:
-        try:
-            outcome = greedy_color(H, args.order)
-        except InvalidOrdering as exc:
-            return _usage_error(str(exc))
+        outcome = greedy_color(H, args.order)
         lines = _coloring_lines(H, args.order, outcome.coloring, outcome.separated_witness)
     else:
         result = random_restart_color(H, max_trials=args.trials, seed=args.seed)
@@ -155,31 +144,18 @@ def cmd_color(args) -> int:
             order, coloring = result
             lines = [f"proper coloring found (seed {args.seed})", *_coloring_lines(H, order, coloring, None)]
     _write("".join(line + "\n" for line in lines), None)
-    return 0
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> None:
     text, H = _load(args.input)
     stats = monte_carlo_separation(H, trials=args.trials, seed=args.seed)
-    doc = make_document(
-        input_info=input_section(args.input, text, H),
-        separation=monte_carlo_section(stats),
-        deterministic=args.deterministic,
-    )
-    _emit(doc, args.json, args.out)
-    return 0
+    _emit(args, args.out, input_info=input_section(args.input, text, H), separation=monte_carlo_section(stats))
 
 
-def cmd_enum(args) -> int:
+def cmd_enum(args) -> None:
     text, H = _load(args.input)
     mean = exhaustive_separation_mean(H)
-    doc = make_document(
-        input_info=input_section(args.input, text, H),
-        separation=exhaustive_section(mean, H.p),
-        deterministic=args.deterministic,
-    )
-    _emit(doc, args.json, args.out)
-    return 0
+    _emit(args, args.out, input_info=input_section(args.input, text, H), separation=exhaustive_section(mean, H.p))
 
 
 def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
@@ -187,10 +163,10 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
 
     The kept bytes end after the last complete p_summary line (the header
     when no p is complete), which drops the records of a p cut short and a
-    cut-short last line.  A missing or empty stream keeps nothing; one that
-    cannot be read raises FileAccessError.  A non-empty stream must start
-    with `header`; otherwise it was written by a different run, and a
-    ValueError says which parameters differ.
+    cut-short last line.  A missing or empty stream keeps nothing.
+    FileAccessError refuses a stream that cannot be read, or one that does
+    not start with `header` and so was written by a different run; its
+    message then says which parameters differ.
     """
     if not os.path.isfile(path) or os.path.getsize(path) == 0:
         return [], 0
@@ -202,10 +178,10 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
     objs = [_json_or_none(line) if line.endswith(b"\n") else None for line in lines]
     first = objs[0]
     if not isinstance(first, dict) or first.get("type") != "header":
-        raise ValueError(f"{path} has no header line; refusing to append to it")
+        raise FileAccessError(f"{path} has no header line; refusing to append to it")
     if first != header:
         diff = ", ".join(f"{k}={first.get(k)!r} there, {v!r} here" for k, v in header.items() if first.get(k) != v)
-        raise ValueError(f"{path} was written by a different run ({diff}); refusing to append to it")
+        raise FileAccessError(f"{path} was written by a different run ({diff}); refusing to append to it")
     done, keep, end = [], len(lines[0]), 0
     for line, obj in zip(lines, objs):
         end += len(line)
@@ -223,38 +199,32 @@ def _json_or_none(line: bytes):
         return None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if args.fixtures:
-        rep = verify_fixture_suite(args.n, seed=args.seed)
-        doc = make_document(
-            search={"mode": "fixtures", "report": rep},
-            deterministic=args.deterministic,
-        )
-        _emit(doc, args.json, args.out)
-        return 0
+        _emit(args, args.out, search={"mode": "fixtures", "report": verify_fixture_suite(args.n, seed=args.seed)})
+        return
 
     max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
     header = {"type": "header", "n": args.n, "max_p": max_p, "seed": args.seed, "budget": args.budget}
     done: list[dict] = []
     sink = None
+    unwritten: list[dict] = []  # a fresh stream's header, written with its first line
 
     def write_line(obj):
         if sink:
             with _Writing(args.out):
-                sink.write(json.dumps(obj, sort_keys=True) + "\n")
+                sink.write("".join(json.dumps(o, sort_keys=True) + "\n" for o in (*unwritten, obj)))
                 sink.flush()
+            unwritten.clear()
 
     try:
         if args.out:
-            try:
-                done, keep = _read_stream(args.out, header)
-            except ValueError as exc:
-                return _usage_error(str(exc))
+            done, keep = _read_stream(args.out, header)
             with _Writing(args.out):
                 sink = open(args.out, "a", encoding="utf-8")
                 sink.truncate(keep)
             if not keep:
-                write_line(header)
+                unwritten.append(header)
         skip = {s["p"] for s in done}
         records, summary = verify_bound_exhaustive(
             args.n,
@@ -275,18 +245,9 @@ def cmd_verify(args) -> int:
         if sink:
             with _Writing(args.out):
                 sink.close()
-    doc = make_document(
-        search={
-            "mode": summary["mode"],
-            "records": records,
-            "summary": summary,
-            "skipped_p": sorted(skip),
-        },
-        deterministic=args.deterministic,
-    )
+    search = {"mode": summary["mode"], "records": records, "summary": summary, "skipped_p": sorted(skip)}
     # verify --out is the record stream, so the document always goes to stdout
-    _emit(doc, args.json, None)
-    return 0
+    _emit(args, None, search=search)
 
 
 def _extra_vertices(args) -> int:
@@ -309,7 +270,7 @@ def _check_gen(args) -> None:
         )
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     if args.kind == "clique":
         H = complete_hypergraph(args.n)
     elif args.kind == "padded":
@@ -319,7 +280,6 @@ def cmd_gen(args) -> int:
     else:
         H = random_hypergraph(args.n, args.p, args.m, seed=args.seed)
     _write(render(H), args.out)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -435,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that writes an error line or picks the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -444,19 +405,18 @@ def main(argv=None) -> int:
                 args.parser.error(f"argument --max-p: {need}, got {args.max_p}")
         if args.command == "gen":
             _check_gen(args)
-        code = args.func(args)
-        with _Writing(None):
-            sys.stdout.flush()
-        return code
-    except (ParseError, FileAccessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        try:
+            args.func(args)
+        finally:
+            # a failed flush replaces whatever the command raised: its output is lost, so that is the error
+            with _Writing(None):
+                sys.stdout.flush()
     except PropBError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (ParseError, FileAccessError, InvalidOrdering)):
+            return 2
+        return 3 if isinstance(exc, BudgetExceeded) else 1
+    return 0
 
 
 if __name__ == "__main__":

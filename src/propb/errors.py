@@ -51,7 +51,7 @@ class FixtureFailure(PropBError):
 
 
 class FileAccessError(PropBError):
-    """An input file cannot be read, or an --out file cannot be written."""
+    """An input file cannot be read, an --out file cannot be written, or a verify --out stream refuses an append."""
 
 
 class ParseError(PropBError):

@@ -7,10 +7,10 @@ vertices (a row) plus the edges at 0 and 1 (a column).  Byte lanes over
 the rows and over the columns (built with bytes.translate and
 int.from_bytes sums) hold degrees and m2; per row, a Python-int bitset
 over the columns marks the bipartite graphs.  m2 never falls when the
-column grows, so the graphs at or below the bound come from a walk by
-ascending m2(h) that stops past it.  For n >= 3 exhaustive enumeration
-is out of reach, so the run degrades to seeded rejection sampling plus
-the curated fixture suite.
+column grows, so the graphs at or below the bound lie in the rows at or
+below it.  For n >= 3 exhaustive enumeration is out of reach, so the
+run degrades to seeded rejection sampling plus the curated fixture
+suite.
 
 Both modes only find non-colorable instances; :func:`_record` alone
 judges them, by the bound and the equality characterization.  Records
@@ -252,24 +252,15 @@ def _extension_tables(p: int):
     return bytes(deg), m2_h, tuple(ext), seymour, base, meets
 
 
-def _rows_by_m2(m2_h: bytes):
-    """Rows h by ascending m2(h), ties by ascending h: one bytes.find pass per m2 value."""
-    for value in range(256):
-        h = m2_h.find(value)
-        while h >= 0:
-            yield h
-            h = m2_h.find(value, h + 1)
-
-
 def _scan_graphs(p: int) -> dict:
     """Find every non-bipartite labeled graph on p vertices at m2 <= 6: h << L | c over :func:`_extension_tables`.
 
-    m2(h + c) >= m2(h), so those masks come from the rows by ascending
-    m2(h) up to 6, each row's columns under the bound as one bitmap, where
-    m2(h + c) - m2(h) = base(c) + 2 sum over v of deg_h(v) meets_v(c): one
-    bitmap per degree vector, which also fixes m2(h).  candidate_masks,
-    ascending, is closed under relabeling, as m2 and bipartiteness are
-    isomorphism invariants.
+    m2(h + c) >= m2(h), so those masks come from the rows at m2(h) <= 6,
+    in ascending h, each row's columns under the bound as one bitmap, read
+    low bit first, where m2(h + c) - m2(h) = base(c) + 2 sum over v of
+    deg_h(v) meets_v(c): one bitmap per degree vector, which also fixes
+    m2(h).  candidate_masks, ascending, is closed under relabeling, as m2
+    and bipartiteness are isomorphism invariants.
     """
     deg, m2_h, ext, seymour, base, meets = _extension_tables(p)
     q = len(meets)
@@ -278,9 +269,7 @@ def _scan_graphs(p: int) -> dict:
 
     low = []
     under_by_degrees = {}  # degree vector -> bitmap of the columns c with m2(h + c) <= 6
-    for h in _rows_by_m2(m2_h):
-        if m2_h[h] > 6:
-            break
+    for h in compress(range(len(ext)), m2_h.translate(b"\1" * 7 + bytes(249))):
         nonbip = every_column & ~ext[h]
         if not nonbip:
             continue
@@ -290,10 +279,9 @@ def _scan_graphs(p: int) -> dict:
             under_by_degrees[d] = int(inc.translate(_below(7 - m2_h[h])), 2)
         under = under_by_degrees[d] & nonbip
         while under:
-            c = under.bit_length() - 1
-            under ^= 1 << c
-            low.append(h << L | c)
-    low.sort()
+            bit = under & -under
+            under ^= bit
+            low.append(h << L | bit.bit_length() - 1)
 
     graphs = len(ext) << L
     return {

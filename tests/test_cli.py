@@ -273,6 +273,19 @@ class TestVerify:
         assert main([*argv, "--out", str(cut)]) == 0
         assert cut.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize(
+        "failing", [["--max-p", "8"], ["--max-p", "5", "--budget", "3"]], ids=["max-p", "budget"]
+    )
+    def test_a_run_that_writes_no_line_leaves_an_empty_stream(self, capsys, tmp_path, failing):
+        # so its corrected rerun starts fresh, instead of being refused as another run's stream
+        argv = ["verify", "--n", "2", "--deterministic"]
+        whole, s = tmp_path / "whole.jsonl", tmp_path / "s.jsonl"
+        assert main([*argv, *failing, "--out", str(s)]) == 3
+        assert s.read_bytes() == b""
+        assert main([*argv, "--max-p", "5", "--out", str(s)]) == 0
+        assert main([*argv, "--max-p", "5", "--out", str(whole)]) == 0
+        assert s.read_bytes() == whole.read_bytes()
+
     def test_fixtures_out_writes_the_document(self, capsys, tmp_path):
         argv = ["verify", "--n", "3", "--fixtures", "--json", "--deterministic"]
         assert main(argv) == 0
@@ -423,8 +436,10 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
         # argparse itself drops an OSError while it prints help
         ["--help"],
         ["analyze", "--help"],
+        # the strict exit-3 error is lost with the output: one line, for the write
+        ["analyze", "{k35}", "--budget", "3", "--strict"],
     ],
-    ids=["gen", "verify-json", "analyze", "color", "help", "analyze-help"],
+    ids=["gen", "verify-json", "analyze", "color", "help", "analyze-help", "analyze-strict"],
 )
 def test_stdout_write_failure_exit_2(k35_file, argv, unbuffered):
     # buffered, the bytes a failed flush keeps must not fail again at interpreter shutdown

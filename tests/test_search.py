@@ -402,12 +402,6 @@ def test_row_lanes_hold_each_rows_degrees_and_m2(q):
         assert [lane >> 8 * c & 255 for lane in meets] == [degrees[2 + v] for v in range(q)], c
 
 
-@pytest.mark.parametrize("q", range(6))
-def test_rows_by_m2_is_the_stable_sort_by_m2(q):
-    m2_h = _extension_tables(q + 2)[1]
-    assert list(search._rows_by_m2(m2_h)) == sorted(range(len(m2_h)), key=m2_h.__getitem__)
-
-
 def test_tables_refuse_p8():
     # at p = 8 the rows reach 2^15 and a row's slack no longer fits its key lane
     with pytest.raises(ValueError):
@@ -415,28 +409,20 @@ def test_tables_refuse_p8():
 
 
 def test_cold_p7_scan_work(monkeypatch):
-    # work counts, not a wall time: the 246 rows at m2 <= 6, then the first past it, and one increment
-    # lane (one _below table) per degree vector among them
-    m2_h, expected = _extension_tables(7)[1], _whole_scan(7)
-    rows, rows_by_m2, below, lanes = [], search._rows_by_m2, search._below, [0]
-
-    def recorded(lane):
-        for h in rows_by_m2(lane):
-            rows.append(h)
-            yield h
+    # work counts, not a wall time: one increment lane (one _below table) per degree vector among the
+    # 246 rows at m2 <= 6; the tables are built before _below is counted
+    (deg, m2_h, *_), expected = _extension_tables(7), _whole_scan(7)
+    below, lanes = search._below, [0]
 
     def counted(t):
         lanes[0] += 1
         return below(t)
 
-    monkeypatch.setattr(search, "_rows_by_m2", recorded)
     monkeypatch.setattr(search, "_below", counted)
     assert search._scan_graphs(7) == expected
-    *visited, stop = rows
-    assert visited == [h for h in sorted(range(len(m2_h)), key=m2_h.__getitem__) if m2_h[h] <= 6]
-    assert len(visited) == 246 and m2_h[stop] > 6
-    deg = _extension_tables(7)[0]
-    assert lanes[0] == len({deg[5 * h : 5 * h + 5] for h in visited}) == 121
+    rows = [h for h in range(len(m2_h)) if m2_h[h] <= 6]
+    assert len(rows) == 246
+    assert lanes[0] == len({deg[5 * h : 5 * h + 5] for h in rows}) == 121
 
 
 class TestVerifyGraphs:

@@ -72,6 +72,27 @@ def test_every_error_class_is_raised_in_the_package():
     assert declared and declared - _raised() == set()
 
 
+def test_commands_raise_and_only_main_reports():
+    # a cmd_* function computes, writes its output and raises; main alone prints the error line and
+    # picks the exit code
+    tree = ast.parse((Path(propb.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    stderr = {
+        f.name
+        for f in functions
+        for sub in ast.walk(f)
+        if f.name != "main" and isinstance(sub, ast.Attribute) and sub.attr == "stderr"
+        and isinstance(sub.value, ast.Name) and sub.value.id == "sys"
+    }
+    returning = {
+        f.name
+        for f in functions
+        for sub in ast.walk(f)
+        if f.name.startswith("cmd_") and isinstance(sub, ast.Return) and sub.value is not None
+    }
+    assert (stderr, returning) == (set(), set())
+
+
 def test_conftest_oracles_import_no_private_kernel():
     # the oracles stay independent of the kernels they check; _edge_slots is the slot layout masks are written in
     tree = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
