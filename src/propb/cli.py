@@ -13,31 +13,21 @@ verify is the report document, which :func:`_emit` alone builds, as
 JSON or as its human rendering; color prints lines of its own, and gen
 writes a hypergraph file.  --deterministic suppresses the timestamp so
 identical invocations are byte-identical.
+
+Every invocation is a fresh interpreter, so the module's top imports only
+what parsing the arguments and reading an input need; each cmd_* imports
+the modules it runs, and _emit imports report.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from .coloring import Colorability, greedy_color, random_restart_color
 from .errors import BudgetExceeded, FileAccessError, InvalidOrdering, ParseError, PropBError
 from .hgio import parse, render
-from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
-from .report import (
-    analyze,
-    exhaustive_section,
-    input_section,
-    make_document,
-    monte_carlo_section,
-    to_json,
-)
-from .search import verify_bound_exhaustive, verify_fixture_suite
-from .separation import exhaustive_separation_mean, monte_carlo_separation
 
 
 def _load(path: str):
@@ -62,12 +52,14 @@ def _human_lines(value, indent: int = 0):
                 yield from _human_lines(v, indent + 1)
             else:
                 yield f"{pad_}{label} {next(_human_lines(v))}"
-    elif isinstance(value, Fraction):
-        yield f"{pad_}{value.numerator}/{value.denominator}"
     elif value is None or isinstance(value, (dict, list)):
-        yield pad_ + json.dumps(value)  # null, {} or []
-    else:
+        yield pad_ + ("null" if value is None else "{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (str, int, float)):
         yield f"{pad_}{value}"
+    else:
+        from fractions import Fraction  # loaded here: only a document holding a rational gets this far
+
+        yield f"{pad_}{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else f"{pad_}{value}"
 
 
 class _Writing:
@@ -104,11 +96,16 @@ def _write(text: str, out: str | None) -> None:
 
 def _emit(args, out: str | None, **sections) -> None:
     """Write the report document of `sections` to `out` (stdout when None), as JSON or its human rendering."""
+    from .report import make_document, to_json
+
     doc = make_document(**sections, deterministic=args.deterministic)
     _write(to_json(doc) if args.json else "\n".join(_human_lines(doc)) + "\n", out)
 
 
 def cmd_analyze(args) -> None:
+    from .coloring import Colorability
+    from .report import analyze, input_section
+
     text, H = _load(args.input)
     analysis, bollobas = analyze(H, vertex_budget=args.budget)
     _emit(args, args.out, input_info=input_section(args.input, text, H), analysis=analysis, bollobas=bollobas)
@@ -132,6 +129,8 @@ def _coloring_lines(H, order, coloring, witness):
 
 
 def cmd_color(args) -> None:
+    from .coloring import greedy_color, random_restart_color
+
     _, H = _load(args.input)
     if args.order is not None:
         outcome = greedy_color(H, args.order)
@@ -147,12 +146,18 @@ def cmd_color(args) -> None:
 
 
 def cmd_mc(args) -> None:
+    from .report import input_section, monte_carlo_section
+    from .separation import monte_carlo_separation
+
     text, H = _load(args.input)
     stats = monte_carlo_separation(H, trials=args.trials, seed=args.seed)
     _emit(args, args.out, input_info=input_section(args.input, text, H), separation=monte_carlo_section(stats))
 
 
 def cmd_enum(args) -> None:
+    from .report import exhaustive_section, input_section
+    from .separation import exhaustive_separation_mean
+
     text, H = _load(args.input)
     mean = exhaustive_separation_mean(H)
     _emit(args, args.out, input_info=input_section(args.input, text, H), separation=exhaustive_section(mean, H.p))
@@ -193,6 +198,8 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
 
 def _json_or_none(line: bytes):
     """The JSON value of a line, or None for one cut short by an interrupted run or not UTF-8 JSON at all."""
+    import json  # loaded here, and in write_line: only a verify --out stream is read or written line by line
+
     try:
         return json.loads(line)
     except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
@@ -200,6 +207,8 @@ def _json_or_none(line: bytes):
 
 
 def cmd_verify(args) -> None:
+    from .search import verify_bound_exhaustive, verify_fixture_suite
+
     if args.fixtures:
         _emit(args, args.out, search={"mode": "fixtures", "report": verify_fixture_suite(args.n, seed=args.seed)})
         return
@@ -212,6 +221,8 @@ def cmd_verify(args) -> None:
 
     def write_line(obj):
         if sink:
+            import json
+
             with _Writing(args.out):
                 sink.write("".join(json.dumps(o, sort_keys=True) + "\n" for o in (*unwritten, obj)))
                 sink.flush()
@@ -271,6 +282,8 @@ def _check_gen(args) -> None:
 
 
 def cmd_gen(args) -> None:
+    from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
+
     if args.kind == "clique":
         H = complete_hypergraph(args.n)
     elif args.kind == "padded":

@@ -2,7 +2,8 @@
 
 Header line "n p m" (uniformity, vertex count, edge count), then m lines
 of n whitespace-separated 0-based vertex ids.  Lines starting with '#'
-and blank lines are ignored.  render(parse(...)) is canonical and
+and blank lines are ignored.  An integer is ASCII decimal digits with
+an optional leading '-'.  render(parse(...)) is canonical and
 parse(render(H)) == H for every valid H.
 
 parse checks outside input and names the line of each defect; the
@@ -13,6 +14,13 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .hypergraph import Hypergraph
+
+
+def _int(token: str) -> int:
+    """The integer of an ASCII decimal token, else ValueError; int() alone also takes '+', '_' and non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
 
 
 def parse(text: str) -> Hypergraph:
@@ -30,7 +38,7 @@ def parse(text: str) -> Hypergraph:
             if len(tokens) != 3:
                 raise ParseError(lineno, f"header must be 'n p m', got {len(tokens)} fields")
             try:
-                n, p, m = (int(t) for t in tokens)
+                n, p, m = (_int(t) for t in tokens)
             except ValueError:
                 raise ParseError(lineno, f"header must be three integers, got {line!r}") from None
             if n < 1 or p < 0 or m < 0:
@@ -41,7 +49,7 @@ def parse(text: str) -> Hypergraph:
         if len(seen) == m:
             raise ParseError(lineno, f"more than the {m} edges announced in the header")
         try:
-            ids = tuple(int(t) for t in tokens)
+            ids = tuple(_int(t) for t in tokens)
         except ValueError:
             raise ParseError(lineno, f"edge must be integers, got {line!r}") from None
         if len(ids) != n:

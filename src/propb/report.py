@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from . import __version__
 from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
@@ -48,9 +47,17 @@ def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, dict | None]:
 
 
 def sha256_text(text: str) -> str:
-    import hashlib  # loaded here: only commands that read an input hash it
+    """Hex SHA-256 of the UTF-8 text, from the interpreter's builtin module; hashlib loads OpenSSL, so it is the fallback."""
+    # loaded here: only commands that read an input hash it
+    try:
+        from _sha256 import sha256  # CPython up to 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # CPython 3.12 on
+        except ImportError:
+            from hashlib import sha256
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def input_section(path: str | None, text: str, H: Hypergraph) -> dict:
@@ -114,6 +121,8 @@ def make_document(
 
 
 def _encode(value) -> dict:
+    from fractions import Fraction  # loaded here: json calls this only for a value it cannot write itself
+
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

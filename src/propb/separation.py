@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 from .coloring import TRIAL_BLOCK, _all_of, _order_planes, _trial_planes, check_order
 from .errors import BudgetExceeded
@@ -112,6 +111,8 @@ def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
 
 def exhaustive_separation_mean(H: Hypergraph) -> Fraction:
     """Exact mean of count_separated over all p! orderings, as a reduced rational (p <= 8)."""
+    from fractions import Fraction  # loaded here, and in monte_carlo_separation: only they make a rational
+
     hist = ordering_histogram(H)
     return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
 
@@ -122,6 +123,8 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64); identical arguments reproduce identical statistics.
     """
+    from fractions import Fraction
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     slots = _pair_slots(H)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceeded, EqualityStructureViolated
@@ -46,6 +45,8 @@ def _violations(members: list[tuple[int, int]]) -> list[tuple[str, tuple[int, ..
 
 def _sum(p: int, members: list[tuple[int, int]]) -> Fraction:
     """Exact sum of 1/C(p-|B_i|, |A_i|); |A_i| <= |X union Y| = p-|B_i| for a family built from H."""
+    from fractions import Fraction  # loaded here: the sum is this module's only rational
+
     return sum((Fraction(1, math.comb(p - b.bit_count(), a.bit_count())) for a, b in members), Fraction(0))
 
 

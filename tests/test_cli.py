@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,11 @@ def k35_file(tmp_path):
 
 
 @pytest.fixture
+def fano_file(tmp_path):
+    return write(tmp_path, "fano.hg", render(fano_plane()))
+
+
+@pytest.fixture
 def triangle_file(tmp_path):
     return write(tmp_path, "tri.hg", render(complete_hypergraph(2)))
 
@@ -46,6 +52,14 @@ class TestAnalyze:
         assert doc["bollobas"]["equality"] is True
         assert doc["bollobas"]["sum"] == {"num": 1, "den": 1}
         assert doc["timestamp"] is None
+
+    def test_input_sha256_is_the_digest_of_the_utf8_text(self, capsys, tmp_path):
+        text = "# Fano-Ebene \u00b7 \u6cd5\u8bfa\u5e73\u9762 \U0001d53d\u2082\n" + render(fano_plane())
+        path = tmp_path / "fano.hg"
+        path.write_bytes(text.encode("utf-8"))
+        code, doc = run_json(capsys, ["analyze", str(path), "--json", "--deterministic"])
+        assert code == 0
+        assert doc["input"]["sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_empty_hypergraph(self, capsys, tmp_path):
         path = write(tmp_path, "empty.hg", "3 4 0\n")
@@ -558,6 +572,7 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
         ["--help"],
         ["analyze", "{k35}", "--json"],
         ["analyze", "{k35}", "--deterministic"],
+        ["analyze", "{fano}", "--json"],
         ["enum", "{k35}", "--json", "--deterministic"],
         ["mc", "{k35}", "--trials", "10"],
         ["color", "{k35}", "--trials", "3"],
@@ -568,14 +583,14 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
         ["verify", "--n", "3", "--budget", "5", "--deterministic"],
     ],
     ids=[
-        "help", "analyze", "analyze-deterministic", "enum-deterministic", "mc", "color", "gen",
+        "help", "analyze", "analyze-deterministic", "analyze-fano", "enum-deterministic", "mc", "color", "gen",
         "census", "fixtures", "fixtures-deterministic", "sampled-deterministic",
     ],
 )
-def test_commands_load_only_the_stdlib_modules_they_use(k35_file, argv):
+def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, argv):
     # counting only modules loaded after start-up keeps this independent of what site preloads
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
-    argv = [a.format(k35=k35_file) for a in argv]
+    argv = [a.format(k35=k35_file, fano=fano_file) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _NEWLY_LOADED, *argv],
         capture_output=True, text=True, env=env, check=True,
@@ -588,6 +603,16 @@ def test_commands_load_only_the_stdlib_modules_they_use(k35_file, argv):
     # only the commands that read an input file hash it
     if argv[0] not in ("analyze", "enum", "mc"):
         assert "hashlib" not in loaded
+    # input hashing uses the interpreter's builtin SHA-256, so no command loads OpenSSL
+    assert "_hashlib" not in loaded
+    # each command imports only the modules it runs; these three write no report document
+    if argv[0] in ("--help", "color", "gen"):
+        document = {"json", "fractions", "decimal", "propb.report", "propb.search", "propb.separation", "propb.setpairs"}
+        assert not loaded & document
+    # only a document holding a rational loads fractions: the census has none, nor the Fano plane's
+    # analysis (m2 = 42 > 30, so no bollobas section)
+    if argv[:3] == ["verify", "--n", "2"] or argv[:2] == ["analyze", fano_file]:
+        assert not loaded & {"fractions", "decimal"}
 
 
 def test_import_propb_loads_no_submodule():

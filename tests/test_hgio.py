@@ -81,6 +81,30 @@ class TestParseErrors:
             parse("2 3 2\n0 1\n1 0\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2 1_1 1\n0 1\n", 1),  # int() reads 1_1 as 11
+            ("2 +3 1\n0 1\n", 1),
+            ("2 \u0663 1\n0 1\n", 1),  # ARABIC-INDIC DIGIT THREE
+            ("2 -3 1\n0 1\n", 1),  # a '-' still parses, so the range check names it
+            ("2 11 1\n0 1_0\n", 2),
+            ("2 3 1\n+0 1\n", 2),
+            ("2 4 1\n0 \u0663\n", 2),
+            ("2 3 1\n0 -1\n", 2),
+        ],
+        ids=["underscore-header", "plus-header", "arabic-indic-header", "negative-header",
+             "underscore-edge", "plus-edge", "arabic-indic-edge", "negative-edge"],
+    )
+    def test_only_ascii_decimal_integers(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        if "-" in text:
+            assert "range" in str(exc.value)
+        else:
+            assert "integers" in str(exc.value)
+
     def test_too_few_edges(self):
         with pytest.raises(ParseError) as exc:
             parse("2 3 2\n0 1\n")
