@@ -5,14 +5,14 @@ nothing.  :func:`main` alone flushes stdout, prints the one `error:`
 line and picks the exit code: 0 success, 2 malformed input (file or
 arguments, including a color --order that is no ordering of the input)
 or a file that cannot be read or written, 3 budget exceeded (enum on
-large p, analyze --strict left undetermined, or the verify census past
-p = 7 or its --budget), 1 any other failure.  A failed write to stdout
-is an exit-2 error like one to an --out file, and it replaces any
-earlier error of the command.  The output of analyze, mc, enum and
-verify is the report document, which :func:`_emit` alone builds, as
-JSON or as its human rendering; color prints lines of its own, and gen
-writes a hypergraph file.  --deterministic suppresses the timestamp so
-identical invocations are byte-identical.
+large p, analyze --strict left undetermined, the verify census past
+p = 7 or its --budget, gen past its edge budget), 1 any other failure.
+A failed stdout write is an exit-2 error like one to an --out file, and
+it replaces any earlier error of the command.  The output of analyze,
+mc, enum and verify is the report document, which :func:`_emit` alone
+builds, as JSON or as its human rendering; color prints lines of its
+own, and gen writes a hypergraph file.  --deterministic suppresses the
+timestamp so identical invocations are byte-identical.
 
 Every invocation is a fresh interpreter, so the module's top imports only
 what parsing the arguments and reading an input need; each cmd_* imports
@@ -146,8 +146,8 @@ def cmd_color(args) -> None:
 
 
 def cmd_mc(args) -> None:
-    from .report import input_section, monte_carlo_section
-    from .separation import monte_carlo_separation
+    from .report import input_section
+    from .separation import monte_carlo_section, monte_carlo_separation
 
     text, H = _load(args.input)
     stats = monte_carlo_separation(H, trials=args.trials, seed=args.seed)
@@ -155,12 +155,11 @@ def cmd_mc(args) -> None:
 
 
 def cmd_enum(args) -> None:
-    from .report import exhaustive_section, input_section
-    from .separation import exhaustive_separation_mean
+    from .report import input_section
+    from .separation import exhaustive_section
 
     text, H = _load(args.input)
-    mean = exhaustive_separation_mean(H)
-    _emit(args, args.out, input_info=input_section(args.input, text, H), separation=exhaustive_section(mean, H.p))
+    _emit(args, args.out, input_info=input_section(args.input, text, H), separation=exhaustive_section(H))
 
 
 def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
@@ -261,33 +260,33 @@ def cmd_verify(args) -> None:
     _emit(args, None, search=search)
 
 
-def _extra_vertices(args) -> int:
-    return args.extra_vertices if args.extra_vertices is not None else args.n
+def cmd_gen(args) -> None:
+    """Arguments that name no hypergraph are usage errors of gen (exit 2); one past EDGE_BUDGET edges exits 3."""
+    from .hypergraph import EDGE_BUDGET, complete_hypergraph, fano_plane, pad, random_hypergraph
 
-
-def _check_gen(args) -> None:
-    """Reject gen arguments that name no hypergraph, as usage errors of gen (exit 2)."""
     parser = args.parser
+    extra_vertices = args.n if args.extra_vertices is None else args.extra_vertices
     if args.kind == "random":
         if args.p is None or args.m is None:
             parser.error("argument --kind: random requires --p and --m")
         total = math.comb(args.p, args.n)
         if args.m > total:
             parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
-    if args.kind == "padded" and _extra_vertices(args) < args.n * args.extra_edges:
+    if args.kind == "padded" and extra_vertices < args.n * args.extra_edges:
         parser.error(
             f"argument --extra-vertices: {args.extra_edges} disjoint {args.n}-edges need "
-            f"{args.n * args.extra_edges} fresh vertices, got {_extra_vertices(args)}"
+            f"{args.n * args.extra_edges} fresh vertices, got {extra_vertices}"
         )
-
-
-def cmd_gen(args) -> None:
-    from .hypergraph import complete_hypergraph, fano_plane, pad, random_hypergraph
-
+    # C(2n-1, n) grows with n and is far past the budget at n = 64: math.comb(2n-1, n) has about 0.6n digits
+    k = min(args.n, 64)
+    clique = math.comb(2 * k - 1, k)
+    edges = {"clique": clique, "padded": clique + args.extra_edges, "fano": 7, "random": args.m}[args.kind]
+    if edges > EDGE_BUDGET:
+        raise BudgetExceeded(f"{args.kind} hypergraph has more than {EDGE_BUDGET} edges, the gen budget")
     if args.kind == "clique":
         H = complete_hypergraph(args.n)
     elif args.kind == "padded":
-        H = pad(complete_hypergraph(args.n), _extra_vertices(args), args.extra_edges)
+        H = pad(complete_hypergraph(args.n), extra_vertices, args.extra_edges)
     elif args.kind == "fano":
         H = fano_plane()
     else:
@@ -416,8 +415,6 @@ def main(argv=None) -> int:
             if args.max_p < 2 * args.n - 1:
                 need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
                 args.parser.error(f"argument --max-p: {need}, got {args.max_p}")
-        if args.command == "gen":
-            _check_gen(args)
         try:
             args.func(args)
         finally:

@@ -12,6 +12,8 @@ Hypergraph it builds checks the sorted edges as it checks any edge list.
 
 from __future__ import annotations
 
+import io
+
 from .errors import ParseError
 from .hypergraph import Hypergraph
 
@@ -24,11 +26,12 @@ def _int(token: str) -> int:
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the text format, reporting 1-based line numbers on any defect."""
+    """Parse the text format, reporting 1-based line numbers on any defect; only \\n, \\r\\n and \\r end a line."""
     header = None
     seen: dict[tuple[int, ...], int] = {}
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a text-mode read's lines: str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):

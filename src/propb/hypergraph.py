@@ -23,6 +23,9 @@ from .errors import (
     VertexOutOfRange,
 )
 
+# The most edges `propb gen` builds, and the largest population random_hypergraph lists whole.
+EDGE_BUDGET = 1 << 20
+
 
 class Hypergraph:
     """Immutable n-uniform hypergraph on vertex ids 0..p-1.
@@ -191,7 +194,7 @@ def random_hypergraph(n: int, p: int, m: int, seed) -> Hypergraph:
     if m > total:
         raise TooManyEdges(f"requested {m} edges but only C({p},{n})={total} exist")
     rng = random.Random(seed)
-    if total <= 1 << 20:
+    if total <= EDGE_BUDGET:
         population = list(combinations(range(p), n))
         edges = rng.sample(population, m)
     else:

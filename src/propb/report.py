@@ -10,12 +10,10 @@ with "estimate": true.
 from __future__ import annotations
 
 import json
-import math
 
 from . import __version__
-from .coloring import TRIAL_STREAM, Colorability, exhaustive_decide
+from .coloring import Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
-from .separation import SeparationStats
 from .setpairs import evaluate_family, find_clique
 
 TOOL_NAME = "propb"
@@ -67,27 +65,6 @@ def input_section(path: str | None, text: str, H: Hypergraph) -> dict:
         "n": H.n,
         "p": H.p,
         "edge_count": len(H.edges),
-    }
-
-
-def monte_carlo_section(stats: SeparationStats) -> dict:
-    return {
-        "kind": "monte_carlo",
-        "estimate": True,
-        "rng": TRIAL_STREAM,
-        "trials": stats.trials,
-        "mean_separated": float(stats.mean_separated),
-        "success_rate": float(stats.success_rate),
-        "histogram": [[k, v] for k, v in sorted(stats.histogram.items())],
-    }
-
-
-def exhaustive_section(mean: Fraction, p: int) -> dict:
-    return {
-        "kind": "exhaustive",
-        "estimate": False,
-        "orderings": math.factorial(p),
-        "mean_separated": mean,
     }
 
 

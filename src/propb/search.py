@@ -49,7 +49,7 @@ from .hypergraph import (
     seymour_check,
 )
 from .report import analyze
-from .separation import ordering_histogram
+from .separation import ENUM_MAX_VERTICES, ordering_histogram
 from .setpairs import find_clique
 
 GRAPH_BUDGET_DEFAULT = 1 << 22
@@ -550,7 +550,7 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
                 raise FixtureFailure(f"{name}: clique {clique} != ground minus common B {bol['ground_U']}")
             if expect_clique is not None and clique != expect_clique:
                 raise FixtureFailure(f"{name}: clique {clique} != expected {expect_clique}")
-            if H.p <= 8 and ordering_histogram(H) != {1: math.factorial(H.p)}:
+            if H.p <= ENUM_MAX_VERTICES and ordering_histogram(H) != {1: math.factorial(H.p)}:
                 raise FixtureFailure(f"{name}: not every ordering separates exactly one simple pair")
             entry["clique"] = clique
             entry["bollobas_sum"] = bol["sum"]

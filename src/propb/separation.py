@@ -4,18 +4,19 @@ An ordering is its visit sequence, a permutation of the vertex ids with
 the first-visited vertex first.  It separates a simple pair (X, Y) with
 shared vertex y when all of X minus y precedes y and y precedes all of
 Y minus y; one random ordering does so with probability
-(n-1)!^2 / (2n-1)! = 1 / bound(n).  Exact paths use Fraction throughout;
-only Monte Carlo summaries may be rendered as floats.
+(n-1)!^2 / (2n-1)! = 1 / bound(n), so the mean over all p! orderings is
+m2(H) / bound(n).  The report's separation sections are built here.
 
 Whether placing y separates a pair with meet y depends only on the set S
 of vertices placed before it, so the histogram of separated-pair counts
 over all p! orderings comes from a dynamic program over prefix sets
-(2^(p-1) pair tests per pair) instead of a loop over the orderings.
-Monte Carlo trials are evaluated a block at a time on the coloring
-module's planes, one byte lane per order of its SplitMix64 stream: a pair
-is separated in the lanes where its X\\y is all before y and its Y\\y all
-after, and the pair bits add up lane by lane.  count_separated is the
-one-lane case, with the planes of a single order.
+(2^(p-1) pair tests per pair), for the fixture suite's check that every
+ordering of an extremal input separates exactly one pair.  Monte Carlo
+trials are evaluated a block at a time on the coloring module's planes,
+one byte lane per order of its SplitMix64 stream: a pair is separated in
+the lanes where its X\\y is all before y and its Y\\y all after, and the
+pair bits add up lane by lane.  count_separated is the one-lane case,
+with the planes of a single order.
 """
 
 from __future__ import annotations
@@ -24,15 +25,22 @@ import math
 import sys
 from collections import Counter, namedtuple
 
-from .coloring import TRIAL_BLOCK, _all_of, _order_planes, _trial_planes, check_order
+from .coloring import TRIAL_BLOCK, TRIAL_STREAM, _all_of, _order_planes, _trial_planes, check_order
 from .errors import BudgetExceeded
-from .hypergraph import Hypergraph, enumerate_simple_pairs
+from .hypergraph import Hypergraph, bound, enumerate_simple_pairs, m2
+
+ENUM_MAX_VERTICES = 8  # enum and ordering_histogram cover the p! orderings of at most this many vertices
 
 
-class SeparationStats(namedtuple("SeparationStats", "trials mean_separated success_rate histogram")):
-    """Per-trial separated-pair counts aggregated over random orderings; mean and rate are exact Fractions."""
+class SeparationStats(namedtuple("SeparationStats", "trials histogram")):
+    """Separated-pair counts of random orderings, as {k: trials that separate exactly k pairs}."""
 
     __slots__ = ()
+
+
+def _check_enum_budget(p: int, max_vertices: int) -> None:
+    if p > max_vertices:
+        raise BudgetExceeded(f"p = {p} exceeds full-enumeration budget {max_vertices}")
 
 
 def _pair_slots(H: Hypergraph) -> list[tuple[int, int]]:
@@ -80,15 +88,14 @@ def count_separated(H: Hypergraph, order) -> int:
     return count
 
 
-def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
+def ordering_histogram(H: Hypergraph, max_vertices: int = ENUM_MAX_VERTICES) -> dict[int, int]:
     """How many of the p! orderings separate exactly k simple pairs, as {k: orderings}.
 
     Layer j holds, for every j-set S of vertices, the histogram over the
     j! orders of S of the pairs they separate so far.  Placing y next adds
     the pairs with meet y whose X\\y lies inside S and whose Y\\y misses S.
     """
-    if H.p > max_vertices:
-        raise BudgetExceeded(f"p = {H.p} exceeds full-enumeration budget {max_vertices}")
+    _check_enum_budget(H.p, max_vertices)
     by_meet: list[list[tuple[int, int]]] = [[] for _ in range(H.p)]
     for sp in enumerate_simple_pairs(H):
         bit = 1 << sp.meet
@@ -109,12 +116,17 @@ def ordering_histogram(H: Hypergraph, max_vertices: int = 8) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def exhaustive_separation_mean(H: Hypergraph) -> Fraction:
-    """Exact mean of count_separated over all p! orderings, as a reduced rational (p <= 8)."""
-    from fractions import Fraction  # loaded here, and in monte_carlo_separation: only they make a rational
+def exhaustive_section(H: Hypergraph) -> dict:
+    """enum's separation section: the exact mean of count_separated over all p! orderings, m2(H) / bound(n)."""
+    from fractions import Fraction  # loaded here: only enum makes a rational in this module
 
-    hist = ordering_histogram(H)
-    return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
+    _check_enum_budget(H.p, ENUM_MAX_VERTICES)
+    return {
+        "kind": "exhaustive",
+        "estimate": False,
+        "orderings": math.factorial(H.p),
+        "mean_separated": Fraction(m2(H), bound(H.n)),
+    }
 
 
 def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> SeparationStats:
@@ -123,8 +135,6 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64); identical arguments reproduce identical statistics.
     """
-    from fractions import Fraction
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     slots = _pair_slots(H)
@@ -133,9 +143,18 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
         stop = min(start + TRIAL_BLOCK, trials)
         before, ones = _trial_planes(H, seed, start, stop)
         hist += _separated_histogram(H, slots, before, ones, stop - start)
-    return SeparationStats(
-        trials=trials,
-        mean_separated=Fraction(sum(c * k for c, k in hist.items()), trials),
-        success_rate=Fraction(hist.get(0, 0), trials),
-        histogram=dict(sorted(hist.items())),
-    )
+    return SeparationStats(trials=trials, histogram=dict(sorted(hist.items())))
+
+
+def monte_carlo_section(stats: SeparationStats) -> dict:
+    """mc's separation section; int / int is the correctly rounded float, as float(Fraction(a, b)) is."""
+    hist = stats.histogram
+    return {
+        "kind": "monte_carlo",
+        "estimate": True,
+        "rng": TRIAL_STREAM,
+        "trials": stats.trials,
+        "mean_separated": sum(c * k for c, k in hist.items()) / stats.trials,
+        "success_rate": hist.get(0, 0) / stats.trials,
+        "histogram": [[k, v] for k, v in hist.items()],
+    }

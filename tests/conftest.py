@@ -447,12 +447,7 @@ def oracle_counter(H):
 def oracle_monte_carlo(H, trials, seed) -> SeparationStats:
     count = oracle_counter(H)
     hist = Counter(count(oracle_trial_order(H.p, seed, t)) for t in range(trials))
-    return SeparationStats(
-        trials=trials,
-        mean_separated=Fraction(sum(c * k for c, k in hist.items()), trials),
-        success_rate=Fraction(hist.get(0, 0), trials),
-        histogram=dict(sorted(hist.items())),
-    )
+    return SeparationStats(trials=trials, histogram=dict(sorted(hist.items())))
 
 
 def brute_ordering_histogram(H) -> dict[int, int]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import propb
+from propb import hypergraph
 from propb.cli import main
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, pad
@@ -495,6 +496,29 @@ class TestGen:
         assert main(["gen", "--kind", "random", "--n", "2", "--p", "7", "--m", "9", "--seed", "5", "--out", b]) == 0
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "clique", "--n", "12"],
+            ["--kind", "clique", "--n", "1000000"],
+            ["--kind", "padded", "--n", "12"],
+            ["--kind", "padded", "--n", "3", "--extra-vertices", str(3 * 2**20), "--extra-edges", str(2**20)],
+            ["--kind", "random", "--n", "3", "--p", "200", "--m", str(2**20 + 1)],
+        ],
+        ids=["clique", "clique-huge-n", "padded", "padded-extra-edges", "random"],
+    )
+    def test_over_the_edge_budget_exit_3_before_building(self, capsys, monkeypatch, argv):
+        # C(23, 12) = 1,352,078 edges for the clique at n = 12; the budget is 2^20
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hypergraph past the edge budget was built")
+
+        for name in ("complete_hypergraph", "pad", "random_hypergraph"):
+            monkeypatch.setattr(hypergraph, name, refuse)
+        assert main(["gen", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[1]} hypergraph has more than 1048576 edges, the gen budget\n"
+
     def test_gen_analyze_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "fano.hg")
         main(["gen", "--kind", "fano", "--out", path])
@@ -613,6 +637,12 @@ def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, arg
     # analysis (m2 = 42 > 30, so no bollobas section)
     if argv[:3] == ["verify", "--n", "2"] or argv[:2] == ["analyze", fano_file]:
         assert not loaded & {"fractions", "decimal"}
+    # mc's estimates are floats, divided straight from its histogram's integers
+    if argv[0] == "mc":
+        assert not loaded & {"fractions", "decimal"}
+    # the separation sections are built in propb.separation, so report does not import it
+    if argv[0] == "analyze":
+        assert "propb.separation" not in loaded
 
 
 def test_import_propb_loads_no_submodule():

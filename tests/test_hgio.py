@@ -23,6 +23,15 @@ class TestRoundTrip:
         text = "# a triangle\n\n2 3 3\n0 1\n# middle comment\n0 2\n\n1 2\n"
         assert parse(text) == complete_hypergraph(2)
 
+    @pytest.mark.parametrize(
+        "char",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["vt", "ff", "fs", "gs", "rs", "nel", "line-sep", "para-sep"],
+    )
+    def test_only_newlines_end_a_line(self, char):
+        # str.splitlines also breaks at these; a text-mode read of the file does not
+        assert parse(f"# note{char}more\n2 3 1\n0 1\n") == normalize([[0, 1]], n=2, p=3)
+
     def test_unsorted_input_normalized(self):
         assert parse("2 3 3\n1 0\n2 0\n2 1\n") == complete_hypergraph(2)
 
@@ -119,6 +128,12 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse("# only a comment\n")
         assert exc.value.line == 1
+
+    def test_line_numbers_count_newlines_only(self):
+        with pytest.raises(ParseError) as exc:
+            parse("# a\x0cb\u2028c\r\n2 3 1\r0 7\n")
+        assert exc.value.line == 3
+        assert "range" in str(exc.value)
 
     def test_comment_lines_not_counted_as_edges(self):
         H = parse("3 7 2\n0 1 2\n# not an edge\n3 4 5\n")

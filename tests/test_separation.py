@@ -9,7 +9,8 @@ from propb.errors import BudgetExceeded
 from propb.hypergraph import bound, complete_hypergraph, m2, normalize, pad
 from propb.separation import (
     count_separated,
-    exhaustive_separation_mean,
+    exhaustive_section,
+    monte_carlo_section,
     monte_carlo_separation,
     ordering_histogram,
 )
@@ -90,28 +91,42 @@ class TestEnumeratedProbability:
             enumerate_separation_probability([0, 1], [2, 3])
 
 
+def histogram_mean(H) -> Fraction:
+    """Mean separated count over all p! orderings, from the prefix-set dynamic program."""
+    hist = ordering_histogram(H)
+    return Fraction(sum(c * k for c, k in hist.items()), math.factorial(H.p))
+
+
 class TestExhaustiveMean:
+    """enum's section takes its mean from m2 / bound(n); the ordering histogram is its independent oracle."""
+
     def test_triangle_exact(self, triangle):
-        assert exhaustive_separation_mean(triangle) == Fraction(1)
+        assert exhaustive_section(triangle) == {
+            "kind": "exhaustive", "estimate": False, "orderings": 6, "mean_separated": Fraction(1)
+        }
 
     def test_k35_exact(self, k35):
-        assert exhaustive_separation_mean(k35) == Fraction(1)
+        assert exhaustive_section(k35)["mean_separated"] == histogram_mean(k35) == Fraction(1)
+        assert exhaustive_section(k35)["orderings"] == 120
 
     def test_fano_exact(self, fano):
-        assert exhaustive_separation_mean(fano) == Fraction(42, 30)
+        assert exhaustive_section(fano)["mean_separated"] == histogram_mean(fano) == Fraction(42, 30)
 
     def test_matches_m2_over_bound(self):
         for H in random_instances(12, seed=43, p_max=6, m_max=10):
-            assert exhaustive_separation_mean(H) == Fraction(m2(H), bound(H.n))
+            assert histogram_mean(H) == Fraction(m2(H), bound(H.n))
+            assert exhaustive_section(H)["mean_separated"] == histogram_mean(H)
 
     def test_matches_at_budget_boundary_p8(self):
         H = normalize([[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 0], [1, 3, 5]], n=3, p=8)
-        assert exhaustive_separation_mean(H) == Fraction(m2(H), bound(3))
+        assert histogram_mean(H) == Fraction(m2(H), bound(3))
+        assert exhaustive_section(H)["mean_separated"] == histogram_mean(H)
+        assert exhaustive_section(H)["orderings"] == math.factorial(8)
 
     def test_budget(self):
         H = normalize([], n=2, p=9)
-        with pytest.raises(BudgetExceeded):
-            exhaustive_separation_mean(H)
+        with pytest.raises(BudgetExceeded, match="^p = 9 exceeds full-enumeration budget 8$"):
+            exhaustive_section(H)
 
 
 class TestMultiSeparation:
@@ -169,13 +184,14 @@ class TestMonteCarlo:
 
     def test_k35_concentrated_at_one(self, k35):
         stats = monte_carlo_separation(k35, trials=10_000, seed=5)
-        assert stats.mean_separated == Fraction(1)
         assert stats.histogram == {1: 10_000}
-        assert stats.success_rate == 0
+        section = monte_carlo_section(stats)
+        assert section["mean_separated"] == 1.0
+        assert section["success_rate"] == 0.0
 
     def test_no_pairs_always_succeeds(self, disjoint_edges):
         stats = monte_carlo_separation(disjoint_edges, trials=50, seed=1)
-        assert stats.success_rate == Fraction(1)
+        assert monte_carlo_section(stats)["success_rate"] == 1.0
         assert stats.histogram == {0: 50}
 
     def test_histogram_sums_and_mean(self):
@@ -183,7 +199,10 @@ class TestMonteCarlo:
             stats = monte_carlo_separation(H, trials=300, seed=2)
             assert sum(stats.histogram.values()) == 300
             total = sum(k * v for k, v in stats.histogram.items())
-            assert stats.mean_separated == Fraction(total, 300)
+            section = monte_carlo_section(stats)
+            # the estimates are the correctly rounded floats of the exact rationals
+            assert section["mean_separated"] == float(Fraction(total, 300))
+            assert section["success_rate"] == float(Fraction(stats.histogram.get(0, 0), 300))
 
     def test_deterministic(self, triangle):
         s1 = monte_carlo_separation(triangle, trials=500, seed=11)
@@ -193,7 +212,8 @@ class TestMonteCarlo:
     def test_triangle_mean_near_one(self, triangle):
         # every ordering of the triangle separates exactly one pair
         stats = monte_carlo_separation(triangle, trials=2000, seed=3)
-        assert stats.mean_separated == Fraction(1)
+        assert stats.histogram == {1: 2000}
+        assert monte_carlo_section(stats)["mean_separated"] == 1.0
 
 
 class TestLaneEdgeCases:
