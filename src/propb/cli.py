@@ -5,8 +5,8 @@ nothing.  :func:`main` alone flushes stdout, prints the one `error:`
 line and picks the exit code: 0 success, 2 malformed input (file or
 arguments, including a color --order that is no ordering of the input)
 or a file that cannot be read or written, 3 budget exceeded (enum on
-large p, analyze --strict left undetermined, the verify census past
-p = 7 or its --budget, gen past its edge budget), 1 any other failure.
+large p, analyze --strict past the decider's node budget, the verify
+census past p = 7, gen past its edge budget), 1 any other failure.
 A failed stdout write is an exit-2 error like one to an --out file, and
 it replaces any earlier error of the command.  The output of analyze,
 mc, enum and verify is the report document, which :func:`_emit` alone
@@ -22,7 +22,6 @@ the modules it runs, and _emit imports report.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -103,14 +102,14 @@ def _emit(args, out: str | None, **sections) -> None:
 
 
 def cmd_analyze(args) -> None:
-    from .coloring import Colorability
+    from .coloring import NODE_BUDGET, Colorability
     from .report import analyze, input_section
 
     text, H = _load(args.input)
-    analysis, bollobas = analyze(H, vertex_budget=args.budget)
+    analysis, bollobas = analyze(H)
     _emit(args, args.out, input_info=input_section(args.input, text, H), analysis=analysis, bollobas=bollobas)
     if args.strict and analysis["colorable"] == Colorability.UNDETERMINED.value:
-        raise BudgetExceeded("colorability undetermined within vertex budget")
+        raise BudgetExceeded(f"colorability undetermined within the decider's budget of {NODE_BUDGET} nodes")
 
 
 def _coloring_lines(H, order, coloring, witness):
@@ -262,14 +261,15 @@ def cmd_verify(args) -> None:
 
 def cmd_gen(args) -> None:
     """Arguments that name no hypergraph are usage errors of gen (exit 2); one past EDGE_BUDGET edges exits 3."""
-    from .hypergraph import EDGE_BUDGET, complete_hypergraph, fano_plane, pad, random_hypergraph
+    from .hypergraph import EDGE_BUDGET, capped_comb, complete_hypergraph, fano_plane, pad, random_hypergraph
 
     parser = args.parser
     extra_vertices = args.n if args.extra_vertices is None else args.extra_vertices
     if args.kind == "random":
         if args.p is None or args.m is None:
             parser.error("argument --kind: random requires --p and --m")
-        total = math.comb(args.p, args.n)
+        # exact whenever it is at most m, so the message below always states the true count
+        total = capped_comb(args.p, args.n, args.m)
         if args.m > total:
             parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
     if args.kind == "padded" and extra_vertices < args.n * args.extra_edges:
@@ -277,9 +277,7 @@ def cmd_gen(args) -> None:
             f"argument --extra-vertices: {args.extra_edges} disjoint {args.n}-edges need "
             f"{args.n * args.extra_edges} fresh vertices, got {extra_vertices}"
         )
-    # C(2n-1, n) grows with n and is far past the budget at n = 64: math.comb(2n-1, n) has about 0.6n digits
-    k = min(args.n, 64)
-    clique = math.comb(2 * k - 1, k)
+    clique = capped_comb(2 * args.n - 1, args.n, EDGE_BUDGET)
     edges = {"clique": clique, "padded": clique + args.extra_edges, "fano": 7, "random": args.m}[args.kind]
     if edges > EDGE_BUDGET:
         raise BudgetExceeded(f"{args.kind} hypergraph has more than {EDGE_BUDGET} edges, the gen budget")
@@ -352,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="m2, bound, colorability, clique witness")
     p.add_argument("input", help="hypergraph file")
-    p.add_argument(
-        "--budget", type=_int_at_least(0, at_most=62), default=24, help="covered-vertex budget for the exact decider (0..62)"
-    )
-    p.add_argument("--strict", action="store_true", help="exit 3 if the budget leaves colorability undetermined")
+    p.add_argument("--strict", action="store_true", help="exit 3 if the decider's node budget runs out")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
     p.add_argument("--n", type=_int_at_least(2, at_most=4), required=True, help="uniformity (2..4)")
     p.add_argument("--max-p", type=_int_at_least(1), default=None, dest="max_p")
-    p.add_argument("--budget", type=_int_at_least(0), default=None, help="graph budget (n=2) or sample count (n>=3)")
+    p.add_argument("--budget", type=_int_at_least(0), default=None, help="sample count at --n 3|4 (default 200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads",
@@ -411,8 +406,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and not args.fixtures and args.n >= 3 and args.max_p is not None:
-            if args.max_p < 2 * args.n - 1:
+        if args.command == "verify":
+            sampled = not args.fixtures and args.n >= 3
+            if args.budget is not None and not sampled:
+                args.parser.error("argument --budget: only a sampled --n 3|4 run takes a sample count")
+            if sampled and args.max_p is not None and args.max_p < 2 * args.n - 1:
                 need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
                 args.parser.error(f"argument --max-p: {need}, got {args.max_p}")
         try:

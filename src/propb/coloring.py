@@ -22,7 +22,7 @@ the winning trial's order is sorted from its own one-lane keys.
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
 whose other vertices all share one color forces its last vertex to the
-other color.
+other color.  Its one guard is NODE_BUDGET, counted in partial colorings.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from .hypergraph import Hypergraph, SimplePair, covered_vertices
 # memory stays flat however many trials are asked for.
 TRIAL_BLOCK = 1024
 
+# The exact decider visits at most this many partial colorings, then gives up with UNDETERMINED.
+NODE_BUDGET = 1 << 14
+
 # The stream of _trial_keys, as the Monte Carlo document names it.
 TRIAL_STREAM = "splitmix64-1"
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,6 +56,7 @@ class Color(str, Enum):
 
 
 class Colorability(str, Enum):
+    """The exact decider's verdict; UNDETERMINED only when its NODE_BUDGET runs out."""
     YES = "yes"
     NO = "no"
     UNDETERMINED = "undetermined"
@@ -249,9 +253,7 @@ def _coloring(H: Hypergraph, red: list[int], lane: int, violating: int) -> Color
     return Coloring(colors=tuple(colors), proper=proper, violating_edge=None if proper else violating)
 
 
-def exhaustive_decide(
-    H: Hypergraph, vertex_budget: int = 24
-) -> tuple[Colorability, Coloring | None]:
+def exhaustive_decide(H: Hypergraph) -> tuple[Colorability, Coloring | None]:
     """Exact two-colorability by backtracking with forcing over bitsets.
 
     A complete search over partial colorings kept as Blue and Red vertex
@@ -261,29 +263,29 @@ def exhaustive_decide(
     a conflict.  When forcing stops, the search branches Blue-then-Red on
     the uncolored vertex in the most edges not yet holding both colors.
     The highest-degree covered vertex (lowest id on a tie) starts Blue, by
-    color-swap symmetry.  Covered counts above vertex_budget return
-    UNDETERMINED; uncolored and uncovered vertices are Blue in any returned
-    witness.
+    color-swap symmetry.  A search that visits NODE_BUDGET partial
+    colorings without deciding returns UNDETERMINED, the only way to it;
+    uncolored and uncovered vertices are Blue in any returned witness.
     """
     # read off the edges: a mask shift per vertex of range(p) would make this quadratic in p
     degree = Counter(v for e in H.edges for v in e)
     colors = [Color.BLUE] * H.p
     if degree:
-        if len(degree) > vertex_budget:
-            return Colorability.UNDETERMINED, None
         first = min(degree, key=lambda v: (-degree[v], v))
-        red = _two_color(H.masks, 1 << first)
-        if red is None:
-            return Colorability.NO, None
+        verdict, red = _two_color(H.masks, 1 << first)
+        if verdict is not Colorability.YES:
+            return verdict, None
         for v in degree:
             colors[v] = Color.RED if red >> v & 1 else Color.BLUE
     return Colorability.YES, Coloring(colors=tuple(colors), proper=True, violating_edge=None)
 
 
-def _two_color(edges, blue: int) -> int | None:
-    """Red mask of a proper coloring extending the Blue mask `blue`, or None."""
+def _two_color(edges, blue: int) -> tuple[Colorability, int]:
+    """Whether the Blue mask `blue` extends to a proper coloring within NODE_BUDGET nodes, and its Red mask on YES."""
     stack = [(edges, blue, 0)]
-    while stack:
+    for _ in range(NODE_BUDGET):
+        if not stack:
+            break
         edges, blue, red = stack.pop()
         forced = _force(edges, blue, red)
         if forced is None:
@@ -299,11 +301,11 @@ def _two_color(edges, blue: int) -> int | None:
                 hits[bit] = hits.get(bit, 0) + 1
                 free ^= bit
         if not hits:
-            return red
+            return Colorability.YES, red
         v = max(hits, key=hits.__getitem__)
         stack.append((open_edges, blue, red | v))
         stack.append((open_edges, blue | v, red))
-    return None
+    return Colorability.UNDETERMINED if stack else Colorability.NO, 0
 
 
 def _force(edges, blue: int, red: int) -> tuple[int, int] | None:

@@ -188,9 +188,26 @@ def seymour_check(H: Hypergraph) -> bool:
     return len(H.edges) >= len(covered_vertices(H))
 
 
+def capped_comb(p: int, n: int, cap: int) -> int:
+    """C(p, n) when it is at most cap, else some count above cap.
+
+    The partial products C(p - k + i, i), i = 1..k with k = min(n, p - n),
+    never fall, so the product stops at the first one past cap instead of
+    reaching an exact count that may have hundreds of thousands of digits.
+    """
+    k = min(n, p - n)
+    count = 1 if k >= 0 else 0  # C(p, n) = 0 for n > p
+    for i in range(1, k + 1):
+        count = count * (p - k + i) // i
+        if count > cap:
+            break
+    return count
+
+
 def random_hypergraph(n: int, p: int, m: int, seed) -> Hypergraph:
     """m distinct uniformly random n-subsets of [0, p), deterministic given seed."""
-    total = math.comb(p, n)
+    # exact whenever it is at most m or at most EDGE_BUDGET, which is all either test below reads
+    total = capped_comb(p, n, max(m, EDGE_BUDGET))
     if m > total:
         raise TooManyEdges(f"requested {m} edges but only C({p},{n})={total} exist")
     rng = random.Random(seed)

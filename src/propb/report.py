@@ -19,11 +19,11 @@ from .setpairs import evaluate_family, find_clique
 TOOL_NAME = "propb"
 
 
-def analyze(H: Hypergraph, vertex_budget: int = 24) -> tuple[dict, dict | None]:
+def analyze(H: Hypergraph) -> tuple[dict, dict | None]:
     """The report's analysis section, and its bollobas section (extremal inputs only, else None)."""
     m2_val = m2(H)
     b = bound(H.n)
-    verdict, _ = exhaustive_decide(H, vertex_budget)
+    verdict, _ = exhaustive_decide(H)
     clique = None
     bollobas = None
     if m2_val == b and verdict is Colorability.NO:

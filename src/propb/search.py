@@ -52,7 +52,6 @@ from .report import analyze
 from .separation import ENUM_MAX_VERTICES, ordering_histogram
 from .setpairs import find_clique
 
-GRAPH_BUDGET_DEFAULT = 1 << 22
 # sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
 CANONICAL_BUDGET = math.factorial(8)
 SAMPLE_BUDGET_DEFAULT = 200
@@ -358,31 +357,30 @@ def verify_bound_exhaustive(
 
     Each record (see :func:`_record`, which raises CounterexampleFound)
     is one non-colorable instance.  n = 2: full enumeration of all labeled
-    graphs on p <= max_p vertices (max_p <= 7), one record per isomorphism
-    class of the non-bipartite graphs at m2 <= 6; a triangle lies there
-    from p = 3 on, so their least m2 is the least of any.  n >= 3: seeded
-    rejection sampling (budget = sample count, p <= min(max_p, 8)), one
-    record per non-colorable sample.
+    graphs on p <= max_p vertices (max_p <= 7, its only guard; a budget
+    is a ValueError, as n < 2 is), one record per isomorphism class of the
+    non-bipartite graphs at m2 <= 6; a triangle lies there from p = 3 on,
+    so their least m2 is the least of any.  n >= 3: seeded rejection
+    sampling (budget = sample count, p <= min(max_p, 8)), one record per
+    non-colorable sample.
 
     The summary counts instances failing |E| >= |covered V|; that check is
     only a theorem for edge-minimal instances, so nonzero counts are
     expected (e.g. a triangle plus a disjoint edge) and do not abort.
     """
-    if n == 2:
-        return _verify_graphs(max_p, budget, skip_p, on_record, on_p_done)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if n >= 3:
         return _verify_sampled(n, max_p, budget, seed, on_record)
-    raise ValueError(f"n must be >= 2, got {n}")
+    if budget is not None:
+        raise ValueError("budget is the sample count of n >= 3; the n = 2 census takes none")
+    return _verify_graphs(max_p, skip_p, on_record, on_p_done)
 
 
-def _verify_graphs(max_p, budget, skip_p, on_record, on_p_done):
+def _verify_graphs(max_p, skip_p, on_record, on_p_done):
     if max_p > 7:
         raise BudgetExceeded("full graph enumeration supports max_p <= 7")
-    budget = GRAPH_BUDGET_DEFAULT if budget is None else budget
     ps = [p for p in range(1, max_p + 1) if p not in set(skip_p)]
-    total_graphs = sum(1 << math.comb(p, 2) for p in ps)
-    if total_graphs > budget:
-        raise BudgetExceeded(f"{total_graphs} graphs exceed budget {budget}")
 
     records: list[dict] = []
     summary = {

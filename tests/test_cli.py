@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import propb
 from propb import hypergraph
-from propb.cli import main
+from propb.cli import build_parser, main
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, pad
 from propb.setpairs import evaluate_family
@@ -81,9 +83,19 @@ class TestAnalyze:
         code = main(["analyze", str(tmp_path / "absent.hg")])
         assert code == 2
 
-    def test_strict_budget_exit_3(self, capsys, k35_file):
-        code = main(["analyze", k35_file, "--budget", "2", "--strict", "--json"])
+    def test_strict_budget_exit_3(self, capsys, monkeypatch, k35_file):
+        monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
+        code = main(["analyze", k35_file, "--strict", "--json"])
         assert code == 3
+        assert capsys.readouterr().err == "error: colorability undetermined within the decider's budget of 0 nodes\n"
+
+    def test_decides_past_24_covered_vertices(self, capsys, tmp_path):
+        # a random 3-graph covering 40 vertices, refuted in a few nodes
+        path = str(tmp_path / "r40.hg")
+        assert main(["gen", "--kind", "random", "--n", "3", "--p", "40", "--m", "150", "--seed", "2", "--out", path]) == 0
+        code, doc = run_json(capsys, ["analyze", path, "--strict", "--json"])
+        assert code == 0
+        assert doc["analysis"]["colorable"] == "no"
 
     def test_deterministic_byte_identical(self, capsys, k35_file):
         main(["analyze", k35_file, "--json", "--deterministic"])
@@ -288,9 +300,7 @@ class TestVerify:
         assert main([*argv, "--out", str(cut)]) == 0
         assert cut.read_bytes() == whole.read_bytes()
 
-    @pytest.mark.parametrize(
-        "failing", [["--max-p", "8"], ["--max-p", "5", "--budget", "3"]], ids=["max-p", "budget"]
-    )
+    @pytest.mark.parametrize("failing", [["--max-p", "8"]], ids=["max-p"])
     def test_a_run_that_writes_no_line_leaves_an_empty_stream(self, capsys, tmp_path, failing):
         # so its corrected rerun starts fresh, instead of being refused as another run's stream
         argv = ["verify", "--n", "2", "--deterministic"]
@@ -344,6 +354,28 @@ class TestVerify:
         assert doc["search"]["summary"]["counterexamples"] == 0
 
 
+# every option of every subcommand, bar -h: adding or removing a knob is a visible change to this table
+OPTIONS = {
+    "analyze": {"--strict", "--json", "--out", "--deterministic"},
+    "color": {"--order", "--trials", "--seed"},
+    "mc": {"--trials", "--seed", "--json", "--out", "--deterministic"},
+    "enum": {"--json", "--out", "--deterministic"},
+    "verify": {"--n", "--max-p", "--budget", "--seed", "--threads", "--fixtures", "--json", "--out", "--deterministic"},
+    "gen": {"--kind", "--n", "--p", "--m", "--seed", "--extra-vertices", "--extra-edges", "--out"},
+}
+
+
+def test_option_inventory():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS
+    assert {o for action in parser._actions for o in action.option_strings} == {"-h", "--help"}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -360,8 +392,8 @@ class TestVerify:
             ["gen", "--kind", "padded", "--n", "3", "--extra-edges", "2"],
             "argument --extra-vertices: 2 disjoint 3-edges need 6 fresh vertices, got 3",
         ),
-        (["analyze", "{k35}", "--budget", "70"], "argument --budget: must be <= 62, got 70"),
-        (["analyze", "{k35}", "--budget", "-1"], "argument --budget: must be >= 0, got -1"),
+        (["analyze", "{k35}", "--budget", "24"], "unrecognized arguments: --budget 24"),
+        (["verify", "--n", "2", "--budget", "5"], "argument --budget: only a sampled --n 3|4 run takes a sample count"),
         (["color", "{k35}", "--order", "0,0,1"], "sequence [0, 0, 1] is not a permutation of 0..2"),
         (["color", "{k35}", "--order", "0,1,2"], "ordering covers 3 vertices, hypergraph has 5"),
         (["mc", "{k35}", "--trials", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
@@ -389,13 +421,17 @@ class TestVerify:
         (["color", "{k35}", "--order", "0,1,"], "argument --order: invalid comma-separated int list: '0,1,'"),
         (["verify", "--n", "3", "--max-p", "4"], "argument --max-p: a non-colorable 3-graph needs 5 vertices, got 4"),
         (["verify", "--n", "5"], "argument --n: must be <= 4, got 5"),
+        (
+            ["verify", "--n", "3", "--fixtures", "--budget", "5"],
+            "argument --budget: only a sampled --n 3|4 run takes a sample count",
+        ),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     # argparse rejects what it can check alone by raising SystemExit(2), under
-    # the subcommand's usage line; an order that does not fit the input file,
-    # an input that cannot be read or an --out path that cannot be written,
-    # makes main return 2 with one line
+    # the subcommand's usage line (an unknown option under propb's own); an
+    # order that does not fit the input file, an input that cannot be read or
+    # an --out path that cannot be written, makes main return 2 with one line
     tmp = os.path.dirname(k35_file)
     missing, nodir, bom = (os.path.join(tmp, name) for name in ("missing.hg", "nodir", "bom.hg"))
     # a UTF-16 byte-order mark, which is not UTF-8
@@ -410,7 +446,7 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     try:
         code, usage = main([fill(a) for a in argv]), None
     except SystemExit as exc:
-        code, usage = exc.code, f"usage: propb {argv[0]} "
+        code, usage = exc.code, "usage: propb [-h] " if "unrecognized" in message else f"usage: propb {argv[0]} "
     assert code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith("error: " + fill(message))
@@ -439,20 +475,24 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# the CLI with a decider that may visit no node, so any analyze --strict of an edge exits 3
+_NO_DECIDER_NODES = "import sys, propb.cli, propb.coloring; propb.coloring.NODE_BUDGET = 0; sys.exit(propb.cli.main())"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen", "--kind", "fano"],
-        ["verify", "--n", "2", "--max-p", "4", "--json"],
-        ["analyze", "{k35}"],
-        ["color", "{k35}", "--trials", "1"],
+        ["-m", "propb", "gen", "--kind", "fano"],
+        ["-m", "propb", "verify", "--n", "2", "--max-p", "4", "--json"],
+        ["-m", "propb", "analyze", "{k35}"],
+        ["-m", "propb", "color", "{k35}", "--trials", "1"],
         # argparse itself drops an OSError while it prints help
-        ["--help"],
-        ["analyze", "--help"],
+        ["-m", "propb", "--help"],
+        ["-m", "propb", "analyze", "--help"],
         # the strict exit-3 error is lost with the output: one line, for the write
-        ["analyze", "{k35}", "--budget", "3", "--strict"],
+        ["-c", _NO_DECIDER_NODES, "analyze", "{k35}", "--strict"],
     ],
     ids=["gen", "verify-json", "analyze", "color", "help", "analyze-help", "analyze-strict"],
 )
@@ -464,7 +504,7 @@ def test_stdout_write_failure_exit_2(k35_file, argv, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "propb", *(a.format(k35=k35_file) for a in argv)],
+            [sys.executable, *(a.format(k35=k35_file) for a in argv)],
             stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert proc.returncode == 2
@@ -518,6 +558,21 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {argv[1]} hypergraph has more than 1048576 edges, the gen budget\n"
+
+    def test_random_counts_edges_without_the_exact_binomial(self, capsys, monkeypatch):
+        # C(300, 150) has 89 digits; the count that --m and the edge budget read stops just past them
+        comb = math.comb
+
+        def small_comb(p, k):
+            if k > 64:
+                raise AssertionError(f"math.comb({p}, {k}) was computed")
+            return comb(p, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        assert main(["gen", "--kind", "random", "--p", "300", "--n", "150", "--m", "1"]) == 0
+        header, edge = capsys.readouterr().out.splitlines()
+        assert header == "150 300 1"
+        assert len(edge.split()) == 150
 
     def test_gen_analyze_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "fano.hg")

@@ -20,7 +20,7 @@ from propb.coloring import (
     _trial_planes,
 )
 from propb.errors import InvalidOrdering
-from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad
+from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, normalize, pad, random_hypergraph
 from propb.separation import count_separated, monte_carlo_separation
 
 from conftest import (
@@ -162,14 +162,20 @@ class TestExhaustiveDecide:
         assert verdict is Colorability.YES
         assert coloring.colors == (B, B, B, B)
 
-    def test_budget_undetermined(self, fano):
-        verdict, coloring = exhaustive_decide(fano, vertex_budget=5)
+    def test_budget_undetermined(self, fano, monkeypatch):
+        monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
+        verdict, coloring = exhaustive_decide(fano)
         assert verdict is Colorability.UNDETERMINED
         assert coloring is None
 
-    def test_budget_admits_exactly_budget_covered_vertices(self, fano):
-        assert exhaustive_decide(fano, vertex_budget=7)[0] is Colorability.NO
-        assert exhaustive_decide(fano, vertex_budget=6)[0] is Colorability.UNDETERMINED
+    def test_budget_admits_exactly_budget_nodes(self, fano, monkeypatch):
+        def verdict_within(nodes):
+            monkeypatch.setattr("propb.coloring.NODE_BUDGET", nodes)
+            return exhaustive_decide(fano)[0]
+
+        k = next(k for k in range(1, 1 << 14) if verdict_within(k) is not Colorability.UNDETERMINED)
+        assert verdict_within(k) is Colorability.NO
+        assert verdict_within(k - 1) is Colorability.UNDETERMINED
 
     def test_witness_always_proper(self):
         for H in random_instances(60, seed=21, p_max=9):
@@ -201,9 +207,10 @@ class TestExhaustiveDecide:
             assert all(coloring.colors[v] is B for v in range(H.p) if v not in cov)
         assert checked > 100
 
-    @pytest.mark.parametrize("n, c", [(3, 23), (3, 24), (4, 23), (4, 24)])
+    @pytest.mark.parametrize("n, c", [(3, 23), (3, 24), (4, 23), (4, 24), (3, 30)])
     def test_planted_clique_no(self, n, c):
-        # the analyze inputs of the benchmark's instances workload have this shape
+        # the analyze inputs of the benchmark's instances workload have this shape at c = 23 and 24;
+        # the node budget alone bounds the search, so c = 30 is decided too
         for seed in range(3):
             H = _planted_clique(n, c, extra=40, seed=seed)
             assert len(covered_vertices(H)) == c
@@ -213,12 +220,19 @@ class TestExhaustiveDecide:
         K = complete_hypergraph(3)
         H = pad(K, 63, 21)
         assert len(covered_vertices(H)) == 68
-        assert exhaustive_decide(H, vertex_budget=80)[0] is Colorability.NO
+        assert exhaustive_decide(H)[0] is Colorability.NO
         # K_5^3 minus one edge is 2-colorable, and so is its padding
         G = pad(normalize(K.edges[1:], n=3, p=5), 63, 21)
-        verdict, coloring = exhaustive_decide(G, vertex_budget=80)
+        verdict, coloring = exhaustive_decide(G)
         assert verdict is Colorability.YES
         assert is_proper(G, coloring.colors) is None
+
+    def test_yes_past_24_covered_vertices(self):
+        H = random_hypergraph(3, 30, 60, seed=2)
+        assert len(covered_vertices(H)) > 24
+        verdict, coloring = exhaustive_decide(H)
+        assert verdict is Colorability.YES
+        assert is_proper(H, coloring.colors) is None
 
 
 def _planted_clique(n, c, extra, seed):

@@ -11,6 +11,7 @@ from propb.hypergraph import (
     Hypergraph,
     SimplePair,
     bound,
+    capped_comb,
     complete_hypergraph,
     covered_vertices,
     enumerate_simple_pairs,
@@ -294,8 +295,22 @@ class TestRandomHypergraph:
         assert random_hypergraph(3, 8, 12, seed=42) == random_hypergraph(3, 8, 12, seed=42)
 
     def test_too_many(self):
-        with pytest.raises(TooManyEdges):
+        with pytest.raises(TooManyEdges, match=r"^requested 7 edges but only C\(4,2\)=6 exist$"):
             random_hypergraph(2, 4, 7, seed=0)
+
+
+class TestCappedComb:
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100, 10**6])
+    def test_exact_up_to_the_cap_and_past_it_beyond(self, cap):
+        for p in range(40):
+            for n in range(1, 45):
+                exact, capped = math.comb(p, n), capped_comb(p, n, cap)
+                assert capped == exact if exact <= cap else capped > cap, (p, n, cap)
+
+    def test_stops_long_before_the_exact_count(self):
+        # C(2 * 10^6, 10^6) has about 600,000 digits
+        count = capped_comb(2 * 10**6, 10**6, 1 << 20)
+        assert 1 << 20 < count < 1 << 80
 
 
 class TestFano:

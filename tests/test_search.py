@@ -486,7 +486,8 @@ class TestVerifyGraphs:
         assert part_summary["per_p"][0] == full_summary["per_p"][-1]
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        # p <= 7 is the census's only guard; a budget is the sampler's sample count
+        with pytest.raises(ValueError, match="census takes none"):
             verify_bound_exhaustive(2, 6, budget=100)
         with pytest.raises(BudgetExceeded):
             verify_bound_exhaustive(2, 8)
