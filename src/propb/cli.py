@@ -1,12 +1,15 @@
 """Command-line interface: analyze, color, mc, enum, verify, gen.
 
 A command computes, writes its output and raises on failure; it returns
-nothing.  :func:`main` alone flushes stdout, prints the one `error:`
-line and picks the exit code: 0 success, 2 malformed input (file or
-arguments, including a color --order that is no ordering of the input)
-or a file that cannot be read or written, 3 budget exceeded (enum on
-large p, analyze --strict past the decider's node budget, the verify
-census past p = 7, gen past its edge budget), 1 any other failure.
+nothing.  Set off its default, an option that the command's mode does
+not read is a usage error under the command's own usage line, as an
+unknown option is (verify --threads aside).  :func:`main` alone flushes
+stdout, prints the one `error:` line and picks the exit code: 0
+success, 2 malformed input (file or arguments, including a color
+--order that is no ordering of the input) or a file that cannot be read
+or written, 3 budget exceeded (enum on large p, analyze --strict past
+the decider's node budget, verify past p = 7, or 8 when sampling, gen
+past its edge budget), 1 any other failure.
 A failed stdout write is an exit-2 error like one to an --out file, and
 it replaces any earlier error of the command.  The output of analyze,
 mc, enum and verify is the report document, which :func:`_emit` alone
@@ -101,6 +104,13 @@ def _emit(args, out: str | None, **sections) -> None:
     _write(to_json(doc) if args.json else "\n".join(_human_lines(doc)) + "\n", out)
 
 
+def _refuse_unread(args, mode: str, *dests: str) -> None:
+    """A usage error (exit 2) for the first of `dests` set off its default: `mode` does not read it."""
+    for dest in dests:
+        if getattr(args, dest) != args.parser.get_default(dest):
+            args.parser.error(f"argument --{dest.replace('_', '-')}: {mode} does not read it")
+
+
 def cmd_analyze(args) -> None:
     from .coloring import NODE_BUDGET, Colorability
     from .report import analyze, input_section
@@ -130,6 +140,8 @@ def _coloring_lines(H, order, coloring, witness):
 def cmd_color(args) -> None:
     from .coloring import greedy_color, random_restart_color
 
+    if args.order is not None:
+        _refuse_unread(args, "--order", "trials", "seed")
     _, H = _load(args.input)
     if args.order is not None:
         outcome = greedy_color(H, args.order)
@@ -208,10 +220,16 @@ def cmd_verify(args) -> None:
     from .search import verify_bound_exhaustive, verify_fixture_suite
 
     if args.fixtures:
+        _refuse_unread(args, "--fixtures", "max_p", "budget")
         _emit(args, args.out, search={"mode": "fixtures", "report": verify_fixture_suite(args.n, seed=args.seed)})
         return
 
     max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
+    if args.n == 2:
+        _refuse_unread(args, "the --n 2 census", "seed", "budget")
+    elif max_p < 2 * args.n - 1:
+        need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
+        args.parser.error(f"argument --max-p: {need}, got {max_p}")
     header = {"type": "header", "n": args.n, "max_p": max_p, "seed": args.seed, "budget": args.budget}
     done: list[dict] = []
     sink = None
@@ -263,17 +281,19 @@ def cmd_gen(args) -> None:
     """Arguments that name no hypergraph are usage errors of gen (exit 2); one past EDGE_BUDGET edges exits 3."""
     from .hypergraph import EDGE_BUDGET, capped_comb, complete_hypergraph, fano_plane, pad, random_hypergraph
 
-    parser = args.parser
+    draw, padding = ("p", "m", "seed"), ("extra_vertices", "extra_edges")
+    unread = {"clique": (*draw, *padding), "padded": draw, "fano": ("n", *draw, *padding), "random": padding}
+    _refuse_unread(args, f"--kind {args.kind}", *unread[args.kind])
     extra_vertices = args.n if args.extra_vertices is None else args.extra_vertices
     if args.kind == "random":
         if args.p is None or args.m is None:
-            parser.error("argument --kind: random requires --p and --m")
+            args.parser.error("argument --kind: random requires --p and --m")
         # exact whenever it is at most m, so the message below always states the true count
         total = capped_comb(args.p, args.n, args.m)
         if args.m > total:
-            parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
+            args.parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
     if args.kind == "padded" and extra_vertices < args.n * args.extra_edges:
-        parser.error(
+        args.parser.error(
             f"argument --extra-vertices: {args.extra_edges} disjoint {args.n}-edges need "
             f"{args.n * args.extra_edges} fresh vertices, got {extra_vertices}"
         )
@@ -352,26 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="hypergraph file")
     p.add_argument("--strict", action="store_true", help="exit 3 if the decider's node budget runs out")
     common(p)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("color", help="greedy coloring under a given or random order")
     p.add_argument("input")
     p.add_argument("--order", type=_int_list, help="comma-separated visit order, e.g. 0,2,1")
     p.add_argument("--trials", type=_int_at_least(1), default=1, help="random orders to try when --order is absent")
     p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
-    p.set_defaults(func=cmd_color)
+    p.set_defaults(func=cmd_color, parser=p)
 
     p = sub.add_parser("mc", help="Monte Carlo separated-pair statistics")
     p.add_argument("input")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
     common(p)
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(func=cmd_mc, parser=p)
 
     p = sub.add_parser("enum", help="exact mean separated count over all p! orderings (p <= 8)")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_enum)
+    p.set_defaults(func=cmd_enum, parser=p)
 
     p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
     p.add_argument("--n", type=_int_at_least(2, at_most=4), required=True, help="uniformity (2..4)")
@@ -405,14 +425,9 @@ def main(argv=None) -> int:
     """Run one command; the only place that writes an error line or picks the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify":
-            sampled = not args.fixtures and args.n >= 3
-            if args.budget is not None and not sampled:
-                args.parser.error("argument --budget: only a sampled --n 3|4 run takes a sample count")
-            if sampled and args.max_p is not None and args.max_p < 2 * args.n - 1:
-                need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
-                args.parser.error(f"argument --max-p: {need}, got {args.max_p}")
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         try:
             args.func(args)
         finally:

@@ -52,9 +52,10 @@ from .report import analyze
 from .separation import ENUM_MAX_VERTICES, ordering_histogram
 from .setpairs import find_clique
 
-# sampling caps p at 8, so 8! relabelings bound every canonical form it asks for
+# sampling supports p <= 8 only, so 8! relabelings bound every canonical form it asks for
 CANONICAL_BUDGET = math.factorial(8)
 SAMPLE_BUDGET_DEFAULT = 200
+FIXTURE_ATTEMPTS = 1000  # rejection samples drawn for the random non-colorable fixture
 
 
 def canonical_form(H: Hypergraph) -> str:
@@ -361,8 +362,8 @@ def verify_bound_exhaustive(
     is a ValueError, as n < 2 is), one record per isomorphism class of the
     non-bipartite graphs at m2 <= 6; a triangle lies there from p = 3 on,
     so their least m2 is the least of any.  n >= 3: seeded rejection
-    sampling (budget = sample count, p <= min(max_p, 8)), one record per
-    non-colorable sample.
+    sampling (budget = sample count, p <= max_p <= 8, its guard), one
+    record per non-colorable sample.
 
     The summary counts instances failing |E| >= |covered V|; that check is
     only a theorem for edge-minimal instances, so nonzero counts are
@@ -424,16 +425,17 @@ def _verify_graphs(max_p, skip_p, on_record, on_p_done):
 
 def _verify_sampled(n, max_p, budget, seed, on_record):
     samples = SAMPLE_BUDGET_DEFAULT if budget is None else budget
-    p_hi = min(max_p, 8)
+    if max_p > 8:
+        raise BudgetExceeded("sampling supports max_p <= 8")
     p_lo = 2 * n - 1
-    if p_hi < p_lo:
-        raise BudgetExceeded(f"sampling reaches p = {p_hi}, below the {p_lo} vertices a non-colorable {n}-graph needs")
+    if max_p < p_lo:
+        raise BudgetExceeded(f"sampling reaches p = {max_p}, below the {p_lo} vertices a non-colorable {n}-graph needs")
     rng = random.Random(f"sampling:{seed}")
     records: list[dict] = []
     summary = {
         "mode": "sampling",
         "n": n,
-        "max_p": p_hi,
+        "max_p": max_p,
         "samples": samples,
         "non_colorable": 0,
         "undetermined": 0,
@@ -442,7 +444,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
         "seymour_violations": 0,
     }
     for s in range(samples):
-        p = rng.randint(p_lo, p_hi)
+        p = rng.randint(p_lo, max_p)
         total_edges = math.comb(p, n)
         # dense draws: sparse n-graphs at this scale are almost always colorable
         m_edges = rng.randint(max(1, 3 * total_edges // 5), total_edges)
@@ -470,15 +472,15 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
 _RANDOM_FIXTURE_SHAPE = {2: (6, 8), 3: (7, 25), 4: (8, 60)}
 
 
-def _random_noncolorable(n: int, seed, attempts: int = 1000) -> Hypergraph:
+def _random_noncolorable(n: int, seed) -> Hypergraph:
     p, m_edges = _RANDOM_FIXTURE_SHAPE[n]
-    for a in range(attempts):
+    for a in range(FIXTURE_ATTEMPTS):
         H = random_hypergraph(n, p, m_edges, seed=f"{seed}:{a}")
         verdict, _ = exhaustive_decide(H)
         if verdict is Colorability.NO:
             return H
     raise FixtureFailure(
-        f"no non-2-colorable {n}-graph found in {attempts} rejection samples"
+        f"no non-2-colorable {n}-graph found in {FIXTURE_ATTEMPTS} rejection samples"
     )
 
 

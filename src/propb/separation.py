@@ -38,9 +38,9 @@ class SeparationStats(namedtuple("SeparationStats", "trials histogram")):
     __slots__ = ()
 
 
-def _check_enum_budget(p: int, max_vertices: int) -> None:
-    if p > max_vertices:
-        raise BudgetExceeded(f"p = {p} exceeds full-enumeration budget {max_vertices}")
+def _check_enum_budget(p: int) -> None:
+    if p > ENUM_MAX_VERTICES:
+        raise BudgetExceeded(f"p = {p} exceeds full-enumeration budget {ENUM_MAX_VERTICES}")
 
 
 def _pair_slots(H: Hypergraph) -> list[tuple[int, int]]:
@@ -88,14 +88,14 @@ def count_separated(H: Hypergraph, order) -> int:
     return count
 
 
-def ordering_histogram(H: Hypergraph, max_vertices: int = ENUM_MAX_VERTICES) -> dict[int, int]:
+def ordering_histogram(H: Hypergraph) -> dict[int, int]:
     """How many of the p! orderings separate exactly k simple pairs, as {k: orderings}.
 
     Layer j holds, for every j-set S of vertices, the histogram over the
     j! orders of S of the pairs they separate so far.  Placing y next adds
     the pairs with meet y whose X\\y lies inside S and whose Y\\y misses S.
     """
-    _check_enum_budget(H.p, max_vertices)
+    _check_enum_budget(H.p)
     by_meet: list[list[tuple[int, int]]] = [[] for _ in range(H.p)]
     for sp in enumerate_simple_pairs(H):
         bit = 1 << sp.meet
@@ -120,7 +120,7 @@ def exhaustive_section(H: Hypergraph) -> dict:
     """enum's separation section: the exact mean of count_separated over all p! orderings, m2(H) / bound(n)."""
     from fractions import Fraction  # loaded here: only enum makes a rational in this module
 
-    _check_enum_budget(H.p, ENUM_MAX_VERTICES)
+    _check_enum_budget(H.p)
     return {
         "kind": "exhaustive",
         "estimate": False,

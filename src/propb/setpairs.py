@@ -21,6 +21,8 @@ from itertools import combinations
 from .errors import BudgetExceeded, EqualityStructureViolated
 from .hypergraph import Hypergraph, enumerate_simple_pairs
 
+NODE_BUDGET = 10_000_000  # find_clique visits at most this many prefixes, then raises BudgetExceeded
+
 
 def _members(H: Hypergraph) -> list[tuple[int, int]]:
     """(A, B) = (X\\Y, V\\(X union Y)) as bitsets, one per distinct second edge Y in index order.
@@ -106,7 +108,7 @@ def evaluate_family(H: Hypergraph) -> dict:
     }
 
 
-def find_clique(H: Hypergraph, node_budget: int = 10_000_000) -> frozenset[int] | None:
+def find_clique(H: Hypergraph) -> frozenset[int] | None:
     """Lexicographically smallest (2n-1)-set whose n-subsets are all edges, or None.
 
     A depth-first search extends a sorted prefix of candidates, the
@@ -115,7 +117,7 @@ def find_clique(H: Hypergraph, node_budget: int = 10_000_000) -> frozenset[int] 
     n-1 prefix vertices is an edge.  Being a clique is hereditary, so
     pruning loses no clique, and the first (2n-1)-prefix reached is the
     lexicographically smallest.  Each prefix visited tests at most every
-    candidate against C(2n-2, n-1) edges; beyond node_budget prefixes,
+    candidate against C(2n-2, n-1) edges; beyond NODE_BUDGET prefixes,
     BudgetExceeded.
     """
     n, k = H.n, 2 * H.n - 1
@@ -135,8 +137,8 @@ def find_clique(H: Hypergraph, node_budget: int = 10_000_000) -> frozenset[int] 
             bit = 1 << candidates[i]
             if all(sum(1 << u for u in sub) | bit in edges for sub in combinations(prefix, n - 1)):
                 nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceeded(f"clique search visited more than {node_budget} prefixes")
+                if nodes > NODE_BUDGET:
+                    raise BudgetExceeded(f"clique search visited more than {NODE_BUDGET} prefixes")
                 found = extend(prefix + [candidates[i]], i + 1)
                 if found is not None:
                     return found

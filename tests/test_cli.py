@@ -353,6 +353,14 @@ class TestVerify:
         assert doc["search"]["summary"]["mode"] == "sampling"
         assert doc["search"]["summary"]["counterexamples"] == 0
 
+    def test_sampling_past_p8_exit_3(self, capsys, tmp_path):
+        out_path = tmp_path / "s.jsonl"
+        assert main(["verify", "--n", "3", "--max-p", "9", "--out", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sampling supports max_p <= 8\n"
+        assert out_path.read_bytes() == b""
+
 
 # every option of every subcommand, bar -h: adding or removing a knob is a visible change to this table
 OPTIONS = {
@@ -393,7 +401,7 @@ def test_option_inventory():
             "argument --extra-vertices: 2 disjoint 3-edges need 6 fresh vertices, got 3",
         ),
         (["analyze", "{k35}", "--budget", "24"], "unrecognized arguments: --budget 24"),
-        (["verify", "--n", "2", "--budget", "5"], "argument --budget: only a sampled --n 3|4 run takes a sample count"),
+        (["verify", "--n", "2", "--budget", "5"], "argument --budget: the --n 2 census does not read it"),
         (["color", "{k35}", "--order", "0,0,1"], "sequence [0, 0, 1] is not a permutation of 0..2"),
         (["color", "{k35}", "--order", "0,1,2"], "ordering covers 3 vertices, hypergraph has 5"),
         (["mc", "{k35}", "--trials", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
@@ -421,17 +429,51 @@ def test_option_inventory():
         (["color", "{k35}", "--order", "0,1,"], "argument --order: invalid comma-separated int list: '0,1,'"),
         (["verify", "--n", "3", "--max-p", "4"], "argument --max-p: a non-colorable 3-graph needs 5 vertices, got 4"),
         (["verify", "--n", "5"], "argument --n: must be <= 4, got 5"),
+        (["verify", "--n", "3", "--fixtures", "--budget", "5"], "argument --budget: --fixtures does not read it"),
+        (["color", "{k35}", "--order", "0,1,2,3,4", "--seed", "5"], "argument --seed: --order does not read it"),
+        (["gen", "--kind", "clique", "--n", "3", "--seed", "5"], "argument --seed: --kind clique does not read it"),
+        (["gen", "--kind", "padded", "--p", "9"], "argument --p: --kind padded does not read it"),
+        (["gen", "--kind", "fano", "--n", "5"], "argument --n: --kind fano does not read it"),
         (
-            ["verify", "--n", "3", "--fixtures", "--budget", "5"],
-            "argument --budget: only a sampled --n 3|4 run takes a sample count",
+            ["gen", "--kind", "random", "--p", "6", "--m", "3", "--extra-edges", "2"],
+            "argument --extra-edges: --kind random does not read it",
+        ),
+        (["verify", "--n", "3", "--fixtures", "--max-p", "3"], "argument --max-p: --fixtures does not read it"),
+        (["verify", "--n", "2", "--seed", "5"], "argument --seed: the --n 2 census does not read it"),
+        (["analyze", "{k35}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["color", "{k35}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["mc", "{k35}", "--trials", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["enum", "{k35}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "--n", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gen", "--kind", "fano", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus", "analyze", "{k35}"], "unrecognized arguments: --bogus"),
+        (["color", "{k35}", "--order", "0,1,2,3,4", "--trials", "2"], "argument --trials: --order does not read it"),
+        (["gen", "--kind", "clique", "--p", "9"], "argument --p: --kind clique does not read it"),
+        (["gen", "--kind", "clique", "--m", "3"], "argument --m: --kind clique does not read it"),
+        (
+            ["gen", "--kind", "clique", "--extra-vertices", "4"],
+            "argument --extra-vertices: --kind clique does not read it",
+        ),
+        (["gen", "--kind", "clique", "--extra-edges", "2"], "argument --extra-edges: --kind clique does not read it"),
+        (["gen", "--kind", "padded", "--m", "3"], "argument --m: --kind padded does not read it"),
+        (["gen", "--kind", "padded", "--seed", "5"], "argument --seed: --kind padded does not read it"),
+        (["gen", "--kind", "fano", "--p", "9"], "argument --p: --kind fano does not read it"),
+        (["gen", "--kind", "fano", "--m", "3"], "argument --m: --kind fano does not read it"),
+        (["gen", "--kind", "fano", "--seed", "5"], "argument --seed: --kind fano does not read it"),
+        (["gen", "--kind", "fano", "--extra-vertices", "4"], "argument --extra-vertices: --kind fano does not read it"),
+        (["gen", "--kind", "fano", "--extra-edges", "2"], "argument --extra-edges: --kind fano does not read it"),
+        (
+            ["gen", "--kind", "random", "--p", "6", "--m", "3", "--extra-vertices", "4"],
+            "argument --extra-vertices: --kind random does not read it",
         ),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
-    # argparse rejects what it can check alone by raising SystemExit(2), under
-    # the subcommand's usage line (an unknown option under propb's own); an
-    # order that does not fit the input file, an input that cannot be read or
-    # an --out path that cannot be written, makes main return 2 with one line
+    # argparse rejects what it can check alone, an unknown option included, and
+    # a command rejects an option its mode does not read, by raising
+    # SystemExit(2) under the subcommand's usage line; an order that does not
+    # fit the input file, an input that cannot be read or an --out path that
+    # cannot be written, makes main return 2 with one line
     tmp = os.path.dirname(k35_file)
     missing, nodir, bom = (os.path.join(tmp, name) for name in ("missing.hg", "nodir", "bom.hg"))
     # a UTF-16 byte-order mark, which is not UTF-8
@@ -446,7 +488,7 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     try:
         code, usage = main([fill(a) for a in argv]), None
     except SystemExit as exc:
-        code, usage = exc.code, "usage: propb [-h] " if "unrecognized" in message else f"usage: propb {argv[0]} "
+        code, usage = exc.code, f"usage: propb {next(a for a in argv if not a.startswith('-'))} "
     assert code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith("error: " + fill(message))
@@ -455,6 +497,24 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
     else:
         assert err.splitlines()[0].startswith(usage)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["color", "{k35}", "--order", "0,1,2,3,4"], ["--trials", "1", "--seed", "0"]),
+        (["gen", "--kind", "fano"], ["--n", "3", "--seed", "0", "--extra-edges", "1"]),
+        (["gen", "--kind", "clique", "--n", "2"], ["--seed", "0", "--extra-edges", "1"]),
+        (["verify", "--n", "2", "--max-p", "3", "--deterministic"], ["--seed", "0", "--threads", "2"]),
+    ],
+    ids=["color", "gen-fano", "gen-clique", "verify-census"],
+)
+def test_an_option_at_its_default_is_no_setting(capsys, k35_file, argv, defaults):
+    argv = [a.replace("{k35}", k35_file) for a in argv]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, *defaults]) == 0
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")

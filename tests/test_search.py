@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -520,6 +520,15 @@ class TestVerifySampled:
         b = verify_bound_exhaustive(3, 7, budget=15, seed=5)
         assert a == b
 
+    def test_past_p8_is_over_budget_before_any_draw(self, monkeypatch):
+        # p <= 8 is the sampler's guard, as p <= 7 is the census's; it does not clip max_p
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(search, "random_hypergraph", refuse)
+        with pytest.raises(BudgetExceeded, match="^sampling supports max_p <= 8$"):
+            verify_bound_exhaustive(3, 9)
+
 
 class TestFixtureSuite:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -581,7 +590,7 @@ def _histogram_off(monkeypatch):
 
 
 def _no_sampling_attempts(monkeypatch):
-    monkeypatch.setattr(search, "_random_noncolorable", partial(search._random_noncolorable, attempts=0))
+    monkeypatch.setattr(search, "FIXTURE_ATTEMPTS", 0)
 
 
 class TestVerifierFailures:
@@ -626,9 +635,10 @@ class TestVerifierFailures:
         with pytest.raises(FixtureFailure, match=f"^{message}$"):
             verify_fixture_suite(2)
 
-    def test_random_fixture_without_attempts(self):
+    def test_random_fixture_without_attempts(self, monkeypatch):
+        _no_sampling_attempts(monkeypatch)
         with pytest.raises(FixtureFailure, match="no non-2-colorable 3-graph found in 0 rejection samples"):
-            search._random_noncolorable(3, 0, attempts=0)
+            search._random_noncolorable(3, 0)
 
     @pytest.mark.parametrize(
         "breaker, argv, message",

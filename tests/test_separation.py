@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from propb import separation
 from propb.errors import BudgetExceeded
 from propb.hypergraph import bound, complete_hypergraph, m2, normalize, pad
 from propb.separation import (
@@ -154,12 +155,13 @@ class TestOrderingHistogram:
                 if H.p <= 8:
                     assert ordering_histogram(H) == {1: math.factorial(H.p)}
 
-    def test_past_the_default_budget(self):
+    def test_past_the_default_budget(self, monkeypatch):
         # padded K_5^3 on 12 vertices: every one of the 12! orderings separates one pair
         H = pad(complete_hypergraph(3), 7, 2)
-        assert ordering_histogram(H, max_vertices=12) == {1: math.factorial(12)}
         with pytest.raises(BudgetExceeded):
             ordering_histogram(H)
+        monkeypatch.setattr(separation, "ENUM_MAX_VERTICES", 12)
+        assert ordering_histogram(H) == {1: math.factorial(12)}
 
     def test_empty_ground_set(self):
         assert ordering_histogram(normalize([], n=2, p=0)) == {0: 1}

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from propb import setpairs
 from propb.errors import BudgetExceeded, EqualityStructureViolated
 from propb.hypergraph import (
     bound,
@@ -243,16 +244,18 @@ class TestFindClique:
     def test_default_budget_on_padded_k35(self, k35):
         assert find_clique(pad(k35, 6, 2)) == frozenset(range(5))
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         # long cycle: every vertex passes the degree filter, so the search must visit prefixes
         H = normalize([[i, (i + 1) % 41] for i in range(41)], n=2, p=41)
+        monkeypatch.setattr(setpairs, "NODE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
-            find_clique(H, node_budget=1)
+            find_clique(H)
 
     @pytest.mark.parametrize("n, p, m", [(3, 45, 3000), (4, 32, 3000)])
-    def test_dense_random_within_node_budget(self, n, p, m):
+    def test_dense_random_within_node_budget(self, monkeypatch, n, p, m):
         # a scan of every C(p, 2n-1) candidate subset against m edges each would take minutes here
-        assert find_clique(random_hypergraph(n, p, m, seed=5), node_budget=10_000) is None
+        monkeypatch.setattr(setpairs, "NODE_BUDGET", 10_000)
+        assert find_clique(random_hypergraph(n, p, m, seed=5)) is None
 
     def test_none_when_too_few_edges(self, disjoint_edges):
         assert find_clique(disjoint_edges) is None
