@@ -17,22 +17,23 @@ builds, as JSON or as its human rendering; color prints lines of its
 own, and gen writes a hypergraph file.  --deterministic suppresses the
 timestamp so identical invocations are byte-identical.
 
-Every invocation is a fresh interpreter, so the module's top imports only
-what parsing the arguments and reading an input need; each cmd_* imports
-the modules it runs, and _emit imports report.
+Every invocation is a fresh interpreter, so the command line is parsed
+from COMMANDS, one table entry per command, without argparse; the top
+imports only errors, each cmd_* the modules it runs, _emit report.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-from .errors import BudgetExceeded, FileAccessError, InvalidOrdering, ParseError, PropBError
-from .hgio import parse, render
+from .errors import BudgetExceeded, FileAccessError, InvalidOrdering, ParseError, PropBError, UsageError
 
 
 def _load(path: str):
+    from .hgio import parse
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -105,10 +106,11 @@ def _emit(args, out: str | None, **sections) -> None:
 
 
 def _refuse_unread(args, mode: str, *dests: str) -> None:
-    """A usage error (exit 2) for the first of `dests` set off its default: `mode` does not read it."""
+    """A usage error (exit 2) for the first of `dests` off its COMMANDS default: `mode` does not read it."""
+    defaults = {_dest(flag): default for flag, _, default, _, _ in COMMANDS[args.command][3]}
     for dest in dests:
-        if getattr(args, dest) != args.parser.get_default(dest):
-            args.parser.error(f"argument --{dest.replace('_', '-')}: {mode} does not read it")
+        if getattr(args, dest) != defaults[dest]:
+            raise UsageError(args.command, f"argument --{dest.replace('_', '-')}: {mode} does not read it")
 
 
 def cmd_analyze(args) -> None:
@@ -229,7 +231,7 @@ def cmd_verify(args) -> None:
         _refuse_unread(args, "the --n 2 census", "seed", "budget")
     elif max_p < 2 * args.n - 1:
         need = f"a non-colorable {args.n}-graph needs {2 * args.n - 1} vertices"
-        args.parser.error(f"argument --max-p: {need}, got {max_p}")
+        raise UsageError("verify", f"argument --max-p: {need}, got {max_p}")
     header = {"type": "header", "n": args.n, "max_p": max_p, "seed": args.seed, "budget": args.budget}
     done: list[dict] = []
     sink = None
@@ -279,6 +281,7 @@ def cmd_verify(args) -> None:
 
 def cmd_gen(args) -> None:
     """Arguments that name no hypergraph are usage errors of gen (exit 2); one past EDGE_BUDGET edges exits 3."""
+    from .hgio import render
     from .hypergraph import EDGE_BUDGET, capped_comb, complete_hypergraph, fano_plane, pad, random_hypergraph
 
     draw, padding = ("p", "m", "seed"), ("extra_vertices", "extra_edges")
@@ -287,16 +290,14 @@ def cmd_gen(args) -> None:
     extra_vertices = args.n if args.extra_vertices is None else args.extra_vertices
     if args.kind == "random":
         if args.p is None or args.m is None:
-            args.parser.error("argument --kind: random requires --p and --m")
+            raise UsageError("gen", "argument --kind: random requires --p and --m")
         # exact whenever it is at most m, so the message below always states the true count
         total = capped_comb(args.p, args.n, args.m)
         if args.m > total:
-            args.parser.error(f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
+            raise UsageError("gen", f"argument --m: only C({args.p}, {args.n}) = {total} edges exist, got {args.m}")
     if args.kind == "padded" and extra_vertices < args.n * args.extra_edges:
-        args.parser.error(
-            f"argument --extra-vertices: {args.extra_edges} disjoint {args.n}-edges need "
-            f"{args.n * args.extra_edges} fresh vertices, got {extra_vertices}"
-        )
+        need = f"{args.extra_edges} disjoint {args.n}-edges need {args.n * args.extra_edges} fresh vertices"
+        raise UsageError("gen", f"argument --extra-vertices: {need}, got {extra_vertices}")
     clique = capped_comb(2 * args.n - 1, args.n, EDGE_BUDGET)
     edges = {"clique": clique, "padded": clique + args.extra_edges, "fano": 7, "random": args.m}[args.kind]
     if edges > EDGE_BUDGET:
@@ -312,122 +313,152 @@ def cmd_gen(args) -> None:
     _write(render(H), args.out)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help text is written like any other output.
-
-    argparse drops an OSError raised while printing help and exits 0; here
-    a failed write to stdout is the usual one-line error with exit 2.
-    """
-
-    def print_help(self, file=None):
-        if file is not None:
-            return super().print_help(file)
-        with _Writing(None):
-            sys.stdout.write(self.format_help())
-            sys.stdout.flush()
-
-
-def _int_at_least(lo: int, at_most: int | None = None):
-    """argparse type: an integer >= lo (and <= at_most if given), else a one-line usage error (exit 2)."""
+def _int_range(lo: int | None = None, hi: int | None = None):
+    """Option parser: an integer in lo..hi (either end open when None), else ValueError."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if at_most is not None and value > at_most:
-            raise argparse.ArgumentTypeError(f"must be <= {at_most}, got {value}")
+            raise ValueError(f"invalid int value: {text!r}") from None
+        if lo is not None and value < lo:
+            raise ValueError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise ValueError(f"must be <= {hi}, got {value}")
         return value
 
     return parse
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers such as 0,2,1 ('' is the empty list), else a usage error (exit 2)."""
+    """Option parser: comma-separated integers such as 0,2,1 ('' is the empty list), else ValueError."""
     try:
         return [int(t) for t in text.split(",")] if text else []
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
+        raise ValueError(f"invalid comma-separated int list: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="propb",
-        description="Property B analysis of n-uniform hypergraphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One entry per command: (help line, cmd_* function, positional names, options).
+# An option is (flag, parser, default, required, help); parser None is a switch that takes
+# no value, and a tuple lists the values the option accepts.  A required option's default is None.
+_REPORT = (
+    ("--json", None, False, False, "emit the JSON report document"),
+    ("--out", str, None, False, "write output to this path instead of stdout"),
+    ("--deterministic", None, False, False, "suppress the timestamp for byte-identical reruns"),
+)
+_INPUT = ("input",)
+_SEED64 = ("--seed", _int_range(0, 2**64 - 1), 0, False, "trial stream seed (0..2^64-1)")
+COMMANDS = {
+    "analyze": ("m2, bound, colorability, clique witness", cmd_analyze, _INPUT, (
+        ("--strict", None, False, False, "exit 3 if the decider's node budget runs out"), *_REPORT)),
+    "color": ("greedy coloring under a given or random order", cmd_color, _INPUT, (
+        ("--order", _int_list, None, False, "comma-separated visit order, e.g. 0,2,1"),
+        ("--trials", _int_range(1), 1, False, "random orders to try when --order is absent"), _SEED64)),
+    "mc": ("Monte Carlo separated-pair statistics", cmd_mc, _INPUT, (
+        ("--trials", _int_range(1), None, True, "random orders to draw"), _SEED64, *_REPORT)),
+    "enum": ("exact mean separated count over all p! orderings (p <= 8)", cmd_enum, _INPUT, _REPORT),
+    "verify": ("exhaustive/sampled verification of the bound", cmd_verify, (), (
+        ("--n", _int_range(2, 4), None, True, "uniformity (2..4)"),
+        ("--max-p", _int_range(1), None, False, "largest vertex count (default 6 at --n 2, else 8)"),
+        ("--budget", _int_range(0), None, False, "sample count at --n 3|4 (default 200)"),
+        ("--seed", _int_range(), 0, False, "seed of the samples and of the fixture suite"),
+        ("--threads", _int_range(1), 1, False, "accepted for older command lines; changes nothing"),
+        ("--fixtures", None, False, False, "run the curated fixture pipeline instead"), *_REPORT)),
+    "gen": ("write a hypergraph file", cmd_gen, (), (
+        ("--kind", ("clique", "padded", "fano", "random"), None, True, "hypergraph to write"),
+        ("--n", _int_range(1), 3, False, "uniformity"),
+        ("--p", _int_range(0), None, False, "vertex count (random)"),
+        ("--m", _int_range(0), None, False, "edge count (random)"),
+        ("--seed", _int_range(), 0, False, "edge draw seed (random)"),
+        ("--extra-vertices", _int_range(0), None, False, "fresh vertices (padded; default: n)"),
+        ("--extra-edges", _int_range(0), 1, False, "fresh disjoint edges (padded)"),
+        ("--out", str, None, False, "write to this path instead of stdout"))),
+}
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON report document")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="suppress the timestamp for byte-identical reruns",
-        )
 
-    p = sub.add_parser("analyze", help="m2, bound, colorability, clique witness")
-    p.add_argument("input", help="hypergraph file")
-    p.add_argument("--strict", action="store_true", help="exit 3 if the decider's node budget runs out")
-    common(p)
-    p.set_defaults(func=cmd_analyze, parser=p)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p = sub.add_parser("color", help="greedy coloring under a given or random order")
-    p.add_argument("input")
-    p.add_argument("--order", type=_int_list, help="comma-separated visit order, e.g. 0,2,1")
-    p.add_argument("--trials", type=_int_at_least(1), default=1, help="random orders to try when --order is absent")
-    p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
-    p.set_defaults(func=cmd_color, parser=p)
 
-    p = sub.add_parser("mc", help="Monte Carlo separated-pair statistics")
-    p.add_argument("input")
-    p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=_int_at_least(0, at_most=2**64 - 1), default=0, help="trial stream seed (0..2^64-1)")
-    common(p)
-    p.set_defaults(func=cmd_mc, parser=p)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line: command, func, and one attribute per positional and option of its table entry.
 
-    p = sub.add_parser("enum", help="exact mean separated count over all p! orderings (p <= 8)")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_enum, parser=p)
+    Only exact option names match.  An option's value is the part after
+    `=` or else the next token, whatever it looks like.  -h or --help
+    before any error gives func _print_help.
+    """
+    command = next((a for a in argv if not a.startswith("-")), None)
+    unknown = argv[: argv.index(command)] if command is not None else argv
+    if {"-h", "--help"} & set(unknown):
+        return SimpleNamespace(command=None, func=_print_help)
+    if unknown:  # under the usage of the command named further on, like an unknown option after it
+        raise UsageError(next((a for a in argv if a in COMMANDS), None), f"unrecognized arguments: {' '.join(unknown)}")
+    if command not in COMMANDS:
+        invalid = f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})"
+        raise UsageError(None, "the following arguments are required: command" if command is None else invalid)
+    _, func, positionals, options = COMMANDS[command]
+    table = {option[0]: option[1] for option in options}
+    values = {_dest(flag): default for flag, _, default, _, _ in options}
+    found, extra, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(command=command, func=_print_help)
+        flag, eq, text = token.partition("=") if token.startswith("--") else (token, "", "")
+        if flag not in table:
+            (extra if token.startswith("-") or len(found) == len(positionals) else found).append(token)
+            continue
+        parse = table[flag]
+        if parse is None and eq:
+            raise UsageError(command, f"argument {flag}: ignored explicit argument {text!r}")
+        if parse is not None and not eq and (text := next(tokens, None)) is None:
+            raise UsageError(command, f"argument {flag}: expected one argument")
+        try:
+            if isinstance(parse, tuple) and text not in parse:
+                raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, parse))})")
+            values[_dest(flag)] = True if parse is None else text if isinstance(parse, tuple) else parse(text)
+        except ValueError as exc:
+            raise UsageError(command, f"argument {flag}: {exc}") from None
+    missing = list(positionals[len(found):])
+    missing += [flag for flag, _, _, required, _ in options if required and values[_dest(flag)] is None]
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(command, f"unrecognized arguments: {' '.join(extra)}")
+    values.update(zip(positionals, found))
+    return SimpleNamespace(command=command, func=func, **values)
 
-    p = sub.add_parser("verify", help="exhaustive/sampled verification of the bound")
-    p.add_argument("--n", type=_int_at_least(2, at_most=4), required=True, help="uniformity (2..4)")
-    p.add_argument("--max-p", type=_int_at_least(1), default=None, dest="max_p")
-    p.add_argument("--budget", type=_int_at_least(0), default=None, help="sample count at --n 3|4 (default 200)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=_int_at_least(1),
-        default=1,
-        help="accepted for older command lines; the census runs in one process and the value changes nothing",
-    )
-    p.add_argument("--fixtures", action="store_true", help="run the curated fixture pipeline instead")
-    common(p)
-    p.set_defaults(func=cmd_verify, parser=p)
 
-    p = sub.add_parser("gen", help="write a hypergraph file")
-    p.add_argument("--kind", choices=["clique", "padded", "fano", "random"], required=True)
-    p.add_argument("--n", type=_int_at_least(1), default=3)
-    p.add_argument("--p", type=_int_at_least(0), default=None)
-    p.add_argument("--m", type=_int_at_least(0), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra-vertices", type=_int_at_least(0), default=None, dest="extra_vertices", help="default: n")
-    p.add_argument("--extra-edges", type=_int_at_least(0), default=1, dest="extra_edges")
-    p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_gen, parser=p)
-    return parser
+def _invocation(flag: str, parse) -> str:
+    metavar = "{" + ",".join(parse) + "}" if isinstance(parse, tuple) else _dest(flag).upper()
+    return flag if parse is None else f"{flag} {metavar}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: propb [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [_invocation(f, p) if required else f"[{_invocation(f, p)}]" for f, p, _, required, _ in options]
+    return " ".join(["usage: propb", command, "[-h]", *words, *positionals])
+
+
+def _print_help(args) -> None:
+    """Write the --help text of args.command, or of propb itself when None, rendered from the command table."""
+    about, _, _, options = COMMANDS.get(args.command, ("Property B analysis of n-uniform hypergraphs", None, (), ()))
+    rows = [("-h, --help", "show this help message and exit")]
+    sections = {"options": rows + [(_invocation(flag, parse), text) for flag, parse, _, _, text in options]}
+    if args.command is None:
+        sections = {"commands": [(name, entry[0]) for name, entry in COMMANDS.items()], **sections}
+    width = 2 + max(len(left) for rows in sections.values() for left, _ in rows)
+    lines = [_usage(args.command), "", about]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
+    _write("\n".join(lines) + "\n", None)
 
 
 def main(argv=None) -> int:
     """Run one command; the only place that writes an error line or picks the exit code."""
-    parser = build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:
-            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         try:
             args.func(args)
         finally:
@@ -435,8 +466,9 @@ def main(argv=None) -> int:
             with _Writing(None):
                 sys.stdout.flush()
     except PropBError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (ParseError, FileAccessError, InvalidOrdering)):
+        prog = f"propb {exc.command or ''}".rstrip() if isinstance(exc, UsageError) else None
+        print(f"{_usage(exc.command)}\n{prog}: " if prog else "", f"error: {exc}", sep="", file=sys.stderr)
+        if prog or isinstance(exc, (ParseError, FileAccessError, InvalidOrdering)):
             return 2
         return 3 if isinstance(exc, BudgetExceeded) else 1
     return 0

@@ -60,3 +60,11 @@ class ParseError(PropBError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class UsageError(PropBError):
+    """A malformed command line; reported under the usage line of `command`, or of propb itself when None."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -11,7 +10,7 @@ import pytest
 
 import propb
 from propb import hypergraph
-from propb.cli import build_parser, main
+from propb.cli import COMMANDS, main
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, pad
 from propb.setpairs import evaluate_family
@@ -338,12 +337,9 @@ class TestVerify:
         ],
     )
     def test_bad_arguments_exit_2(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", *argv])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].endswith("error: " + message)
-        assert "Traceback" not in err
+        assert main(["verify", *argv]) == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: propb verify ") and error == f"propb verify: error: {message}"
 
     def test_sampling_mode(self, capsys):
         code, doc = run_json(
@@ -374,14 +370,32 @@ OPTIONS = {
 
 
 def test_option_inventory():
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    found = {
-        name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
-        for name, sub in commands.choices.items()
-    }
+    found = {name: {option[0] for option in options} for name, (_, _, _, options) in COMMANDS.items()}
     assert found == OPTIONS
-    assert {o for action in parser._actions for o in action.option_strings} == {"-h", "--help"}
+
+
+def _help_rows(text, section):
+    """The first word of each row of one `section:` block of a --help text."""
+    block = text.split(f"\n{section}:\n")[1].split("\n\n")[0]
+    return {line.split()[0].rstrip(",") for line in block.splitlines() if line[2:3] != " "}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_exactly_the_command_options(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    usage = text.split("\n\n")[0]
+    assert usage.startswith(f"usage: propb {command} [-h] ")
+    assert {word.strip("[]") for word in usage.split() if word.startswith(("--", "[--"))} == OPTIONS[command]
+    assert _help_rows(text, "options") == OPTIONS[command] | {"-h"}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: propb [-h] {analyze,color,mc,enum,verify,gen} ...\n")
+    assert _help_rows(text, "commands") == set(OPTIONS)
+    assert _help_rows(text, "options") == {"-h"}
 
 
 @pytest.mark.parametrize(
@@ -466,14 +480,34 @@ def test_option_inventory():
             ["gen", "--kind", "random", "--p", "6", "--m", "3", "--extra-vertices", "4"],
             "argument --extra-vertices: --kind random does not read it",
         ),
+        # an unknown option before the command takes no value, so the next token is no command name
+        (["--bogus", "3", "analyze", "{k35}"], "unrecognized arguments: --bogus"),
+        # only exact option names match
+        (["analyze", "{k35}", "--det"], "unrecognized arguments: --det"),
+        (["mc", "{k35}", "--trials"], "argument --trials: expected one argument"),
+        (["mc", "{k35}"], "the following arguments are required: --trials"),
+        (["verify"], "the following arguments are required: --n"),
+        (["gen", "--n", "3"], "the following arguments are required: --kind"),
+        (["analyze"], "the following arguments are required: input"),
+        (["analyze", "{k35}", "--json=1"], "argument --json: ignored explicit argument '1'"),
+        (
+            ["gen", "--kind", "ring"],
+            "argument --kind: invalid choice: 'ring' (choose from 'clique', 'padded', 'fano', 'random')",
+        ),
+        (["analyze", "{k35}", "{k35}"], "unrecognized arguments: {k35}"),
+        ([], "the following arguments are required: command"),
+        (
+            ["anal", "{k35}"],
+            "argument command: invalid choice: 'anal' (choose from 'analyze', 'color', 'mc', 'enum', 'verify', 'gen')",
+        ),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
-    # argparse rejects what it can check alone, an unknown option included, and
-    # a command rejects an option its mode does not read, by raising
-    # SystemExit(2) under the subcommand's usage line; an order that does not
-    # fit the input file, an input that cannot be read or an --out path that
-    # cannot be written, makes main return 2 with one line
+    # two kinds of exit 2, both returned by main: a usage error (an argument the
+    # command table rejects, or an option the command's mode does not read) is
+    # reported under the usage line of the command, or of propb when there is
+    # none; an order that does not fit the input file, an input that cannot be
+    # read or an --out path that cannot be written, is the one `error:` line
     tmp = os.path.dirname(k35_file)
     missing, nodir, bom = (os.path.join(tmp, name) for name in ("missing.hg", "nodir", "bom.hg"))
     # a UTF-16 byte-order mark, which is not UTF-8
@@ -485,18 +519,14 @@ def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
             a = a.replace("{" + key + "}", value)
         return a
 
-    try:
-        code, usage = main([fill(a) for a in argv]), None
-    except SystemExit as exc:
-        code, usage = exc.code, f"usage: propb {next(a for a in argv if not a.startswith('-'))} "
-    assert code == 2
+    assert main([fill(a) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith("error: " + fill(message))
-    if usage is None:
-        assert err == f"error: {fill(message)}\n"
+    if message.startswith(("argument ", "unrecognized arguments: ", "the following arguments are required: ")):
+        prog = " ".join(["propb", *(a for a in argv if a in COMMANDS)][:2])
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: {prog} ") and error == f"{prog}: error: {fill(message)}"
     else:
-        assert err.splitlines()[0].startswith(usage)
-    assert "Traceback" not in err
+        assert err == f"error: {fill(message)}\n"
 
 
 @pytest.mark.parametrize(
@@ -515,6 +545,43 @@ def test_an_option_at_its_default_is_no_setting(capsys, k35_file, argv, defaults
     expected = capsys.readouterr()
     assert main([*argv, *defaults]) == 0
     assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["mc", "{k35}", "--json", "--deterministic"], "--trials", "20"),
+        (["color", "{k35}"], "--order", "4,2,0,1,3"),
+        (["gen"], "--kind", "fano"),
+        (["analyze", "{k35}", "--deterministic"], "--out", "{out}"),
+    ],
+    ids=["int", "int-list", "choice", "path"],
+)
+def test_option_equals_value_is_option_then_value(capsys, tmp_path, k35_file, argv, option, value):
+    outputs = []
+    for n, pair in enumerate(([option, value], [f"{option}={value}"])):
+        out = tmp_path / f"out{n}"
+        assert main([a.format(k35=k35_file, out=out) for a in [*argv, *pair]]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].err == "" and (outputs[0][0].out or outputs[0][1])
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["mc", "-h"], "usage: propb mc [-h] "),
+        (["gen", "--help"], "usage: propb gen [-h] "),
+        (["verify", "--fixtures", "-h", "--bogus"], "usage: propb verify [-h] "),
+        (["--help", "analyze"], "usage: propb [-h] {"),
+    ],
+    ids=["mc", "gen", "verify", "top-level"],
+)
+def test_help_checks_no_required_option(capsys, argv, usage):
+    # help is written where -h is met, before the required options and the leftovers are checked
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
@@ -548,7 +615,7 @@ _NO_DECIDER_NODES = "import sys, propb.cli, propb.coloring; propb.coloring.NODE_
         ["-m", "propb", "verify", "--n", "2", "--max-p", "4", "--json"],
         ["-m", "propb", "analyze", "{k35}"],
         ["-m", "propb", "color", "{k35}", "--trials", "1"],
-        # argparse itself drops an OSError while it prints help
+        # help goes through the same guarded write as every other output
         ["-m", "propb", "--help"],
         ["-m", "propb", "analyze", "--help"],
         # the strict exit-3 error is lost with the output: one line, for the write
@@ -648,10 +715,7 @@ _LOADED_MODULES = """
 import json
 import sys
 from propb.cli import main
-try:
-    main(sys.argv[1:])
-except SystemExit:
-    pass
+main(sys.argv[1:])
 print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules]), file=sys.stderr)
 """
 
@@ -697,10 +761,7 @@ import json
 import sys
 before = set(sys.modules)
 from propb.cli import main
-try:
-    main(sys.argv[1:])
-except SystemExit:
-    pass
+main(sys.argv[1:])
 print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 
@@ -736,6 +797,11 @@ def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, arg
     )
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert not loaded & {"dataclasses", "inspect", "typing"}
+    # the command line is parsed from propb's own command table
+    assert not loaded & {"argparse", "gettext", "locale", "textwrap"}
+    # help reads the table alone: no input format, no hypergraph
+    if argv == ["--help"]:
+        assert {m for m in loaded if m.startswith("propb")} == {"propb", "propb.cli", "propb.errors"}
     # only a timestamped document reads the clock
     if "--deterministic" in argv or argv[0] == "color":
         assert "datetime" not in loaded

@@ -104,3 +104,15 @@ def test_conftest_oracles_import_no_private_kernel():
         if alias.name.startswith("_")
     }
     assert private <= {"_edge_slots"}
+
+
+def test_no_module_imports_an_option_parser():
+    # cli parses the command line from its own command table, so no command pays for argparse and gettext
+    imported = set()
+    for path in Path(propb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert not imported & {"argparse", "optparse", "getopt"}
