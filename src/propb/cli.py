@@ -5,11 +5,9 @@ nothing.  Set off its default, an option that the command's mode does
 not read is a usage error under the command's own usage line, as an
 unknown option is (verify --threads aside).  :func:`main` alone flushes
 stdout, prints the one `error:` line and picks the exit code: 0
-success, 2 malformed input (file or arguments, including a color
---order that is no ordering of the input) or a file that cannot be read
-or written, 3 budget exceeded (enum on large p, analyze --strict past
-the decider's node budget, verify past p = 7, or 8 when sampling, gen
-past its edge budget), 1 any other failure.
+success; 1 the mathematics or an internal check failed; 2 malformed or
+unreadable input (file, arguments, or an --out file that cannot be
+written); 3 a guard, a named module constant, ran out.
 A failed stdout write is an exit-2 error like one to an --out file, and
 it replaces any earlier error of the command.  The output of analyze,
 mc, enum and verify is the report document, which :func:`_emit` alone
@@ -120,7 +118,7 @@ def cmd_analyze(args) -> None:
     text, H = _load(args.input)
     analysis, bollobas = analyze(H)
     _emit(args, args.out, input_info=input_section(args.input, text, H), analysis=analysis, bollobas=bollobas)
-    if args.strict and analysis["colorable"] == Colorability.UNDETERMINED.value:
+    if analysis["colorable"] == Colorability.UNDETERMINED.value:
         raise BudgetExceeded(f"colorability undetermined within the decider's budget of {NODE_BUDGET} nodes")
 
 
@@ -219,14 +217,14 @@ def _json_or_none(line: bytes):
 
 
 def cmd_verify(args) -> None:
-    from .search import verify_bound_exhaustive, verify_fixture_suite
+    from .search import SAMPLE_MAX_P, verify_bound_exhaustive, verify_fixture_suite
 
     if args.fixtures:
         _refuse_unread(args, "--fixtures", "max_p", "budget")
         _emit(args, args.out, search={"mode": "fixtures", "report": verify_fixture_suite(args.n, seed=args.seed)})
         return
 
-    max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else 8)
+    max_p = args.max_p if args.max_p is not None else (6 if args.n == 2 else SAMPLE_MAX_P)
     if args.n == 2:
         _refuse_unread(args, "the --n 2 census", "seed", "budget")
     elif max_p < 2 * args.n - 1:
@@ -314,11 +312,13 @@ def cmd_gen(args) -> None:
 
 
 def _int_range(lo: int | None = None, hi: int | None = None):
-    """Option parser: an integer in lo..hi (either end open when None), else ValueError."""
+    """Option parser: an integer in lo..hi (either end open when None) as hgio's files write it, else ValueError."""
 
     def parse(text: str) -> int:
+        from .hgio import _int  # loaded here: --help parses no integer
+
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             raise ValueError(f"invalid int value: {text!r}") from None
         if lo is not None and value < lo:
@@ -333,7 +333,7 @@ def _int_range(lo: int | None = None, hi: int | None = None):
 def _int_list(text: str) -> list[int]:
     """Option parser: comma-separated integers such as 0,2,1 ('' is the empty list), else ValueError."""
     try:
-        return [int(t) for t in text.split(",")] if text else []
+        return [_int_range()(t) for t in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"invalid comma-separated int list: {text!r}") from None
 
@@ -349,8 +349,7 @@ _REPORT = (
 _INPUT = ("input",)
 _SEED64 = ("--seed", _int_range(0, 2**64 - 1), 0, False, "trial stream seed (0..2^64-1)")
 COMMANDS = {
-    "analyze": ("m2, bound, colorability, clique witness", cmd_analyze, _INPUT, (
-        ("--strict", None, False, False, "exit 3 if the decider's node budget runs out"), *_REPORT)),
+    "analyze": ("m2, bound, colorability, clique witness", cmd_analyze, _INPUT, _REPORT),
     "color": ("greedy coloring under a given or random order", cmd_color, _INPUT, (
         ("--order", _int_list, None, False, "comma-separated visit order, e.g. 0,2,1"),
         ("--trials", _int_range(1), 1, False, "random orders to try when --order is absent"), _SEED64)),

@@ -26,7 +26,7 @@ class InvalidOrdering(PropBError):
 
 
 class BudgetExceeded(PropBError):
-    """An enumeration or search would exceed its explicit budget."""
+    """A guard ran out: a search or enumeration reached the limit a named module constant sets (exit 3)."""
 
 
 class EqualityStructureViolated(PropBError):

@@ -52,8 +52,10 @@ from .report import analyze
 from .separation import ENUM_MAX_VERTICES, ordering_histogram
 from .setpairs import find_clique
 
-# sampling supports p <= 8 only, so 8! relabelings bound every canonical form it asks for
-CANONICAL_BUDGET = math.factorial(8)
+CENSUS_MAX_P = 7  # the n = 2 census scans every labeled graph on at most this many vertices
+SAMPLE_MAX_P = 8  # the n >= 3 sampler draws instances on at most this many vertices
+# so SAMPLE_MAX_P! relabelings bound every canonical form the census and the sampler ask for
+CANONICAL_BUDGET = math.factorial(SAMPLE_MAX_P)
 SAMPLE_BUDGET_DEFAULT = 200
 FIXTURE_ATTEMPTS = 1000  # rejection samples drawn for the random non-colorable fixture
 
@@ -66,8 +68,8 @@ def canonical_form(H: Hypergraph) -> str:
     edge list over relabelings that permute vertices only inside a cell.
     Refinement commutes with relabeling, so isomorphic inputs search the
     same edge lists.  Vertices in no edge keep their order.  More than
-    CANONICAL_BUDGET = 8! such relabelings (never at p <= 8) raise
-    BudgetExceeded.
+    CANONICAL_BUDGET = SAMPLE_MAX_P! = 8! such relabelings (never at
+    p <= SAMPLE_MAX_P) raise BudgetExceeded.
     """
     return _canonical(H)[0]
 
@@ -178,7 +180,7 @@ def _degree_lanes(p: int, slots) -> list[bytes]:
 
 @lru_cache(maxsize=8)
 def _extension_tables(p: int):
-    """Two-vertex extension tables over the labeled graphs on p <= 7 vertices.
+    """Two-vertex extension tables over the labeled graphs on p <= CENSUS_MAX_P = 7 vertices.
 
     The added vertices 0 and 1 (only 0 at p = 1) own the first slots, so
     mask = h << L | c: the row h is a graph on the other q vertices and the
@@ -192,8 +194,8 @@ def _extension_tables(p: int):
     256 (m2(h + c) - m2(h) <= m2(K_7) - m2(K_5) = 110) and a row's slack in
     its key's two bits (a perfect matching on 6 vertices needs three).
     """
-    if p > 7:
-        raise ValueError(f"the tables hold 2^C(p-2, 2) rows of 2^(2p-3) columns, up to p = 7; got p = {p}")
+    if p > CENSUS_MAX_P:
+        raise ValueError(f"the tables hold 2^C(p-2, 2) rows of 2^(2p-3) columns, up to p = {CENSUS_MAX_P}; got p = {p}")
     k = min(p, 2)
     q = p - k
     E = _edge_slots(p)
@@ -358,12 +360,13 @@ def verify_bound_exhaustive(
 
     Each record (see :func:`_record`, which raises CounterexampleFound)
     is one non-colorable instance.  n = 2: full enumeration of all labeled
-    graphs on p <= max_p vertices (max_p <= 7, its only guard; a budget
-    is a ValueError, as n < 2 is), one record per isomorphism class of the
+    graphs on p <= max_p <= CENSUS_MAX_P vertices (a budget is a
+    ValueError, as n < 2 is), one record per isomorphism class of the
     non-bipartite graphs at m2 <= 6; a triangle lies there from p = 3 on,
     so their least m2 is the least of any.  n >= 3: seeded rejection
-    sampling (budget = sample count, p <= max_p <= 8, its guard), one
-    record per non-colorable sample.
+    sampling (budget = sample count, 2n - 1 <= max_p <= SAMPLE_MAX_P, else
+    ValueError below), one record per non-colorable sample.  A max_p past
+    either cap raises BudgetExceeded before any scan or draw.
 
     The summary counts instances failing |E| >= |covered V|; that check is
     only a theorem for edge-minimal instances, so nonzero counts are
@@ -379,8 +382,8 @@ def verify_bound_exhaustive(
 
 
 def _verify_graphs(max_p, skip_p, on_record, on_p_done):
-    if max_p > 7:
-        raise BudgetExceeded("full graph enumeration supports max_p <= 7")
+    if max_p > CENSUS_MAX_P:
+        raise BudgetExceeded(f"full graph enumeration supports max_p <= {CENSUS_MAX_P}")
     ps = [p for p in range(1, max_p + 1) if p not in set(skip_p)]
 
     records: list[dict] = []
@@ -425,11 +428,11 @@ def _verify_graphs(max_p, skip_p, on_record, on_p_done):
 
 def _verify_sampled(n, max_p, budget, seed, on_record):
     samples = SAMPLE_BUDGET_DEFAULT if budget is None else budget
-    if max_p > 8:
-        raise BudgetExceeded("sampling supports max_p <= 8")
+    if max_p > SAMPLE_MAX_P:
+        raise BudgetExceeded(f"sampling supports max_p <= {SAMPLE_MAX_P}")
     p_lo = 2 * n - 1
     if max_p < p_lo:
-        raise BudgetExceeded(f"sampling reaches p = {max_p}, below the {p_lo} vertices a non-colorable {n}-graph needs")
+        raise ValueError(f"sampling reaches p = {max_p}, below the {p_lo} vertices a non-colorable {n}-graph needs")
     rng = random.Random(f"sampling:{seed}")
     records: list[dict] = []
     summary = {
@@ -479,9 +482,7 @@ def _random_noncolorable(n: int, seed) -> Hypergraph:
         verdict, _ = exhaustive_decide(H)
         if verdict is Colorability.NO:
             return H
-    raise FixtureFailure(
-        f"no non-2-colorable {n}-graph found in {FIXTURE_ATTEMPTS} rejection samples"
-    )
+    raise BudgetExceeded(f"no non-2-colorable {n}-graph found in {FIXTURE_ATTEMPTS} rejection samples")
 
 
 def verify_fixture_suite(n: int, seed=0) -> dict:

@@ -84,7 +84,7 @@ class TestAnalyze:
 
     def test_strict_budget_exit_3(self, capsys, monkeypatch, k35_file):
         monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
-        code = main(["analyze", k35_file, "--strict", "--json"])
+        code = main(["analyze", k35_file, "--json"])
         assert code == 3
         assert capsys.readouterr().err == "error: colorability undetermined within the decider's budget of 0 nodes\n"
 
@@ -92,7 +92,7 @@ class TestAnalyze:
         # a random 3-graph covering 40 vertices, refuted in a few nodes
         path = str(tmp_path / "r40.hg")
         assert main(["gen", "--kind", "random", "--n", "3", "--p", "40", "--m", "150", "--seed", "2", "--out", path]) == 0
-        code, doc = run_json(capsys, ["analyze", path, "--strict", "--json"])
+        code, doc = run_json(capsys, ["analyze", path, "--json"])
         assert code == 0
         assert doc["analysis"]["colorable"] == "no"
 
@@ -360,7 +360,7 @@ class TestVerify:
 
 # every option of every subcommand, bar -h: adding or removing a knob is a visible change to this table
 OPTIONS = {
-    "analyze": {"--strict", "--json", "--out", "--deterministic"},
+    "analyze": {"--json", "--out", "--deterministic"},
     "color": {"--order", "--trials", "--seed"},
     "mc": {"--trials", "--seed", "--json", "--out", "--deterministic"},
     "enum": {"--json", "--out", "--deterministic"},
@@ -500,6 +500,15 @@ def test_top_level_help_lists_every_command(capsys):
             ["anal", "{k35}"],
             "argument command: invalid choice: 'anal' (choose from 'analyze', 'color', 'mc', 'enum', 'verify', 'gen')",
         ),
+        # an option's integer has the grammar of a file's: ASCII digits with an optional leading '-'
+        (["mc", "{k35}", "--trials", "1_0"], "argument --trials: invalid int value: '1_0'"),
+        (["mc", "{k35}", "--trials", "+5"], "argument --trials: invalid int value: '+5'"),
+        (["mc", "{k35}", "--trials", "\u0663"], "argument --trials: invalid int value: '\u0663'"),
+        (["color", "{k35}", "--order", "+0,1,2"], "argument --order: invalid comma-separated int list: '+0,1,2'"),
+        (["color", "{k35}", "--order", "0,1_0,2"], "argument --order: invalid comma-separated int list: '0,1_0,2'"),
+        (["color", "{k35}", "--order", "\u0663,1"], "argument --order: invalid comma-separated int list: '\u0663,1'"),
+        # a guard is a constant, not an option: analyze exits 3 past the decider's budget without one
+        (["analyze", "{k35}", "--strict"], "unrecognized arguments: --strict"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, k35_file, argv, message):
@@ -602,7 +611,39 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-# the CLI with a decider that may visit no node, so any analyze --strict of an edge exits 3
+@pytest.mark.parametrize(
+    "constant, value, argv, message",
+    [
+        (
+            "propb.coloring.NODE_BUDGET", 0, ["analyze", "{k35}"],
+            "colorability undetermined within the decider's budget of 0 nodes",
+        ),
+        ("propb.setpairs.NODE_BUDGET", 0, ["analyze", "{k35}"], "clique search visited more than 0 prefixes"),
+        (
+            "propb.search.CANONICAL_BUDGET", 1, ["verify", "--n", "2", "--max-p", "3"],
+            "canonical form of a 2-graph on 3 vertices: cells (3,) admit 6 relabelings, budget 1",
+        ),
+        (
+            "propb.search.FIXTURE_ATTEMPTS", 0, ["verify", "--n", "3", "--fixtures"],
+            "no non-2-colorable 3-graph found in 0 rejection samples",
+        ),
+    ],
+    ids=["decider", "clique-search", "canonical-form", "fixture-draws"],
+)
+def test_guard_exit_3(capsys, monkeypatch, k35_file, constant, value, argv, message):
+    # exit 3 is a guard constant running out, with no option to ask for it; only analyze's decider
+    # leaves a complete answer to write first, the document with colorability undetermined
+    monkeypatch.setattr(constant, value)
+    assert main([a.format(k35=k35_file) for a in argv] + ["--json", "--deterministic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    if constant == "propb.coloring.NODE_BUDGET":
+        assert json.loads(captured.out)["analysis"]["colorable"] == "undetermined"
+    else:
+        assert captured.out == ""
+
+
+# the CLI with a decider that may visit no node, so any analyze of an edge exits 3
 _NO_DECIDER_NODES = "import sys, propb.cli, propb.coloring; propb.coloring.NODE_BUDGET = 0; sys.exit(propb.cli.main())"
 
 
@@ -618,8 +659,8 @@ _NO_DECIDER_NODES = "import sys, propb.cli, propb.coloring; propb.coloring.NODE_
         # help goes through the same guarded write as every other output
         ["-m", "propb", "--help"],
         ["-m", "propb", "analyze", "--help"],
-        # the strict exit-3 error is lost with the output: one line, for the write
-        ["-c", _NO_DECIDER_NODES, "analyze", "{k35}", "--strict"],
+        # the decider's exit-3 error is lost with the output: one line, for the write
+        ["-c", _NO_DECIDER_NODES, "analyze", "{k35}"],
     ],
     ids=["gen", "verify-json", "analyze", "color", "help", "analyze-help", "analyze-strict"],
 )

@@ -529,6 +529,12 @@ class TestVerifySampled:
         with pytest.raises(BudgetExceeded, match="^sampling supports max_p <= 8$"):
             verify_bound_exhaustive(3, 9)
 
+    def test_max_p_below_2n_minus_1_is_an_argument_error(self):
+        # no guard runs out here: no non-colorable 3-graph has fewer than 5 vertices
+        message = "^sampling reaches p = 4, below the 5 vertices a non-colorable 3-graph needs$"
+        with pytest.raises(ValueError, match=message):
+            verify_bound_exhaustive(3, 4)
+
 
 class TestFixtureSuite:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -637,7 +643,7 @@ class TestVerifierFailures:
 
     def test_random_fixture_without_attempts(self, monkeypatch):
         _no_sampling_attempts(monkeypatch)
-        with pytest.raises(FixtureFailure, match="no non-2-colorable 3-graph found in 0 rejection samples"):
+        with pytest.raises(BudgetExceeded, match="^no non-2-colorable 3-graph found in 0 rejection samples$"):
             search._random_noncolorable(3, 0)
 
     @pytest.mark.parametrize(
@@ -647,10 +653,9 @@ class TestVerifierFailures:
             (_bound_above_every_sample, ["--n", "3", "--max-p", "8"], "non-colorable 3-graph on "),
             (_decider_says_yes, ["--n", "2", "--fixtures"], "complete: expected non-2-colorable"),
             (_histogram_off, ["--n", "2", "--fixtures"], "complete: not every ordering separates"),
-            (_no_sampling_attempts, ["--n", "3", "--fixtures"], "no non-2-colorable 3-graph found"),
             (_no_clique_found, ["--n", "2", "--max-p", "5"], "non-colorable 2-graph on 3 vertices violates"),
         ],
-        ids=["census", "sampled", "decider", "histogram", "random-fixture", "census-clique"],
+        ids=["census", "sampled", "decider", "histogram", "census-clique"],
     )
     def test_cli_exit_1_with_one_error_line(self, capsys, monkeypatch, breaker, argv, message):
         breaker(monkeypatch)

@@ -116,3 +116,38 @@ def test_no_module_imports_an_option_parser():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.split(".")[0])
     assert not imported & {"argparse", "optparse", "getopt"}
+
+
+def _module_constants() -> set[str]:
+    """Upper-case names that some module of src/propb binds at its top level."""
+    names = set()
+    for path in Path(propb.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def _budget_raises(node, where: str):
+    """(where, raise statement) for every `raise BudgetExceeded` under node, nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{where}:{child.name}" if isinstance(child, ast.FunctionDef) else where
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "BudgetExceeded":
+                yield f"{inner}:{child.lineno}", child
+        yield from _budget_raises(child, inner)
+
+
+def test_every_budget_exit_reads_a_named_constant():
+    # exit 3 means that a guard ran out, and a guard is a module constant: each raise of BudgetExceeded
+    # reads one, so its message states the limit and no limit hides in a literal
+    constants = _module_constants()
+    literal = []
+    for path in sorted(Path(propb.__file__).parent.glob("*.py")):
+        for where, node in _budget_raises(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            read = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            read |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            if not read & constants:
+                literal.append(where)
+    assert literal == []
