@@ -18,6 +18,7 @@ timestamp so identical invocations are byte-identical.
 Every invocation is a fresh interpreter, so the command line is parsed
 from COMMANDS, one table entry per command, without argparse; the top
 imports only errors, each cmd_* the modules it runs, _emit report.
+:func:`run`, the program entry, ends the process without the interpreter's shutdown.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class _Writing:
 
     An OSError there is a one-line usage error (exit 2).  After a failed
     stdout write, stdout is pointed at the null device, so the bytes still
-    buffered cannot fail again in the interpreter's shutdown flush.
+    buffered cannot fail again in the shutdown flush of sys.exit(main()).
     """
 
     def __init__(self, path: str | None):
@@ -466,12 +467,13 @@ def main(argv=None) -> int:
                 sys.stdout.flush()
     except PropBError as exc:
         prog = f"propb {exc.command or ''}".rstrip() if isinstance(exc, UsageError) else None
-        print(f"{_usage(exc.command)}\n{prog}: " if prog else "", f"error: {exc}", sep="", file=sys.stderr)
+        print(f"{_usage(exc.command)}\n{prog}: " if prog else "", f"error: {exc}", sep="", file=sys.stderr, flush=True)
         if prog or isinstance(exc, (ParseError, FileAccessError, InvalidOrdering)):
             return 2
         return 3 if isinstance(exc, BudgetExceeded) else 1
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """The program entry: main, then os._exit, so no atexit handler runs; main has flushed and closed all output."""
+    os._exit(main())

@@ -34,6 +34,7 @@ from collections.abc import Callable, Collection
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, permutations, product
 
+from . import coloring
 from .coloring import Colorability, exhaustive_decide
 from .errors import BudgetExceeded, CounterexampleFound, FixtureFailure
 from .hypergraph import (
@@ -482,6 +483,10 @@ def _random_noncolorable(n: int, seed) -> Hypergraph:
         verdict, _ = exhaustive_decide(H)
         if verdict is Colorability.NO:
             return H
+        if verdict is Colorability.UNDETERMINED:
+            raise BudgetExceeded(
+                f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
+            )
     raise BudgetExceeded(f"no non-2-colorable {n}-graph found in {FIXTURE_ATTEMPTS} rejection samples")
 
 
@@ -493,7 +498,8 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     exactly, the whole extremal chain: distinct meet vertices per second
     edge, exactly one separated pair per ordering (p <= 8), both set-pair
     conditions, sum exactly 1, the equality structure, and clique
-    recovery.  Raises FixtureFailure naming fixture and assertion.
+    recovery.  Raises FixtureFailure naming fixture and assertion, and
+    BudgetExceeded when the decider leaves a fixture or a draw undetermined.
     Returns the report's fixture section: {"n", "bound", "ok", "fixtures"},
     one entry per fixture, with the set-pair sum as an exact Fraction.
     """
@@ -514,6 +520,10 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     entries = []
     for name, H, expect_clique in fixtures:
         analysis, bol = analyze(H)
+        if analysis["colorable"] == Colorability.UNDETERMINED.value:
+            raise BudgetExceeded(
+                f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
+            )
         if analysis["colorable"] != Colorability.NO.value:
             raise FixtureFailure(f"{name}: expected non-2-colorable, decider said {analysis['colorable']}")
         m2_val = analysis["m2"]

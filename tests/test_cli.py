@@ -390,6 +390,17 @@ def test_help_lists_exactly_the_command_options(capsys, command):
     assert _help_rows(text, "options") == OPTIONS[command] | {"-h"}
 
 
+def test_help_states_the_current_guard_constants(capsys):
+    # cli loads neither module to print help, so its help text repeats their caps; changing one fails here
+    from propb.search import SAMPLE_MAX_P
+    from propb.separation import ENUM_MAX_VERTICES
+
+    assert main(["--help"]) == 0
+    assert f"over all p! orderings (p <= {ENUM_MAX_VERTICES})\n" in capsys.readouterr().out
+    assert main(["verify", "--help"]) == 0
+    assert f"largest vertex count (default 6 at --n 2, else {SAMPLE_MAX_P})\n" in capsys.readouterr().out
+
+
 def test_top_level_help_lists_every_command(capsys):
     assert main(["--help"]) == 0
     text = capsys.readouterr().out
@@ -627,8 +638,12 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
             "propb.search.FIXTURE_ATTEMPTS", 0, ["verify", "--n", "3", "--fixtures"],
             "no non-2-colorable 3-graph found in 0 rejection samples",
         ),
+        (
+            "propb.coloring.NODE_BUDGET", 0, ["verify", "--n", "3", "--fixtures"],
+            "colorability undetermined within the decider's budget of 0 nodes",
+        ),
     ],
-    ids=["decider", "clique-search", "canonical-form", "fixture-draws"],
+    ids=["decider", "clique-search", "canonical-form", "fixture-draws", "fixture-decider"],
 )
 def test_guard_exit_3(capsys, monkeypatch, k35_file, constant, value, argv, message):
     # exit 3 is a guard constant running out, with no option to ask for it; only analyze's decider
@@ -637,7 +652,7 @@ def test_guard_exit_3(capsys, monkeypatch, k35_file, constant, value, argv, mess
     assert main([a.format(k35=k35_file) for a in argv] + ["--json", "--deterministic"]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
-    if constant == "propb.coloring.NODE_BUDGET":
+    if argv[0] == "analyze" and constant == "propb.coloring.NODE_BUDGET":
         assert json.loads(captured.out)["analysis"]["colorable"] == "undetermined"
     else:
         assert captured.out == ""
@@ -677,6 +692,56 @@ def test_stdout_write_failure_exit_2(k35_file, argv, unbuffered):
         )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--kind", "clique", "--n", "8"], 0),
+        (["analyze", "{k35}", "--json", "--deterministic"], 0),
+        (["verify", "--n", "2", "--max-p", "5", "--json", "--deterministic", "--out", "s.jsonl"], 0),
+        (["color", "{k35}", "--trials", "3"], 0),
+        (["--help"], 0),
+        (["analyze", "{k35}", "--bogus"], 2),
+        (["verify", "--n", "3", "--max-p", "9"], 3),
+    ],
+    ids=["gen-120kb", "analyze", "verify-out", "color", "help", "unknown-option", "guard"],
+)
+def test_program_exit_loses_no_output(capsys, monkeypatch, tmp_path, k35_file, argv, code):
+    # python -m propb ends in os._exit, so any output main left unflushed or unclosed would be lost;
+    # stdout stays buffered, and the 120 KB gen output is more than a pipe buffer holds
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(propb.__file__))
+    argv = [a.format(k35=k35_file) for a in argv]
+    program, in_process = tmp_path / "program", tmp_path / "in-process"
+    program.mkdir(), in_process.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "propb", *argv], cwd=program, capture_output=True, text=True, env=env,
+    )
+    monkeypatch.chdir(in_process)
+    assert main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    written = {path.name: path.read_bytes() for path in program.iterdir()}
+    assert written == {path.name: path.read_bytes() for path in in_process.iterdir()}
+    assert sorted(written) == (["s.jsonl"] if "--out" in argv else [])
+
+
+_ATEXIT_THEN_PROGRAM = """
+import atexit, runpy, sys
+atexit.register(print, "atexit handler ran", file=sys.stderr)
+runpy.run_module("propb", run_name="__main__")
+"""
+
+
+def test_program_exit_runs_no_atexit_handler(capsys):
+    # the process ends without the interpreter's shutdown, yet with every byte of its buffered output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(propb.__file__))
+    argv = ["gen", "--kind", "fano"]
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_THEN_PROGRAM, *argv], capture_output=True, text=True, env=env)
+    assert main(argv) == proc.returncode == 0
+    assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
 
 
 class TestGen:

@@ -646,6 +646,20 @@ class TestVerifierFailures:
         with pytest.raises(BudgetExceeded, match="^no non-2-colorable 3-graph found in 0 rejection samples$"):
             search._random_noncolorable(3, 0)
 
+    # the decider giving up is its guard running out (exit 3), not a colorable draw or a failed fixture
+    _UNDETERMINED = "^colorability undetermined within the decider's budget of 0 nodes$"
+
+    def test_undetermined_draw_is_the_decider_budget(self, monkeypatch):
+        monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
+        with pytest.raises(BudgetExceeded, match=self._UNDETERMINED):
+            search._random_noncolorable(3, 0)
+
+    def test_undetermined_fixture_is_the_decider_budget(self, monkeypatch):
+        monkeypatch.setattr(search, "_random_noncolorable", lambda n, seed: complete_hypergraph(n))
+        monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
+        with pytest.raises(BudgetExceeded, match=self._UNDETERMINED):
+            verify_fixture_suite(3)
+
     @pytest.mark.parametrize(
         "breaker, argv, message",
         [

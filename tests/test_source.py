@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import propb
 from propb import errors
 
@@ -151,3 +153,20 @@ def test_every_budget_exit_reads_a_named_constant():
             if not read & constants:
                 literal.append(where)
     assert literal == []
+
+
+def test_the_process_ends_in_cli_run_alone():
+    # run is the one program entry: the only os._exit of the package is in it, and both entry points call it
+    exits = []
+    for path in sorted(Path(propb.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                names = [getattr(sub, "attr", None), getattr(sub, "id", None)]
+                names += [alias.name for alias in sub.names] if isinstance(sub, ast.ImportFrom) else []
+                exits += [(path.stem, getattr(node, "name", None))] * names.count("_exit")
+    assert exits == [("cli", "run")]
+    main_py = (Path(propb.__file__).parent / "__main__.py").read_text(encoding="utf-8")
+    assert ast.dump(ast.parse(main_py)) == ast.dump(ast.parse("from .cli import run\nrun()"))
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"propb": "propb.cli:run"}
