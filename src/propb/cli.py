@@ -209,7 +209,7 @@ def _read_stream(path: str, header: dict) -> tuple[list[dict], int]:
 
 def _json_or_none(line: bytes):
     """The JSON value of a line, or None for one cut short by an interrupted run or not UTF-8 JSON at all."""
-    import json  # loaded here, and in write_line: only a verify --out stream is read or written line by line
+    import json  # loaded here: only a resumed verify --out stream is read back
 
     try:
         return json.loads(line)
@@ -218,6 +218,7 @@ def _json_or_none(line: bytes):
 
 
 def cmd_verify(args) -> None:
+    from .report import to_json
     from .search import SAMPLE_MAX_P, verify_bound_exhaustive, verify_fixture_suite
 
     if args.fixtures:
@@ -238,10 +239,8 @@ def cmd_verify(args) -> None:
 
     def write_line(obj):
         if sink:
-            import json
-
             with _Writing(args.out):
-                sink.write("".join(json.dumps(o, sort_keys=True) + "\n" for o in (*unwritten, obj)))
+                sink.write("".join(to_json(o, one_line=True) for o in (*unwritten, obj)))
                 sink.flush()
             unwritten.clear()
 

@@ -5,28 +5,39 @@ does not apply.  Exact rationals stay Fractions in the document and are
 converted only when rendered: :func:`to_json` emits them as {"num", "den"}
 objects.  Only Monte Carlo sections contain floats, and those are flagged
 with "estimate": true.
+
+:func:`to_json` is the one JSON writer, of the documents and of the
+verify --out stream lines; it writes what json.dumps(value,
+sort_keys=True) writes, indented or on one line, without loading json,
+whose import compiles the decoder's regexes.  The decider and the
+set-pair code load only when :func:`analyze` runs.
 """
 
 from __future__ import annotations
 
-import json
-
 from . import __version__
-from .coloring import Colorability, exhaustive_decide
 from .hypergraph import Hypergraph, bound, m2, seymour_check
-from .setpairs import evaluate_family, find_clique
+
+try:
+    from _json import encode_basestring_ascii as _string  # the C helper json.encoder itself uses
+except ImportError:
+    from json.encoder import py_encode_basestring_ascii as _string
 
 TOOL_NAME = "propb"
 
 
 def analyze(H: Hypergraph) -> tuple[dict, dict | None]:
     """The report's analysis section, and its bollobas section (extremal inputs only, else None)."""
+    from .coloring import Colorability, exhaustive_decide  # loaded here: documents are written without the decider
+
     m2_val = m2(H)
     b = bound(H.n)
     verdict, _ = exhaustive_decide(H)
     clique = None
     bollobas = None
     if m2_val == b and verdict is Colorability.NO:
+        from .setpairs import evaluate_family, find_clique  # loaded here: only an input at the bound has a family
+
         bollobas = evaluate_family(H)
         found = find_clique(H)
         if found is not None:
@@ -97,13 +108,46 @@ def make_document(
     }
 
 
-def _encode(value) -> dict:
-    from fractions import Fraction  # loaded here: json calls this only for a value it cannot write itself
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _text(value, nl: str | None) -> str:
+    """JSON text of value: nl is the line break and indent of its level, or None for one line."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = nl and nl + "  "
+        if isinstance(value, dict):
+            ends, items = "{}", [f"{_string(_key(k))}: {_text(v, inner)}" for k, v in sorted(value.items())]
+        else:
+            ends, items = "[]", [_text(v, inner) for v in value]
+        if nl is None:
+            return ends[0] + ", ".join(items) + ends[1]
+        return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
+    from fractions import Fraction  # loaded here: only a document holding a rational gets this far
 
     if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+        return _text({"num": value.numerator, "den": value.denominator}, nl)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_encode) + "\n"
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _text(key, None)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def to_json(value, *, one_line: bool = False) -> str:
+    """json.dumps(value, sort_keys=True) plus a newline, indented by 2 unless one_line; a Fraction is {"num", "den"}."""
+    return _text(value, None if one_line else "\n") + "\n"

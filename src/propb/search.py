@@ -22,7 +22,9 @@ sequence: that set is closed under relabeling, so a group with
 |group| * |Aut| = p! for its first graph is that graph's orbit and takes
 one canonical form; any other group is canonicalised mask by mask.  Both
 halves of the rule are isomorphism invariants, so one record per class
-judges every mask of it.
+judges every mask of it.  The census needs only hypergraph and setpairs;
+the sampler and the fixture suite load the decider, report's analyze and
+separation when they run.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from collections.abc import Callable, Collection
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, permutations, product
 
-from . import coloring
-from .coloring import Colorability, exhaustive_decide
 from .errors import BudgetExceeded, CounterexampleFound, FixtureFailure
 from .hypergraph import (
     Hypergraph,
@@ -49,8 +49,6 @@ from .hypergraph import (
     relabel,
     seymour_check,
 )
-from .report import analyze
-from .separation import ENUM_MAX_VERTICES, ordering_histogram
 from .setpairs import find_clique
 
 CENSUS_MAX_P = 7  # the n = 2 census scans every labeled graph on at most this many vertices
@@ -428,6 +426,8 @@ def _verify_graphs(max_p, skip_p, on_record, on_p_done):
 
 
 def _verify_sampled(n, max_p, budget, seed, on_record):
+    from .coloring import Colorability, exhaustive_decide  # loaded here: the census never runs the decider
+
     samples = SAMPLE_BUDGET_DEFAULT if budget is None else budget
     if max_p > SAMPLE_MAX_P:
         raise BudgetExceeded(f"sampling supports max_p <= {SAMPLE_MAX_P}")
@@ -477,13 +477,15 @@ _RANDOM_FIXTURE_SHAPE = {2: (6, 8), 3: (7, 25), 4: (8, 60)}
 
 
 def _random_noncolorable(n: int, seed) -> Hypergraph:
+    from . import coloring  # loaded here: the census never runs the decider
+
     p, m_edges = _RANDOM_FIXTURE_SHAPE[n]
     for a in range(FIXTURE_ATTEMPTS):
         H = random_hypergraph(n, p, m_edges, seed=f"{seed}:{a}")
-        verdict, _ = exhaustive_decide(H)
-        if verdict is Colorability.NO:
+        verdict, _ = coloring.exhaustive_decide(H)
+        if verdict is coloring.Colorability.NO:
             return H
-        if verdict is Colorability.UNDETERMINED:
+        if verdict is coloring.Colorability.UNDETERMINED:
             raise BudgetExceeded(
                 f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
             )
@@ -493,7 +495,7 @@ def _random_noncolorable(n: int, seed) -> Hypergraph:
 def verify_fixture_suite(n: int, seed=0) -> dict:
     """Full pipeline on curated non-colorable fixtures for one uniformity.
 
-    Each fixture runs through :func:`analyze` once.  Asserts the
+    Each fixture runs through :func:`report.analyze` once.  Asserts the
     simple-pair bound on every fixture and, on each fixture meeting it
     exactly, the whole extremal chain: distinct meet vertices per second
     edge, exactly one separated pair per ordering (p <= 8), both set-pair
@@ -503,6 +505,11 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     Returns the report's fixture section: {"n", "bound", "ok", "fixtures"},
     one entry per fixture, with the set-pair sum as an exact Fraction.
     """
+    # loaded here: the census runs none of the fixture pipeline
+    from . import coloring
+    from .report import analyze
+    from .separation import ENUM_MAX_VERTICES, ordering_histogram
+
     if n not in _RANDOM_FIXTURE_SHAPE:
         raise ValueError(f"fixture suite covers n in {set(_RANDOM_FIXTURE_SHAPE)}")
     K = complete_hypergraph(n)
@@ -520,11 +527,11 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     entries = []
     for name, H, expect_clique in fixtures:
         analysis, bol = analyze(H)
-        if analysis["colorable"] == Colorability.UNDETERMINED.value:
+        if analysis["colorable"] == coloring.Colorability.UNDETERMINED.value:
             raise BudgetExceeded(
                 f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
             )
-        if analysis["colorable"] != Colorability.NO.value:
+        if analysis["colorable"] != coloring.Colorability.NO.value:
             raise FixtureFailure(f"{name}: expected non-2-colorable, decider said {analysis['colorable']}")
         m2_val = analysis["m2"]
         if m2_val < b:

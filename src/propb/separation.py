@@ -133,10 +133,14 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
     """Sample uniform orderings and record separated-pair counts per trial.
 
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
-    2^64); identical arguments reproduce identical statistics.
+    2^64); identical arguments reproduce identical statistics.  Only the
+    edges that lie in a simple pair are keyed: the rest separate nothing,
+    and a trial's key of a vertex depends only on (p, seed, t, vertex).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    paired = sorted({sp.first for sp in enumerate_simple_pairs(H)})
+    H = Hypergraph(H.n, H.p, tuple(H.edges[i] for i in paired))
     slots = _pair_slots(H)
     hist: Counter[int] = Counter()
     for start in range(0, trials, TRIAL_BLOCK):

@@ -310,6 +310,17 @@ class TestVerify:
         assert main([*argv, "--max-p", "5", "--out", str(whole)]) == 0
         assert s.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv", [["--n", "2", "--max-p", "5"], ["--n", "3", "--budget", "20"]], ids=["census", "sampler"]
+    )
+    def test_stream_lines_are_what_json_dumps_writes(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "s.jsonl"
+        assert main(["verify", *argv, "--deterministic", "--out", str(out_path)]) == 0
+        lines = out_path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 3
+        for line in lines:
+            assert line == (json.dumps(json.loads(line), sort_keys=True) + "\n").encode()
+
     def test_fixtures_out_writes_the_document(self, capsys, tmp_path):
         argv = ["verify", "--n", "3", "--fixtures", "--json", "--deterministic"]
         assert main(argv) == 0
@@ -862,13 +873,13 @@ def test_numpy_is_imported_only_by_commands_that_run_a_kernel(k35_file, argv):
     assert "concurrent.futures" not in loaded
 
 
+# prints without json, so that a command loading it shows
 _NEWLY_LOADED = """
-import json
 import sys
 before = set(sys.modules)
 from propb.cli import main
 main(sys.argv[1:])
-print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 
 
@@ -884,30 +895,35 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
         ["color", "{k35}", "--trials", "3"],
         ["gen", "--kind", "clique", "--n", "3"],
         ["verify", "--n", "2", "--max-p", "4"],
+        ["verify", "--n", "2", "--max-p", "5", "--json", "--deterministic", "--out", "{out}"],
         ["verify", "--n", "3", "--fixtures", "--json"],
         ["verify", "--n", "3", "--fixtures", "--deterministic"],
         ["verify", "--n", "3", "--budget", "5", "--deterministic"],
+        ["verify", "--n", "3", "--budget", "5", "--json", "--out", "{out}"],
     ],
     ids=[
         "help", "analyze", "analyze-deterministic", "analyze-fano", "enum-deterministic", "mc", "color", "gen",
-        "census", "fixtures", "fixtures-deterministic", "sampled-deterministic",
+        "census", "census-json-out", "fixtures", "fixtures-deterministic", "sampled-deterministic", "sampled-out",
     ],
 )
-def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, argv):
+def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, tmp_path, argv):
     # counting only modules loaded after start-up keeps this independent of what site preloads
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
-    argv = [a.format(k35=k35_file, fano=fano_file) for a in argv]
+    argv = [a.format(k35=k35_file, fano=fano_file, out=tmp_path / "s.jsonl") for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _NEWLY_LOADED, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    loaded = set(proc.stderr.splitlines()[-1].split())
     assert not loaded & {"dataclasses", "inspect", "typing"}
     # the command line is parsed from propb's own command table
     assert not loaded & {"argparse", "gettext", "locale", "textwrap"}
-    # help reads the table alone: no input format, no hypergraph
+    # help reads the table alone: no input format, no hypergraph, no JSON writer
     if argv == ["--help"]:
         assert {m for m in loaded if m.startswith("propb")} == {"propb", "propb.cli", "propb.errors"}
+        assert "_json" not in loaded
+    # report writes every document and stream line itself; only a resumed verify --out reads JSON back
+    assert "json" not in loaded
     # only a timestamped document reads the clock
     if "--deterministic" in argv or argv[0] == "color":
         assert "datetime" not in loaded
@@ -924,12 +940,31 @@ def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, arg
     # analysis (m2 = 42 > 30, so no bollobas section)
     if argv[:3] == ["verify", "--n", "2"] or argv[:2] == ["analyze", fano_file]:
         assert not loaded & {"fractions", "decimal"}
+    # the census decides by its own tables and runs none of the fixture pipeline
+    if argv[:3] == ["verify", "--n", "2"]:
+        assert not loaded & {"propb.coloring", "propb.separation"}
+    # analyze off the bound builds no set-pair family
+    if argv[:2] == ["analyze", fano_file]:
+        assert not loaded & {"propb.separation", "propb.setpairs"}
     # mc's estimates are floats, divided straight from its histogram's integers
     if argv[0] == "mc":
         assert not loaded & {"fractions", "decimal"}
     # the separation sections are built in propb.separation, so report does not import it
     if argv[0] == "analyze":
         assert "propb.separation" not in loaded
+
+
+def test_only_a_resumed_stream_loads_json(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    argv = ["verify", "--n", "2", "--max-p", "3", "--out", str(tmp_path / "s.jsonl")]
+    first, resumed = (
+        set(subprocess.run(
+            [sys.executable, "-c", _NEWLY_LOADED, *argv], capture_output=True, text=True, env=env, check=True,
+        ).stderr.split())
+        for _ in range(2)
+    )
+    assert "json" not in first
+    assert "json" in resumed
 
 
 def test_import_propb_loads_no_submodule():

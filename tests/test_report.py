@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from propb.coloring import Color, exhaustive_decide
-from propb.hypergraph import normalize
+import propb
+from propb import report
+from propb.cli import main
+from propb.coloring import Color, Colorability, exhaustive_decide
+from propb.hgio import render
+from propb.hypergraph import complete_hypergraph, fano_plane, normalize
 from propb.report import analyze, to_json
 
 
@@ -17,6 +25,117 @@ def test_to_json_encodes_fractions_inside_lists_and_dicts():
 def test_to_json_rejects_other_types():
     with pytest.raises(TypeError):
         to_json({"a": {1, 2}})
+
+
+# json.dumps is the slow oracle of the writer: to_json is json.dumps(value, sort_keys=True), indented by 2 or
+# on one line, with a Fraction written as {"num", "den"} and any other type refused with the same TypeError
+
+
+def _fraction(value):
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _oracle(value, one_line=False):
+    return json.dumps(value, indent=None if one_line else 2, sort_keys=True, default=_fraction) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{k35}", "--json"],
+        ["analyze", "{fano}", "--json", "--deterministic"],
+        ["mc", "{k35}", "--trials", "50", "--seed", "3", "--json"],
+        ["enum", "{k35}", "--json"],
+        ["verify", "--n", "2", "--max-p", "5", "--json"],
+        ["verify", "--n", "2", "--fixtures", "--json"],
+        ["verify", "--n", "3", "--fixtures", "--json", "--deterministic"],
+        ["verify", "--n", "3", "--budget", "20", "--json", "--deterministic"],
+    ],
+    ids=["analyze-extremal", "analyze-off-bound", "mc", "enum", "census", "fixtures-n2", "fixtures-n3", "sampler"],
+)
+def test_every_command_document_is_what_json_dumps_writes(capsys, monkeypatch, tmp_path, argv):
+    paths = {}
+    for name, H in (("k35", complete_hypergraph(3)), ("fano", fano_plane())):
+        paths[name] = tmp_path / f"{name}.hg"
+        paths[name].write_text(render(H))
+    docs, real = [], report.to_json
+
+    def spy(value, **layout):
+        docs.append(value)
+        return real(value, **layout)
+
+    monkeypatch.setattr(report, "to_json", spy)
+    assert main([a.format(**paths) for a in argv]) == 0
+    (doc,) = docs
+    assert capsys.readouterr().out == _oracle(doc)
+
+
+_VALUES = [
+    "plain",
+    "\u00fc\u20ac \u2028 \U0001f600 \ud800",
+    "\x00\x1f\x7f\"\\/\n\t\r\b\f",
+    {},
+    [],
+    (),
+    {"a": {}, "b": [[], {}], "c": ((),), "d": [[[1]]]},
+    [True, 1, False, 0, None],
+    {"true": True, "one": 1, "false": False, "zero": 0},
+    2**100,
+    -(2**70),
+    0.1,
+    1e16,
+    -0.0,
+    1e-7,
+    123456789.0,
+    2.5e-300,
+    float("nan"),
+    float("inf"),
+    [float("-inf"), {"x": float("nan")}],
+    [Fraction(1, 3), Fraction(-4, 6), Fraction(5)],
+    {"x": (Fraction(7, 2),), "y": [[Fraction(0)]]},
+    {1: "int", 10: "keys", -3: "sort numerically"},
+    {2.5: 0, -1.0: 1},
+    {True: 0, False: 1},
+    {None: 0},
+    Colorability.NO,
+    {"b": 1, "a": {"d": [1, {"c": None}], "c": "z"}, "": "empty key"},
+]
+
+
+@pytest.mark.parametrize("value", _VALUES)
+@pytest.mark.parametrize("one_line", [False, True], ids=["indented", "one-line"])
+def test_to_json_writes_what_json_dumps_writes(value, one_line):
+    assert to_json(value, one_line=one_line) == _oracle(value, one_line)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, {"a": [object()]}, complex(1, 2), {"k": Decimal("1.5")}, b"bytes", {(1, 2): 0}, {1: 0, "a": 1}],
+    ids=["set", "object", "complex", "decimal", "bytes", "tuple-key", "mixed-keys"],
+)
+def test_to_json_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        _oracle(value)
+    with pytest.raises(TypeError) as got:
+        to_json(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_to_json_without_the_c_string_helper():
+    # an interpreter without _json writes strings with json.encoder's Python version
+    script = (
+        "import json, sys\n"
+        "sys.modules['_json'] = None\n"
+        "from propb import report\n"
+        "value = {'s': '\\u00fc\\x00\"', 'n': [1.5, None]}\n"
+        "oracle = json.dumps(value, indent=2, sort_keys=True) + '\\n'\n"
+        "print(report._string.__module__, report.to_json(value) == oracle)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "json.encoder True\n"
 
 
 def test_analyze_at_a_million_vertices_matches_its_six_vertex_relabelling():

@@ -7,8 +7,9 @@ import pytest
 
 from propb import separation
 from propb.errors import BudgetExceeded
-from propb.hypergraph import bound, complete_hypergraph, m2, normalize, pad
+from propb.hypergraph import Hypergraph, bound, complete_hypergraph, m2, normalize, pad
 from propb.separation import (
+    SeparationStats,
     count_separated,
     exhaustive_section,
     monte_carlo_section,
@@ -216,6 +217,32 @@ class TestMonteCarlo:
         stats = monte_carlo_separation(triangle, trials=2000, seed=3)
         assert stats.histogram == {1: 2000}
         assert monte_carlo_section(stats)["mean_separated"] == 1.0
+
+    # only the edges in a simple pair are keyed; a trial's keys depend on (p, seed, trial, vertex) alone
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_padding_leaves_the_histogram_of_the_clique_core(self, n, seed):
+        padded = pad(complete_hypergraph(n), n + 1, 1)
+        core = Hypergraph(n, padded.p, complete_hypergraph(n).edges)
+        trials = TRIAL_BLOCK + 300
+        assert monte_carlo_separation(padded, trials, seed) == monte_carlo_separation(core, trials, seed)
+
+    def test_an_edge_in_no_simple_pair_that_meets_paired_edges(self):
+        # (0,1,2) shares two vertices with (0,1,3) and none with (3,4,5): it is in no simple pair
+        H = normalize([[0, 1, 2], [0, 1, 3], [3, 4, 5]], n=3, p=6)
+        for seed in range(3):
+            stats = monte_carlo_separation(H, 700, seed)
+            assert stats == oracle_monte_carlo(H, 700, seed)
+            assert stats == monte_carlo_separation(normalize([[0, 1, 3], [3, 4, 5]], n=3, p=6), 700, seed)
+
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [0, 1, 3]], []], ids=["disjoint", "two-shared", "edgeless"]
+    )
+    def test_no_simple_pair_separates_nothing(self, edges):
+        trials = TRIAL_BLOCK + 1
+        stats = monte_carlo_separation(normalize(edges, n=3, p=6), trials, seed=3)
+        assert stats == SeparationStats(trials, {0: trials})
 
 
 class TestLaneEdgeCases:
