@@ -113,14 +113,13 @@ def _refuse_unread(args, mode: str, *dests: str) -> None:
 
 
 def cmd_analyze(args) -> None:
-    from .coloring import NODE_BUDGET, Colorability
+    from .coloring import check_verdict
     from .report import analyze, input_section
 
     text, H = _load(args.input)
     analysis, bollobas = analyze(H)
     _emit(args, args.out, input_info=input_section(args.input, text, H), analysis=analysis, bollobas=bollobas)
-    if analysis["colorable"] == Colorability.UNDETERMINED.value:
-        raise BudgetExceeded(f"colorability undetermined within the decider's budget of {NODE_BUDGET} nodes")
+    check_verdict(analysis["colorable"])
 
 
 def _coloring_lines(H, order, coloring, witness):
@@ -219,7 +218,7 @@ def _json_or_none(line: bytes):
 
 def cmd_verify(args) -> None:
     from .report import to_json
-    from .search import SAMPLE_MAX_P, verify_bound_exhaustive, verify_fixture_suite
+    from .search import SAMPLE_MAX_P, verify_bound_exhaustive, verify_bound_sampled, verify_fixture_suite
 
     if args.fixtures:
         _refuse_unread(args, "--fixtures", "max_p", "budget")
@@ -253,15 +252,12 @@ def cmd_verify(args) -> None:
             if not keep:
                 unwritten.append(header)
         skip = {s["p"] for s in done}
-        records, summary = verify_bound_exhaustive(
-            args.n,
-            max_p,
-            budget=args.budget,
-            seed=args.seed,
-            skip_p=skip,
-            on_record=lambda r: write_line({"type": "record", **r}),
-            on_p_done=lambda s: write_line({"type": "p_summary", **s}),
-        )
+        on_record = lambda r: write_line({"type": "record", **r})
+        if args.n == 2:
+            on_p_done = lambda s: write_line({"type": "p_summary", **s})
+            records, summary = verify_bound_exhaustive(max_p, skip, on_record, on_p_done)
+        else:
+            records, summary = verify_bound_sampled(args.n, max_p, args.budget, args.seed, on_record)
         totals = {k: v for k, v in summary.items() if k != "per_p"}
         # the stream's summary also counts the p values completed by earlier runs
         for s in done:

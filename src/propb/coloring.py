@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InvalidOrdering
+from .errors import BudgetExceeded, InvalidOrdering
 from .hypergraph import Hypergraph, SimplePair, covered_vertices
 
 # Random orders are drawn and evaluated this many trials at a time, so
@@ -60,6 +60,13 @@ class Colorability(str, Enum):
     YES = "yes"
     NO = "no"
     UNDETERMINED = "undetermined"
+
+
+def check_verdict(verdict: str) -> str:
+    """The verdict (a Colorability or its value), or BudgetExceeded naming NODE_BUDGET as it is now if UNDETERMINED."""
+    if verdict == Colorability.UNDETERMINED:
+        raise BudgetExceeded(f"colorability undetermined within the decider's budget of {NODE_BUDGET} nodes")
+    return verdict
 
 
 def check_order(order, p: int | None = None) -> tuple[int, ...]:

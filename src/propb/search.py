@@ -8,23 +8,25 @@ the rows and over the columns (built with bytes.translate and
 int.from_bytes sums) hold degrees and m2; per row, a Python-int bitset
 over the columns marks the bipartite graphs.  m2 never falls when the
 column grows, so the graphs at or below the bound lie in the rows at or
-below it.  For n >= 3 exhaustive enumeration is out of reach, so the
-run degrades to seeded rejection sampling plus the curated fixture
-suite.
+below it; :func:`verify_bound_exhaustive` is that census.  For n >= 3
+exhaustive enumeration is out of reach, so :func:`verify_bound_sampled`
+draws seeded dense n-graphs instead, and :func:`verify_fixture_suite`
+runs the curated extremal fixtures.
 
-Both modes only find non-colorable instances; :func:`_record` alone
-judges them, by the bound and the equality characterization.  Records
-name isomorphism classes by :func:`canonical_form`: refinement into
-vertex cells, then a lexmin search over relabelings inside cells, which
-also counts |Aut(H)|.  The census names the classes of its non-bipartite
-graphs at or below the bound by groups of masks with one sorted degree
-sequence: that set is closed under relabeling, so a group with
-|group| * |Aut| = p! for its first graph is that graph's orbit and takes
-one canonical form; any other group is canonicalised mask by mask.  Both
-halves of the rule are isomorphism invariants, so one record per class
-judges every mask of it.  The census needs only hypergraph and setpairs;
-the sampler and the fixture suite load the decider, report's analyze and
-separation when they run.
+The census and the sampler only find non-colorable instances;
+:func:`_record` alone judges them, by the bound and the equality
+characterization.  Records name isomorphism classes by
+:func:`canonical_form`: refinement into vertex cells, then a lexmin
+search over relabelings inside cells, which also counts |Aut(H)|.  The
+census names the classes of its non-bipartite graphs at or below the
+bound by groups of masks with one sorted degree sequence: that set is
+closed under relabeling, so a group with |group| * |Aut| = p! for its
+first graph is that graph's orbit and takes one canonical form; any
+other group is canonicalised mask by mask.  Both halves of the rule are
+isomorphism invariants, so one record per class judges every mask of
+it.  The census needs only hypergraph and setpairs; the sampler loads
+the decider when it runs, and the fixture suite also report's analyze
+and separation.
 """
 
 from __future__ import annotations
@@ -177,7 +179,6 @@ def _degree_lanes(p: int, slots) -> list[bytes]:
     return lanes
 
 
-@lru_cache(maxsize=8)
 def _extension_tables(p: int):
     """Two-vertex extension tables over the labeled graphs on p <= CENSUS_MAX_P = 7 vertices.
 
@@ -347,40 +348,24 @@ def _record(H: Hypergraph, form: str | None = None) -> dict:
 
 
 def verify_bound_exhaustive(
-    n: int,
     max_p: int,
-    budget: int | None = None,
-    seed=0,
     skip_p: Collection[int] = (),
     on_record: Callable[[dict], None] | None = None,
     on_p_done: Callable[[dict], None] | None = None,
 ) -> tuple[list[dict], dict]:
-    """Check the simple-pair bound and equality characterization at desk scale.
+    """The n = 2 census: every labeled graph on p <= max_p <= CENSUS_MAX_P vertices, p in skip_p aside.
 
-    Each record (see :func:`_record`, which raises CounterexampleFound)
-    is one non-colorable instance.  n = 2: full enumeration of all labeled
-    graphs on p <= max_p <= CENSUS_MAX_P vertices (a budget is a
-    ValueError, as n < 2 is), one record per isomorphism class of the
-    non-bipartite graphs at m2 <= 6; a triangle lies there from p = 3 on,
-    so their least m2 is the least of any.  n >= 3: seeded rejection
-    sampling (budget = sample count, 2n - 1 <= max_p <= SAMPLE_MAX_P, else
-    ValueError below), one record per non-colorable sample.  A max_p past
-    either cap raises BudgetExceeded before any scan or draw.
+    One record (see :func:`_record`, which raises CounterexampleFound) per
+    isomorphism class of the non-bipartite graphs at m2 <= 6; a triangle
+    lies there from p = 3 on, so their least m2 is the least of any.  Each
+    record goes to on_record, and each p's summary to on_p_done once its
+    records are out.  A max_p past CENSUS_MAX_P raises BudgetExceeded
+    before any scan.
 
-    The summary counts instances failing |E| >= |covered V|; that check is
+    The summary counts graphs failing |E| >= |covered V|; that check is
     only a theorem for edge-minimal instances, so nonzero counts are
     expected (e.g. a triangle plus a disjoint edge) and do not abort.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if n >= 3:
-        return _verify_sampled(n, max_p, budget, seed, on_record)
-    if budget is not None:
-        raise ValueError("budget is the sample count of n >= 3; the n = 2 census takes none")
-    return _verify_graphs(max_p, skip_p, on_record, on_p_done)
-
-
-def _verify_graphs(max_p, skip_p, on_record, on_p_done):
     if max_p > CENSUS_MAX_P:
         raise BudgetExceeded(f"full graph enumeration supports max_p <= {CENSUS_MAX_P}")
     ps = [p for p in range(1, max_p + 1) if p not in set(skip_p)]
@@ -425,15 +410,34 @@ def _verify_graphs(max_p, skip_p, on_record, on_p_done):
     return records, summary
 
 
-def _verify_sampled(n, max_p, budget, seed, on_record):
-    from .coloring import Colorability, exhaustive_decide  # loaded here: the census never runs the decider
+def verify_bound_sampled(
+    n: int,
+    max_p: int,
+    samples: int | None = None,
+    seed=0,
+    on_record: Callable[[dict], None] | None = None,
+) -> tuple[list[dict], dict]:
+    """Seeded rejection sampling for n >= 3: `samples` dense n-graphs (SAMPLE_BUDGET_DEFAULT when None).
 
-    samples = SAMPLE_BUDGET_DEFAULT if budget is None else budget
+    Each draw has 2n - 1 <= p <= max_p vertices; one record (see
+    :func:`_record`) per non-colorable draw goes to on_record.  n < 2, or
+    max_p below 2n - 1, is a ValueError; a max_p past SAMPLE_MAX_P raises
+    BudgetExceeded before any draw, and so does a draw the decider leaves
+    undetermined.  The summary's seymour_violations count draws failing
+    |E| >= |covered V|, which need not be edge-minimal.
+    """
+    # loaded here: the census never runs the decider
+    from .coloring import Colorability, check_verdict, exhaustive_decide
+
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if max_p > SAMPLE_MAX_P:
         raise BudgetExceeded(f"sampling supports max_p <= {SAMPLE_MAX_P}")
     p_lo = 2 * n - 1
     if max_p < p_lo:
         raise ValueError(f"sampling reaches p = {max_p}, below the {p_lo} vertices a non-colorable {n}-graph needs")
+    if samples is None:
+        samples = SAMPLE_BUDGET_DEFAULT
     rng = random.Random(f"sampling:{seed}")
     records: list[dict] = []
     summary = {
@@ -442,7 +446,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
         "max_p": max_p,
         "samples": samples,
         "non_colorable": 0,
-        "undetermined": 0,
+        "undetermined": 0,  # always 0: an undetermined draw raises
         "equality_cases": 0,
         "counterexamples": 0,
         "seymour_violations": 0,
@@ -453,11 +457,7 @@ def _verify_sampled(n, max_p, budget, seed, on_record):
         # dense draws: sparse n-graphs at this scale are almost always colorable
         m_edges = rng.randint(max(1, 3 * total_edges // 5), total_edges)
         H = random_hypergraph(n, p, m_edges, seed=f"{seed}:{s}")
-        verdict, _ = exhaustive_decide(H)
-        if verdict is Colorability.UNDETERMINED:
-            summary["undetermined"] += 1
-            continue
-        if verdict is Colorability.YES:
+        if check_verdict(exhaustive_decide(H)[0]) is Colorability.YES:
             continue
         rec = _record(H)
         summary["non_colorable"] += 1
@@ -482,13 +482,8 @@ def _random_noncolorable(n: int, seed) -> Hypergraph:
     p, m_edges = _RANDOM_FIXTURE_SHAPE[n]
     for a in range(FIXTURE_ATTEMPTS):
         H = random_hypergraph(n, p, m_edges, seed=f"{seed}:{a}")
-        verdict, _ = coloring.exhaustive_decide(H)
-        if verdict is coloring.Colorability.NO:
+        if coloring.check_verdict(coloring.exhaustive_decide(H)[0]) is coloring.Colorability.NO:
             return H
-        if verdict is coloring.Colorability.UNDETERMINED:
-            raise BudgetExceeded(
-                f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
-            )
     raise BudgetExceeded(f"no non-2-colorable {n}-graph found in {FIXTURE_ATTEMPTS} rejection samples")
 
 
@@ -527,11 +522,7 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
     entries = []
     for name, H, expect_clique in fixtures:
         analysis, bol = analyze(H)
-        if analysis["colorable"] == coloring.Colorability.UNDETERMINED.value:
-            raise BudgetExceeded(
-                f"colorability undetermined within the decider's budget of {coloring.NODE_BUDGET} nodes"
-            )
-        if analysis["colorable"] != coloring.Colorability.NO.value:
+        if coloring.check_verdict(analysis["colorable"]) != coloring.Colorability.NO:
             raise FixtureFailure(f"{name}: expected non-2-colorable, decider said {analysis['colorable']}")
         m2_val = analysis["m2"]
         if m2_val < b:

@@ -147,7 +147,7 @@ def test_criterion_6_at_most_one_separated_pair():
 
 def test_criterion_7_graph_enumeration():
     with criterion(7, "every non-bipartite graph on <=6 vertices has m2>=6; m2=6 forces a triangle"):
-        _, summary = verify_bound_exhaustive(2, 6)
+        _, summary = verify_bound_exhaustive(6)
         assert summary["counterexamples"] == 0
         assert summary["graphs"] == sum(1 << math.comb(p, 2) for p in range(1, 7))
 
@@ -155,7 +155,7 @@ def test_criterion_7_graph_enumeration():
 def test_criterion_7_extended_p7():
     with criterion(7, "extended budget: full enumeration of all 2^21 graphs on 7 vertices"):
         start = time.monotonic()
-        _, summary = verify_bound_exhaustive(2, 7, skip_p=range(1, 7))
+        _, summary = verify_bound_exhaustive(7, skip_p=range(1, 7))
         per_p = {s["p"]: s for s in summary["per_p"]}
         assert per_p[7]["graphs"] == 1 << 21
         assert summary["counterexamples"] == 0
@@ -256,7 +256,7 @@ def test_criterion_8_seymour_every_noncolorable_instance():
             assert verdict is Colorability.NO
             if not seymour_check(H):
                 violations.append(f"fixture n={H.n} p={H.p} edges={len(H.edges)}")
-        _, summary = verify_bound_exhaustive(2, 6)
+        _, summary = verify_bound_exhaustive(6)
         if summary["seymour_violations"]:
             violations.append(f"{summary['seymour_violations']} enumerated graphs on <=6 vertices")
         assert not violations, f"Seymour-style check violated by: {violations}"

@@ -653,8 +653,12 @@ def test_out_write_failure_exit_2(capsys, k35_file, argv):
             "propb.coloring.NODE_BUDGET", 0, ["verify", "--n", "3", "--fixtures"],
             "colorability undetermined within the decider's budget of 0 nodes",
         ),
+        (
+            "propb.coloring.NODE_BUDGET", 0, ["verify", "--n", "3", "--budget", "5"],
+            "colorability undetermined within the decider's budget of 0 nodes",
+        ),
     ],
-    ids=["decider", "clique-search", "canonical-form", "fixture-draws", "fixture-decider"],
+    ids=["decider", "clique-search", "canonical-form", "fixture-draws", "fixture-decider", "sampler-decider"],
 )
 def test_guard_exit_3(capsys, monkeypatch, k35_file, constant, value, argv, message):
     # exit 3 is a guard constant running out, with no option to ask for it; only analyze's decider

@@ -29,6 +29,7 @@ from propb.search import (
     _scan_graphs,
     canonical_form,
     verify_bound_exhaustive,
+    verify_bound_sampled,
     verify_fixture_suite,
 )
 
@@ -296,7 +297,7 @@ class TestClassRepresentatives:
     def test_census_canonicalises_one_graph_per_class(self, monkeypatch):
         # a work count, not a wall time: one canonical form per equality class
         calls = _counting_canonical(monkeypatch)
-        _, summary = verify_bound_exhaustive(2, 7)
+        _, summary = verify_bound_exhaustive(7)
         assert summary["equality_labeled"] == 455
         assert calls[0] == summary["equality_classes"] == 9
 
@@ -411,13 +412,14 @@ def test_tables_refuse_p8():
 def test_cold_p7_scan_work(monkeypatch):
     # work counts, not a wall time: one increment lane (one _below table) per degree vector among the
     # 246 rows at m2 <= 6; the tables are built before _below is counted
-    (deg, m2_h, *_), expected = _extension_tables(7), _whole_scan(7)
-    below, lanes = search._below, [0]
+    tables, expected = _extension_tables(7), _whole_scan(7)
+    (deg, m2_h, *_), below, lanes = tables, search._below, [0]
 
     def counted(t):
         lanes[0] += 1
         return below(t)
 
+    monkeypatch.setattr(search, "_extension_tables", lambda p: tables)
     monkeypatch.setattr(search, "_below", counted)
     assert search._scan_graphs(7) == expected
     rows = [h for h in range(len(m2_h)) if m2_h[h] <= 6]
@@ -427,7 +429,7 @@ def test_cold_p7_scan_work(monkeypatch):
 
 class TestVerifyGraphs:
     def test_p5_clean_run(self):
-        records, summary = verify_bound_exhaustive(2, 5)
+        records, summary = verify_bound_exhaustive(5)
         assert summary["counterexamples"] == 0
         per_p = {s["p"]: s for s in summary["per_p"]}
         assert per_p[5]["graphs"] == 1 << 10
@@ -448,8 +450,8 @@ class TestVerifyGraphs:
         assert verdict is Colorability.NO
 
     def test_deterministic(self):
-        r1, s1 = verify_bound_exhaustive(2, 4)
-        r2, s2 = verify_bound_exhaustive(2, 4)
+        r1, s1 = verify_bound_exhaustive(4)
+        r2, s2 = verify_bound_exhaustive(4)
         assert r1 == r2 and s1 == s2
 
     def test_full_census_to_p7(self):
@@ -459,7 +461,7 @@ class TestVerifyGraphs:
         matchings = [1, 1]
         for k in range(2, 5):
             matchings.append(matchings[k - 1] + (k - 1) * matchings[k - 2])
-        records, summary = verify_bound_exhaustive(2, 7)
+        records, summary = verify_bound_exhaustive(7)
         assert summary["graphs"] == sum(1 << math.comb(p, 2) for p in ps) == 2_131_019
         assert summary["non_colorable"] == summary["graphs"] - sum(bipartite[1:]) == 2_022_178
         assert summary["equality_labeled"] == sum(
@@ -480,27 +482,27 @@ class TestVerifyGraphs:
             assert s["min_m2_non_colorable"] == (6 if p >= 3 else None)
 
     def test_skip_p_resumes(self):
-        full_records, full_summary = verify_bound_exhaustive(2, 4)
-        part_records, part_summary = verify_bound_exhaustive(2, 4, skip_p=[1, 2, 3])
+        full_records, full_summary = verify_bound_exhaustive(4)
+        part_records, part_summary = verify_bound_exhaustive(4, skip_p=[1, 2, 3])
         assert [s["p"] for s in part_summary["per_p"]] == [4]
         assert part_summary["per_p"][0] == full_summary["per_p"][-1]
 
     def test_budget(self):
         # p <= 7 is the census's only guard; a budget is the sampler's sample count
-        with pytest.raises(ValueError, match="census takes none"):
-            verify_bound_exhaustive(2, 6, budget=100)
+        with pytest.raises(TypeError, match="budget"):
+            verify_bound_exhaustive(6, budget=100)
         with pytest.raises(BudgetExceeded):
-            verify_bound_exhaustive(2, 8)
+            verify_bound_exhaustive(8)
 
     def test_seymour_violations_appear_at_p5(self):
         # triangle + disjoint edge: non-2-colorable, 4 edges, 5 covered vertices
-        _, summary = verify_bound_exhaustive(2, 5)
+        _, summary = verify_bound_exhaustive(5)
         per_p = {s["p"]: s for s in summary["per_p"]}
         assert per_p[4]["seymour_violations"] == 0
         assert per_p[5]["seymour_violations"] > 0
 
     def test_equality_records_sorted_and_typed(self):
-        records, _ = verify_bound_exhaustive(2, 5)
+        records, _ = verify_bound_exhaustive(5)
         assert records == sorted(records, key=lambda r: (r["p"], r["canonical_form"]))
         for r in records:
             assert r["n"] == 2 and r["meets_bound"] and r["has_clique"]
@@ -508,7 +510,7 @@ class TestVerifyGraphs:
 
 class TestVerifySampled:
     def test_n3_smoke(self):
-        records, summary = verify_bound_exhaustive(3, 7, budget=40, seed=2)
+        records, summary = verify_bound_sampled(3, 7, samples=40, seed=2)
         assert summary["mode"] == "sampling"
         assert summary["counterexamples"] == 0
         assert summary["non_colorable"] > 0
@@ -516,8 +518,8 @@ class TestVerifySampled:
             assert r["m2"] >= 30
 
     def test_deterministic(self):
-        a = verify_bound_exhaustive(3, 7, budget=15, seed=5)
-        b = verify_bound_exhaustive(3, 7, budget=15, seed=5)
+        a = verify_bound_sampled(3, 7, samples=15, seed=5)
+        b = verify_bound_sampled(3, 7, samples=15, seed=5)
         assert a == b
 
     def test_past_p8_is_over_budget_before_any_draw(self, monkeypatch):
@@ -527,13 +529,24 @@ class TestVerifySampled:
 
         monkeypatch.setattr(search, "random_hypergraph", refuse)
         with pytest.raises(BudgetExceeded, match="^sampling supports max_p <= 8$"):
-            verify_bound_exhaustive(3, 9)
+            verify_bound_sampled(3, 9)
+
+    def test_reads_no_census_argument(self):
+        # the sampler writes no per-p summary and skips no p
+        with pytest.raises(TypeError):
+            verify_bound_sampled(3, 7, samples=1, skip_p=[5])
+        with pytest.raises(TypeError):
+            verify_bound_sampled(3, 7, samples=1, on_p_done=print)
+
+    def test_n_below_2_is_an_argument_error(self):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+            verify_bound_sampled(1, 7)
 
     def test_max_p_below_2n_minus_1_is_an_argument_error(self):
         # no guard runs out here: no non-colorable 3-graph has fewer than 5 vertices
         message = "^sampling reaches p = 4, below the 5 vertices a non-colorable 3-graph needs$"
         with pytest.raises(ValueError, match=message):
-            verify_bound_exhaustive(3, 4)
+            verify_bound_sampled(3, 4)
 
 
 class TestFixtureSuite:
@@ -604,7 +617,7 @@ class TestVerifierFailures:
     def test_census_counterexample(self, monkeypatch):
         _bound_above_the_triangle(monkeypatch)
         with pytest.raises(CounterexampleFound) as exc:
-            verify_bound_exhaustive(2, 5)
+            verify_bound_exhaustive(5)
         assert exc.value.record == {
             "n": 2, "p": 3, "edge_count": 3, "m2": 6, "meets_bound": False, "has_clique": True,
             "canonical_form": "0,1;0,2;1,2",
@@ -614,7 +627,7 @@ class TestVerifierFailures:
     def test_census_equality_without_clique(self, monkeypatch):
         _no_clique_found(monkeypatch)
         with pytest.raises(CounterexampleFound) as exc:
-            verify_bound_exhaustive(2, 5)
+            verify_bound_exhaustive(5)
         assert exc.value.record == {
             "n": 2, "p": 3, "edge_count": 3, "m2": 6, "meets_bound": True, "has_clique": False,
             "canonical_form": "0,1;0,2;1,2",
@@ -624,7 +637,7 @@ class TestVerifierFailures:
     def test_sampled_counterexample(self, monkeypatch):
         _bound_above_every_sample(monkeypatch)
         with pytest.raises(CounterexampleFound) as exc:
-            verify_bound_exhaustive(3, 8)
+            verify_bound_sampled(3, 8)
         record = exc.value.record
         assert record["n"] == 3 and record["m2"] < 10**9 and not record["meets_bound"]
         assert str(exc.value).endswith(f": {record['canonical_form']}")
