@@ -56,7 +56,7 @@ def _human_lines(value, indent: int = 0):
                 yield f"{pad_}{label} {next(_human_lines(v))}"
     elif value is None or isinstance(value, (dict, list)):
         yield pad_ + ("null" if value is None else "{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (str, int, float)):
+    elif isinstance(value, (str, int)):
         yield f"{pad_}{value}"
     else:
         from fractions import Fraction  # loaded here: only a document holding a rational gets this far

@@ -69,16 +69,16 @@ def check_verdict(verdict: str) -> str:
     return verdict
 
 
-def check_order(order, p: int | None = None) -> tuple[int, ...]:
+def check_order(order, p: int) -> tuple[int, ...]:
     """A visit order (first element visited first) as a tuple of ints.
 
-    Raises InvalidOrdering unless it is a permutation of 0..len-1 and, when
-    p is given, covers exactly p vertices.
+    Raises InvalidOrdering unless it is a permutation of 0..len-1 that
+    covers exactly p vertices.
     """
     seq = [operator.index(v) for v in order]
     if sorted(seq) != list(range(len(seq))):
         raise InvalidOrdering(f"sequence {seq} is not a permutation of 0..{len(seq) - 1}")
-    if p is not None and len(seq) != p:
+    if len(seq) != p:
         raise InvalidOrdering(f"ordering covers {len(seq)} vertices, hypergraph has {p}")
     return tuple(seq)
 

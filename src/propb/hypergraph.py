@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import combinations
 
 from .errors import (
@@ -222,9 +222,3 @@ def random_hypergraph(n: int, p: int, m: int, seed) -> Hypergraph:
     edges.sort()
     return Hypergraph(n=n, p=p, edges=tuple(edges))
 
-
-def relabel(H: Hypergraph, mapping: Sequence[int]) -> Hypergraph:
-    """Apply a vertex permutation (mapping[v] = new id) and renormalize."""
-    if sorted(mapping) != list(range(H.p)):
-        raise VertexOutOfRange("mapping must be a permutation of 0..p-1")
-    return normalize([[mapping[v] for v in e] for e in H.edges], n=H.n, p=H.p)

@@ -3,14 +3,16 @@
 Every document carries the same top-level keys with null where a section
 does not apply.  Exact rationals stay Fractions in the document and are
 converted only when rendered: :func:`to_json` emits them as {"num", "den"}
-objects.  Only Monte Carlo sections contain floats, and those are flagged
-with "estimate": true.
+objects.  Every quantity in a document is an int or a Fraction; mc
+reports the exact histogram of its trials.
 
 :func:`to_json` is the one JSON writer, of the documents and of the
-verify --out stream lines; it writes what json.dumps(value,
-sort_keys=True) writes, indented or on one line, without loading json,
-whose import compiles the decoder's regexes.  The decider and the
-set-pair code load only when :func:`analyze` runs.
+verify --out stream lines.  For the types a document holds (dicts with
+str keys, lists, tuples, str, int, bool, None and Fraction) it writes
+what json.dumps(value, sort_keys=True) writes, indented or on one line,
+without loading json, whose import compiles the decoder's regexes; any
+other value or key is a TypeError.  The decider and the set-pair code
+load only when :func:`analyze` runs.
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ def make_document(
     }
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _text(value, nl: str | None) -> str:
     """JSON text of value: nl is the line break and indent of its level, or None for one line."""
     if isinstance(value, str):
@@ -119,15 +118,18 @@ def _text(value, nl: str | None) -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
     if isinstance(value, (dict, list, tuple)):
         if not value:
             return "{}" if isinstance(value, dict) else "[]"
         inner = nl and nl + "  "
         if isinstance(value, dict):
-            ends, items = "{}", [f"{_string(_key(k))}: {_text(v, inner)}" for k, v in sorted(value.items())]
+            pairs = sorted(value.items())
+            for k, _ in pairs:
+                if not isinstance(k, str):
+                    # a key json.dumps refuses too gets json.dumps's own message
+                    kinds = "str" if k is None or isinstance(k, (int, float)) else "str, int, float, bool or None"
+                    raise TypeError(f"keys must be {kinds}, not {type(k).__name__}")
+            ends, items = "{}", [f"{_string(k)}: {_text(v, inner)}" for k, v in pairs]
         else:
             ends, items = "[]", [_text(v, inner) for v in value]
         if nl is None:
@@ -140,14 +142,9 @@ def _text(value, nl: str | None) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _text(key, None)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def to_json(value, *, one_line: bool = False) -> str:
-    """json.dumps(value, sort_keys=True) plus a newline, indented by 2 unless one_line; a Fraction is {"num", "den"}."""
+    """json.dumps(value, sort_keys=True) plus a newline, indented by 2 unless one_line; a Fraction is {"num", "den"}.
+
+    Only the types a document holds are written: any other value or key is a TypeError.
+    """
     return _text(value, None if one_line else "\n") + "\n"

@@ -48,7 +48,6 @@ from .hypergraph import (
     m2,
     pad,
     random_hypergraph,
-    relabel,
     seymour_check,
 )
 from .setpairs import find_clique
@@ -97,7 +96,8 @@ def _canonical(H: Hypergraph) -> tuple[str, int]:
     new_id = [0] * H.p
     for i, v in enumerate(sorted(range(H.p), key=lambda v: (colour[v], v))):
         new_id[v] = i
-    edges, ties = _canonical_edges(sizes, relabel(H, new_id).edges)
+    relabelled = tuple(sorted(tuple(sorted(new_id[v] for v in e)) for e in H.edges))
+    edges, ties = _canonical_edges(sizes, relabelled)
     return _encode_edges(edges), ties * math.prod(math.factorial(n) for c, n in cells if c in free)
 
 

@@ -5,7 +5,9 @@ the first-visited vertex first.  It separates a simple pair (X, Y) with
 shared vertex y when all of X minus y precedes y and y precedes all of
 Y minus y; one random ordering does so with probability
 (n-1)!^2 / (2n-1)! = 1 / bound(n), so the mean over all p! orderings is
-m2(H) / bound(n).  The report's separation sections are built here.
+m2(H) / bound(n).  The report's separation sections are built here:
+enum's holds that mean as a Fraction, and mc's the exact histogram of
+its trials.
 
 Whether placing y separates a pair with meet y depends only on the set S
 of vertices placed before it, so the histogram of separated-pair counts
@@ -16,7 +18,8 @@ trials are evaluated a block at a time on the coloring module's planes,
 one byte lane per order of its SplitMix64 stream: a pair is separated in
 the lanes where its X\\y is all before y and its Y\\y all after, and the
 pair bits add up lane by lane.  count_separated is the one-lane case,
-with the planes of a single order.
+with the planes of a single order.  enum separates no ordering, so the
+coloring module loads only when an ordering is separated or drawn.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 import sys
 from collections import Counter, namedtuple
 
-from .coloring import TRIAL_BLOCK, TRIAL_STREAM, _all_of, _order_planes, _trial_planes, check_order
 from .errors import BudgetExceeded
 from .hypergraph import Hypergraph, bound, enumerate_simple_pairs, m2
 
@@ -65,6 +67,8 @@ def _separated_histogram(
     bits add up in byte lanes, which flush into 32-bit lanes every 255
     pairs, before a byte can overflow.
     """
+    from .coloring import _all_of  # loaded here: enum separates no ordering
+
     ahead, behind = [], []
     for e in H.edges:
         for y in e:
@@ -83,6 +87,8 @@ def _separated_histogram(
 
 def count_separated(H: Hypergraph, order) -> int:
     """Number of ordered simple pairs of H separated by the visit order."""
+    from .coloring import _order_planes, check_order  # loaded here: enum separates no ordering
+
     before = _order_planes(H, check_order(order, H.p))
     (count,) = _separated_histogram(H, _pair_slots(H), before, 1, 1)
     return count
@@ -137,6 +143,8 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
     edges that lie in a simple pair are keyed: the rest separate nothing,
     and a trial's key of a vertex depends only on (p, seed, t, vertex).
     """
+    from .coloring import TRIAL_BLOCK, _trial_planes  # loaded here: enum draws no ordering
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     paired = sorted({sp.first for sp in enumerate_simple_pairs(H)})
@@ -151,14 +159,13 @@ def monte_carlo_separation(H: Hypergraph, trials: int, seed: int = 0) -> Separat
 
 
 def monte_carlo_section(stats: SeparationStats) -> dict:
-    """mc's separation section; int / int is the correctly rounded float, as float(Fraction(a, b)) is."""
-    hist = stats.histogram
+    """mc's separation section: the exact histogram of its trials, as [k, trials that separate exactly k pairs]."""
+    from .coloring import TRIAL_STREAM  # loaded here: enum draws no ordering
+
     return {
         "kind": "monte_carlo",
         "estimate": True,
         "rng": TRIAL_STREAM,
         "trials": stats.trials,
-        "mean_separated": sum(c * k for c, k in hist.items()) / stats.trials,
-        "success_rate": hist.get(0, 0) / stats.trials,
-        "histogram": [[k, v] for k, v in hist.items()],
+        "histogram": [[k, v] for k, v in stats.histogram.items()],
     }

@@ -73,6 +73,12 @@ def planted_instance(n, p, extra, seed):
     return normalize(edges, n=n, p=p)
 
 
+def relabel(H, mapping) -> Hypergraph:
+    """H with each vertex v renamed mapping[v], a permutation of 0..p-1."""
+    assert sorted(mapping) == list(range(H.p))
+    return normalize([[mapping[v] for v in e] for e in H.edges], n=H.n, p=H.p)
+
+
 def tied_keys_graph():
     """A graph on 2^17 vertices around the two vertex pairs whose seed-0 trial-0 keys tie in their top 31 bits.
 

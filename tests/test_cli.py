@@ -171,7 +171,7 @@ class TestSeparationCommands:
         assert code == 0
         sep = doc["separation"]
         assert sep["estimate"] is True and sep["rng"] == "splitmix64-1"
-        assert sep["success_rate"] == 1.0
+        assert sep["histogram"] == [[0, 50]]
 
     def test_mc_and_color_take_the_largest_seed(self, capsys, k35_file):
         seed = str(2**64 - 1)
@@ -403,13 +403,15 @@ def test_help_lists_exactly_the_command_options(capsys, command):
 
 def test_help_states_the_current_guard_constants(capsys):
     # cli loads neither module to print help, so its help text repeats their caps; changing one fails here
-    from propb.search import SAMPLE_MAX_P
+    from propb.search import SAMPLE_BUDGET_DEFAULT, SAMPLE_MAX_P
     from propb.separation import ENUM_MAX_VERTICES
 
     assert main(["--help"]) == 0
     assert f"over all p! orderings (p <= {ENUM_MAX_VERTICES})\n" in capsys.readouterr().out
     assert main(["verify", "--help"]) == 0
-    assert f"largest vertex count (default 6 at --n 2, else {SAMPLE_MAX_P})\n" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert f"largest vertex count (default 6 at --n 2, else {SAMPLE_MAX_P})\n" in text
+    assert f"sample count at --n 3|4 (default {SAMPLE_BUDGET_DEFAULT})\n" in text
 
 
 def test_top_level_help_lists_every_command(capsys):
@@ -950,9 +952,12 @@ def test_commands_load_only_the_stdlib_modules_they_use(k35_file, fano_file, tmp
     # analyze off the bound builds no set-pair family
     if argv[:2] == ["analyze", fano_file]:
         assert not loaded & {"propb.separation", "propb.setpairs"}
-    # mc's estimates are floats, divided straight from its histogram's integers
+    # mc reports its histogram's integers and divides nothing
     if argv[0] == "mc":
         assert not loaded & {"fractions", "decimal"}
+    # enum divides m2 by bound(n) and separates no ordering, so it loads no coloring code
+    if argv[0] == "enum":
+        assert "propb.coloring" not in loaded
     # the separation sections are built in propb.separation, so report does not import it
     if argv[0] == "analyze":
         assert "propb.separation" not in loaded

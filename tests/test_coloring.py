@@ -51,7 +51,7 @@ class TestOrdering:
 
     def test_messages(self):
         with pytest.raises(InvalidOrdering) as exc:
-            check_order([0, 0, 1])
+            check_order([0, 0, 1], 3)
         assert str(exc.value) == "sequence [0, 0, 1] is not a permutation of 0..2"
         with pytest.raises(InvalidOrdering) as exc:
             check_order([0, 1, 2], 5)
@@ -67,8 +67,8 @@ class TestOrdering:
     def test_list_tuple_and_numpy_row_alike(self, k35):
         seq = [3, 1, 4, 0, 2]
         forms = [seq, tuple(seq), np.array([seq], dtype=np.int64)[0]]
-        assert check_order(forms[2]) == (3, 1, 4, 0, 2)
-        assert all(type(v) is int for v in check_order(forms[2]))
+        assert check_order(forms[2], 5) == (3, 1, 4, 0, 2)
+        assert all(type(v) is int for v in check_order(forms[2], 5))
         want = greedy_color(k35, seq)
         assert all(greedy_color(k35, o) == want for o in forms)
         assert [count_separated(k35, o) for o in forms] == [1, 1, 1]

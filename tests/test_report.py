@@ -28,7 +28,8 @@ def test_to_json_rejects_other_types():
 
 
 # json.dumps is the slow oracle of the writer: to_json is json.dumps(value, sort_keys=True), indented by 2 or
-# on one line, with a Fraction written as {"num", "den"} and any other type refused with the same TypeError
+# on one line, with a Fraction written as {"num", "den"} and any other type refused with the same TypeError;
+# json.dumps also writes floats and non-str keys, which no document holds and to_json refuses
 
 
 def _fraction(value):
@@ -39,6 +40,25 @@ def _fraction(value):
 
 def _oracle(value, one_line=False):
     return json.dumps(value, indent=None if one_line else 2, sort_keys=True, default=_fraction) + "\n"
+
+
+def _walk(value):
+    """value and everything inside it, keys included."""
+    yield value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _walk(k)
+            yield from _walk(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _walk(v)
+
+
+def _off_document(value) -> bool:
+    """Whether value holds a float or a dict with a non-str key."""
+    return any(
+        isinstance(v, float) or isinstance(v, dict) and not all(isinstance(k, str) for k in v) for v in _walk(value)
+    )
 
 
 @pytest.mark.parametrize(
@@ -70,6 +90,7 @@ def test_every_command_document_is_what_json_dumps_writes(capsys, monkeypatch, t
     assert main([a.format(**paths) for a in argv]) == 0
     (doc,) = docs
     assert capsys.readouterr().out == _oracle(doc)
+    assert not any(isinstance(v, float) for v in _walk(doc))
 
 
 _VALUES = [
@@ -107,7 +128,41 @@ _VALUES = [
 @pytest.mark.parametrize("value", _VALUES)
 @pytest.mark.parametrize("one_line", [False, True], ids=["indented", "one-line"])
 def test_to_json_writes_what_json_dumps_writes(value, one_line):
-    assert to_json(value, one_line=one_line) == _oracle(value, one_line)
+    if _off_document(value):
+        with pytest.raises(TypeError):
+            to_json(value, one_line=one_line)
+    else:
+        assert to_json(value, one_line=one_line) == _oracle(value, one_line)
+
+
+def test_to_json_refuses_a_float_or_a_non_str_key_with_either_string_helper():
+    # the keys are checked before any string helper sees them, so _json's absence changes no message
+    script = (
+        "import sys\n"
+        "if sys.argv[1] == 'python': sys.modules['_json'] = None\n"
+        "from propb import report\n"
+        "for value in (1.5, [0, {'x': float('nan')}], {1: 'a'}, {'a': {True: 0}}, {None: 0}, {2.5: 0}, {(1,): 0}):\n"
+        "    try:\n"
+        "        report.to_json(value)\n"
+        "    except TypeError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    c, python = (
+        subprocess.run(
+            [sys.executable, "-c", script, helper], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for helper in ("c", "python")
+    )
+    assert c == python == (
+        "float is not JSON serializable\n"
+        "float is not JSON serializable\n"
+        "keys must be str, not int\n"
+        "keys must be str, not bool\n"
+        "keys must be str, not NoneType\n"
+        "keys must be str, not float\n"
+        "keys must be str, int, float, bool or None, not tuple\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -129,7 +184,7 @@ def test_to_json_without_the_c_string_helper():
         "import json, sys\n"
         "sys.modules['_json'] = None\n"
         "from propb import report\n"
-        "value = {'s': '\\u00fc\\x00\"', 'n': [1.5, None]}\n"
+        "value = {'s': '\\u00fc\\x00\"', 'n': [15, None]}\n"
         "oracle = json.dumps(value, indent=2, sort_keys=True) + '\\n'\n"
         "print(report._string.__module__, report.to_json(value) == oracle)\n"
     )

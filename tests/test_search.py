@@ -19,7 +19,6 @@ from propb.hypergraph import (
     normalize,
     pad,
     random_hypergraph,
-    relabel,
 )
 from propb.search import (
     _canonical,
@@ -33,7 +32,7 @@ from propb.search import (
     verify_fixture_suite,
 )
 
-from conftest import brute_automorphism_count, is_bipartite, oracle_scan, random_instances
+from conftest import brute_automorphism_count, is_bipartite, oracle_scan, random_instances, relabel
 
 
 def _labeled_graphs(p):

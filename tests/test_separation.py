@@ -188,24 +188,26 @@ class TestMonteCarlo:
     def test_k35_concentrated_at_one(self, k35):
         stats = monte_carlo_separation(k35, trials=10_000, seed=5)
         assert stats.histogram == {1: 10_000}
-        section = monte_carlo_section(stats)
-        assert section["mean_separated"] == 1.0
-        assert section["success_rate"] == 0.0
+        assert monte_carlo_section(stats)["histogram"] == [[1, 10_000]]
 
     def test_no_pairs_always_succeeds(self, disjoint_edges):
         stats = monte_carlo_separation(disjoint_edges, trials=50, seed=1)
-        assert monte_carlo_section(stats)["success_rate"] == 1.0
+        assert monte_carlo_section(stats)["histogram"] == [[0, 50]]
         assert stats.histogram == {0: 50}
 
     def test_histogram_sums_and_mean(self):
         for H in random_instances(10, seed=53, p_max=9):
             stats = monte_carlo_separation(H, trials=300, seed=2)
             assert sum(stats.histogram.values()) == 300
-            total = sum(k * v for k, v in stats.histogram.items())
             section = monte_carlo_section(stats)
-            # the estimates are the correctly rounded floats of the exact rationals
-            assert section["mean_separated"] == float(Fraction(total, 300))
-            assert section["success_rate"] == float(Fraction(stats.histogram.get(0, 0), 300))
+            # the section holds the exact histogram, ascending in k, and no estimate divided from it
+            assert section == {
+                "kind": "monte_carlo",
+                "estimate": True,
+                "rng": "splitmix64-1",
+                "trials": 300,
+                "histogram": sorted(map(list, stats.histogram.items())),
+            }
 
     def test_deterministic(self, triangle):
         s1 = monte_carlo_separation(triangle, trials=500, seed=11)
@@ -216,7 +218,7 @@ class TestMonteCarlo:
         # every ordering of the triangle separates exactly one pair
         stats = monte_carlo_separation(triangle, trials=2000, seed=3)
         assert stats.histogram == {1: 2000}
-        assert monte_carlo_section(stats)["mean_separated"] == 1.0
+        assert monte_carlo_section(stats)["histogram"] == [[1, 2000]]
 
     # only the edges in a simple pair are keyed; a trial's keys depend on (p, seed, trial, vertex) alone
 

@@ -16,7 +16,6 @@ from propb.hypergraph import (
     normalize,
     pad,
     random_hypergraph,
-    relabel,
 )
 from propb.setpairs import _equality_structure, _members, _sum, _violations, evaluate_family, find_clique
 
@@ -25,6 +24,7 @@ from conftest import (
     brute_clique,
     planted_instance,
     random_instances,
+    relabel,
     second_meet_collisions,
 )
 
