@@ -122,14 +122,14 @@ def cmd_analyze(args) -> None:
     check_verdict(analysis["colorable"])
 
 
-def _coloring_lines(H, order, coloring, witness):
+def _coloring_lines(H, order, red, violating=None, witness=None):
     yield "ordering: " + ",".join(map(str, order))
-    for v in range(H.p):
-        yield f"vertex {v}: {coloring.colors[v].value}"
-    yield f"proper: {'yes' if coloring.proper else 'no'}"
-    if not coloring.proper:
-        e = H.edges[coloring.violating_edge]
-        yield f"violating_edge: {coloring.violating_edge} {e}"
+    # bit v of the Red mask is character v of its reversed binary digits: one pass, not a shift per vertex
+    for v, bit in zip(range(H.p), bin(red)[:1:-1].ljust(H.p, "0")):
+        yield f"vertex {v}: {'Red' if bit == '1' else 'Blue'}"
+    yield f"proper: {'yes' if violating is None else 'no'}"
+    if violating is not None:
+        yield f"violating_edge: {violating} {H.edges[violating]}"
         if witness is not None:
             yield (
                 f"separated_witness: X={H.edges[witness.first]} "
@@ -144,15 +144,13 @@ def cmd_color(args) -> None:
         _refuse_unread(args, "--order", "trials", "seed")
     _, H = _load(args.input)
     if args.order is not None:
-        outcome = greedy_color(H, args.order)
-        lines = _coloring_lines(H, args.order, outcome.coloring, outcome.separated_witness)
+        lines = _coloring_lines(H, args.order, *greedy_color(H, args.order))
     else:
         result = random_restart_color(H, max_trials=args.trials, seed=args.seed)
         if result is None:
             lines = [f"exhausted: no proper coloring in {args.trials} trials (seed {args.seed})"]
         else:
-            order, coloring = result
-            lines = [f"proper coloring found (seed {args.seed})", *_coloring_lines(H, order, coloring, None)]
+            lines = [f"proper coloring found (seed {args.seed})", *_coloring_lines(H, *result)]
     _write("".join(line + "\n" for line in lines), None)
 
 

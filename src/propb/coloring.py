@@ -1,5 +1,8 @@
 """Order-driven greedy two-coloring and exact two-colorability decision.
 
+A coloring is its Red vertex mask: an int with bit v set iff vertex v
+is Red, every other vertex Blue.
+
 The greedy rule scans vertices in a given visit order (a permutation of
 the vertex ids, first-visited first, as checked by check_order) and
 colors each Blue unless that would complete an all-Blue edge, in which
@@ -10,14 +13,16 @@ it a separated simple pair can be read off.
 One kernel runs the rule over a block of orders at once, on Python ints
 that hold one byte lane per order.  The plane before[u][v] has lane i set
 iff order i visits u before v; planes exist only for vertex pairs that
-share an edge, as no rule reads the others.  A vertex is Red iff one of
-its edges has every other vertex visited before it and Blue; sweeping
-that rule from all Blue until nothing changes gives the sequential result
-in every lane.  A single given order is the one-lane case, its planes
-read off its positions.  Random restarts draw TRIAL_BLOCK orders at a
-time from a counter-based SplitMix64 stream, itself computed lane-packed
-(one int per vertex that shares an edge, one 128-bit lane per trial);
-the winning trial's order is sorted from its own one-lane keys.
+share an edge, as no rule reads the others.  Every per-vertex table
+holds only the vertices that lie in an edge: the rest are Blue in every
+run and cost nothing.  A vertex is Red iff one of its edges has every
+other vertex visited before it and Blue; sweeping that rule from all
+Blue until nothing changes gives the sequential result in every lane.
+A single given order is the one-lane case, its planes read off its
+positions.  Random restarts draw TRIAL_BLOCK orders at a time from a
+counter-based SplitMix64 stream, itself computed lane-packed (one int
+per vertex that shares an edge, one 128-bit lane per trial); the
+winning trial's order is sorted from its own one-lane keys.
 
 The exact decider is backtracking with forcing over Blue and Red vertex
 masks.  Its forcing step is the greedy rule's, in both colors: an edge
@@ -35,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceeded, InvalidOrdering
-from .hypergraph import Hypergraph, SimplePair, covered_vertices
+from .hypergraph import Hypergraph, SimplePair
 
 # Random orders are drawn and evaluated this many trials at a time, so
 # memory stays flat however many trials are asked for.
@@ -48,11 +53,6 @@ NODE_BUDGET = 1 << 14
 TRIAL_STREAM = "splitmix64-1"
 _GAMMA = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
-
-
-class Color(str, Enum):
-    BLUE = "Blue"
-    RED = "Red"
 
 
 class Colorability(str, Enum):
@@ -83,14 +83,8 @@ def check_order(order, p: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-class Coloring(namedtuple("Coloring", "colors proper violating_edge")):
-    """A Color per vertex, whether no edge is monochromatic, and the first such edge's index or None."""
-
-    __slots__ = ()
-
-
-class ColoringOutcome(namedtuple("ColoringOutcome", "coloring separated_witness")):
-    """Greedy run result; on failure carries the separated simple pair."""
+class ColoringOutcome(namedtuple("ColoringOutcome", "red violating_edge separated_witness")):
+    """A greedy run: its Red vertex mask, the first all-Red edge's index (None iff proper) and the separated simple pair or None."""
 
     __slots__ = ()
 
@@ -105,22 +99,20 @@ def greedy_color(H: Hypergraph, order) -> ColoringOutcome:
     improper runs carry no witness.
     """
     order = check_order(order, H.p)
-    red = _greedy_red(H, _order_planes(H, order), 1, order)
-    violating = next((ei for ei, e in enumerate(H.edges) if all(red[v] for v in e)), len(H.edges))
-    coloring = _coloring(H, red, 0, violating)
+    others = _adjacency(H)[1]
+    red = _red_mask(_greedy_red(H, _order_planes(H, order), 1, [v for v in order if v in others]), 0)
+    violating = next((ei for ei, m in enumerate(H.masks) if m & red == m), None)
 
     witness = None
-    if not coloring.proper:
-        assert all(red[v] for v in H.edges[violating]), "greedy rule never completes an all-Blue edge"
-        if H.n >= 2:
-            pos = {v: k for k, v in enumerate(order)}
-            y = min(H.edges[violating], key=pos.__getitem__)
-            for ei, e in enumerate(H.edges):
-                if y in e and all(not red[u] and pos[u] < pos[y] for u in e if u != y):
-                    witness = SimplePair(first=ei, second=violating, meet=y)
-                    break
-            assert witness is not None, "a Red vertex always has a completing edge"
-    return ColoringOutcome(coloring=coloring, separated_witness=witness)
+    if violating is not None and H.n >= 2:
+        pos = {v: k for k, v in enumerate(order)}
+        y = min(H.edges[violating], key=pos.__getitem__)
+        for ei, (e, m) in enumerate(zip(H.edges, H.masks)):
+            if m & red == 1 << y and all(pos[u] < pos[y] for u in e if u != y):
+                witness = SimplePair(first=ei, second=violating, meet=y)
+                break
+        assert witness is not None, "a Red vertex always has a completing edge"
+    return ColoringOutcome(red=red, violating_edge=violating, separated_witness=witness)
 
 
 @lru_cache(maxsize=4)
@@ -154,37 +146,37 @@ def _trial_keys(p: int, seed: int, start: int, stop: int, vertices: Iterable[int
 
 
 @lru_cache(maxsize=64)
-def _adjacency(H: Hypergraph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Pairs u < v that share an edge, and per vertex v the others (e minus v) of each edge e holding v."""
-    others: list[list[tuple[int, ...]]] = [[] for _ in range(H.p)]
+def _adjacency(H: Hypergraph) -> tuple[tuple[tuple[int, int], ...], dict[int, list[tuple[int, ...]]]]:
+    """Pairs u < v that share an edge, and per vertex v in an edge, ascending, the others (e minus v) of each edge e holding v."""
+    others: dict[int, list[tuple[int, ...]]] = {}
     for e in H.edges:
         for k, v in enumerate(e):
-            others[v].append(e[:k] + e[k + 1 :])
-    return tuple(sorted({pair for e in H.edges for pair in combinations(e, 2)})), tuple(map(tuple, others))
+            others.setdefault(v, []).append(e[:k] + e[k + 1 :])
+    pairs = tuple(sorted({pair for e in H.edges for pair in combinations(e, 2)}))
+    return pairs, {v: others[v] for v in sorted(others)}
 
 
-def _planes(H: Hypergraph, firsts: list[int], ones: int) -> list[dict[int, int]]:
+def _planes(H: Hypergraph, firsts: list[int], ones: int) -> dict[int, dict[int, int]]:
     """before[u][v] for vertices u != v sharing an edge: lane i is 1 iff trial i visits u first.
 
     firsts holds the plane of u before v for each pair u < v of _adjacency;
     the reverse plane is its complement.  No kernel reads a pair that
     shares no edge, so none is built.
     """
-    before: list[dict[int, int]] = [{} for _ in range(H.p)]
-    for (u, v), b in zip(_adjacency(H)[0], firsts):
+    pairs, others = _adjacency(H)
+    before: dict[int, dict[int, int]] = {v: {} for v in others}
+    for (u, v), b in zip(pairs, firsts):
         before[u][v], before[v][u] = b, b ^ ones
     return before
 
 
-def _order_planes(H: Hypergraph, order: tuple[int, ...]) -> list[dict[int, int]]:
+def _order_planes(H: Hypergraph, order: tuple[int, ...]) -> dict[int, dict[int, int]]:
     """The one-lane planes of a single visit order."""
-    pos = [0] * H.p
-    for k, v in enumerate(order):
-        pos[v] = k
+    pos = {v: k for k, v in enumerate(order)}
     return _planes(H, [int(pos[u] < pos[v]) for u, v in _adjacency(H)[0]], 1)
 
 
-def _trial_planes(H: Hypergraph, seed: int, start: int, stop: int) -> tuple[list[dict[int, int]], int]:
+def _trial_planes(H: Hypergraph, seed: int, start: int, stop: int) -> tuple[dict[int, dict[int, int]], int]:
     """Planes of trials start..stop-1, one byte lane per trial, and the int with 1 in every lane.
 
     In lane i of (K_v + 2^64) - K_u bit 64 is set iff K_u <= K_v, the
@@ -211,22 +203,21 @@ def _trial_planes(H: Hypergraph, seed: int, start: int, stop: int) -> tuple[list
     return _planes(H, firsts, ones), ones
 
 
-def _greedy_red(H: Hypergraph, before: list[dict[int, int]], ones: int, sweep: Iterable[int]) -> list[int]:
-    """Red lanes per vertex of the greedy runs whose visit orders `before` holds.
+def _greedy_red(H: Hypergraph, before: dict[int, dict[int, int]], ones: int, sweep: Iterable[int]) -> dict[int, int]:
+    """Red lanes per vertex in an edge of the greedy runs whose visit orders `before` holds.
 
     v is Red iff an edge holding v has every other vertex visited before v
     and Blue.  Sweeping that rule from all Blue until nothing changes
     reaches its one fixpoint (by induction on visit position, a vertex
     settles once those visited before it have), which is the sequential
-    greedy result.  Swept in its own visit order, a one-lane block settles
-    in one pass and a second confirms it.
+    greedy result.  `sweep` lists the vertices in an edge; swept in its own
+    visit order, a one-lane block settles in one pass and a second
+    confirms it.
     """
     others = _adjacency(H)[1]
-    early = [
-        [_all_of([before[u][v] for u in rest], ones) for rest in others[v]] for v in range(H.p)
-    ]
-    red = [0] * H.p
-    blue = [ones] * H.p
+    early = {v: [_all_of([before[u][v] for u in rest], ones) for rest in rests] for v, rests in others.items()}
+    red = dict.fromkeys(others, 0)
+    blue = dict.fromkeys(others, ones)
     changed = True
     while changed:
         changed = False
@@ -250,17 +241,12 @@ def _all_of(planes: list[int], ones: int) -> int:
     return ones
 
 
-def _coloring(H: Hypergraph, red: list[int], lane: int, violating: int) -> Coloring:
-    """The Coloring in one byte lane of the Red lanes, read off the covered vertices: linear in p."""
-    colors = [Color.BLUE] * H.p
-    for v in covered_vertices(H):
-        if red[v] >> 8 * lane & 1:
-            colors[v] = Color.RED
-    proper = violating == len(H.edges)
-    return Coloring(colors=tuple(colors), proper=proper, violating_edge=None if proper else violating)
+def _red_mask(red: dict[int, int], lane: int) -> int:
+    """The Red vertex mask in one byte lane of the Red lanes."""
+    return sum(1 << v for v, r in red.items() if r >> 8 * lane & 1)
 
 
-def exhaustive_decide(H: Hypergraph) -> tuple[Colorability, Coloring | None]:
+def exhaustive_decide(H: Hypergraph) -> tuple[Colorability, int | None]:
     """Exact two-colorability by backtracking with forcing over bitsets.
 
     A complete search over partial colorings kept as Blue and Red vertex
@@ -271,24 +257,19 @@ def exhaustive_decide(H: Hypergraph) -> tuple[Colorability, Coloring | None]:
     the uncolored vertex in the most edges not yet holding both colors.
     The highest-degree covered vertex (lowest id on a tie) starts Blue, by
     color-swap symmetry.  A search that visits NODE_BUDGET partial
-    colorings without deciding returns UNDETERMINED, the only way to it;
-    uncolored and uncovered vertices are Blue in any returned witness.
+    colorings without deciding returns UNDETERMINED, the only way to it.
+    Returns the verdict and, on YES, the search's own Red vertex mask
+    (uncolored and uncovered vertices Blue), else None.
     """
     # read off the edges: a mask shift per vertex of range(p) would make this quadratic in p
     degree = Counter(v for e in H.edges for v in e)
-    colors = [Color.BLUE] * H.p
-    if degree:
-        first = min(degree, key=lambda v: (-degree[v], v))
-        verdict, red = _two_color(H.masks, 1 << first)
-        if verdict is not Colorability.YES:
-            return verdict, None
-        for v in degree:
-            colors[v] = Color.RED if red >> v & 1 else Color.BLUE
-    return Colorability.YES, Coloring(colors=tuple(colors), proper=True, violating_edge=None)
+    if not degree:
+        return Colorability.YES, 0
+    return _two_color(H.masks, 1 << min(degree, key=lambda v: (-degree[v], v)))
 
 
-def _two_color(edges, blue: int) -> tuple[Colorability, int]:
-    """Whether the Blue mask `blue` extends to a proper coloring within NODE_BUDGET nodes, and its Red mask on YES."""
+def _two_color(edges, blue: int) -> tuple[Colorability, int | None]:
+    """Whether the Blue mask `blue` extends to a proper coloring within NODE_BUDGET nodes, and its Red mask on YES, else None."""
     stack = [(edges, blue, 0)]
     for _ in range(NODE_BUDGET):
         if not stack:
@@ -312,7 +293,7 @@ def _two_color(edges, blue: int) -> tuple[Colorability, int]:
         v = max(hits, key=hits.__getitem__)
         stack.append((open_edges, blue, red | v))
         stack.append((open_edges, blue | v, red))
-    return Colorability.UNDETERMINED if stack else Colorability.NO, 0
+    return Colorability.UNDETERMINED if stack else Colorability.NO, None
 
 
 def _force(edges, blue: int, red: int) -> tuple[int, int] | None:
@@ -340,15 +321,13 @@ def _force(edges, blue: int, red: int) -> tuple[int, int] | None:
     return blue, red
 
 
-def random_restart_color(
-    H: Hypergraph, max_trials: int, seed: int = 0
-) -> tuple[tuple[int, ...], Coloring] | None:
+def random_restart_color(H: Hypergraph, max_trials: int, seed: int = 0) -> tuple[tuple[int, ...], int] | None:
     """Greedy coloring under fresh uniform random orders until one is proper.
 
     Trial t sorts SplitMix64 outputs t*p..t*p+p-1 of seed (0 <= seed <
     2^64), so results do not depend on evaluation order.  Trials run in
-    blocks of TRIAL_BLOCK; returns the first successful (visit order,
-    coloring) in trial order, or None after max_trials failures.  A run
+    blocks of TRIAL_BLOCK; returns the first successful (visit order, Red
+    vertex mask) in trial order, or None after max_trials failures.  A run
     never completes an all-Blue edge, so a trial is proper iff no edge is
     all Red.
     """
@@ -357,7 +336,7 @@ def random_restart_color(
     for start in range(0, max_trials, TRIAL_BLOCK):
         stop = min(start + TRIAL_BLOCK, max_trials)
         before, ones = _trial_planes(H, seed, start, stop)
-        red = _greedy_red(H, before, ones, range(H.p))
+        red = _greedy_red(H, before, ones, _adjacency(H)[1])
         improper = 0
         for e in H.edges:
             improper |= _all_of([red[v] for v in e], ones)
@@ -367,5 +346,5 @@ def random_restart_color(
         if i >= 0:
             # a one-trial key is the plain SplitMix64 output; the stable sort visits tied keys lower vertex first
             keys = _trial_keys(H.p, seed, start + i, start + i + 1, range(H.p))
-            return tuple(sorted(range(H.p), key=keys.__getitem__)), _coloring(H, red, i, len(H.edges))
+            return tuple(sorted(range(H.p), key=keys.__getitem__)), _red_mask(red, i)
     return None

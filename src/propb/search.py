@@ -552,8 +552,6 @@ def verify_fixture_suite(n: int, seed=0) -> dict:
                 raise FixtureFailure(f"{name}: set-pair conditions violated: {bol['violations'][:3]}")
             if bol["sum"] != 1:
                 raise FixtureFailure(f"{name}: set-pair sum {bol['sum']} != 1")
-            if not bol["equality"]:
-                raise FixtureFailure(f"{name}: equality structure not detected")
             clique = analysis["clique_witness"]
             if clique != bol["ground_U"]:
                 raise FixtureFailure(f"{name}: clique {clique} != ground minus common B {bol['ground_U']}")

@@ -58,7 +58,7 @@ def _pair_slots(H: Hypergraph) -> list[tuple[int, int]]:
 
 
 def _separated_histogram(
-    H: Hypergraph, slots: list[tuple[int, int]], before: list[dict[int, int]], ones: int, T: int
+    H: Hypergraph, slots: list[tuple[int, int]], before: dict[int, dict[int, int]], ones: int, T: int
 ) -> Counter[int]:
     """How many of the T lanes of `before` separate exactly k of the pairs, as {k: lanes}.
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from propb.coloring import Color, Colorability, Coloring, ColoringOutcome
+from propb.coloring import Colorability, ColoringOutcome
 from propb.errors import BudgetExceeded
 from propb.hypergraph import (
     Hypergraph,
@@ -202,6 +202,14 @@ def brute_separates(order, X, Y) -> bool:
     left = [pos[u] for u in set(X) - {y}]
     right = [pos[v] for v in set(Y) - {y}]
     return all(u < pos[y] for u in left) and all(v > pos[y] for v in right)
+
+
+BLUE, RED = "Blue", "Red"
+
+
+def colors_of(red, p) -> tuple[str, ...]:
+    """The color of each vertex 0..p-1 under the Red vertex mask red, BLUE or RED; linear in p."""
+    return tuple(RED if bit == "1" else BLUE for bit in bin(red)[:1:-1].ljust(p, "0")[:p])
 
 
 def is_proper(H, colors) -> int | None:
@@ -404,14 +412,14 @@ def oracle_greedy(H, order) -> ColoringOutcome:
             vert_edges[v].append(ei)
     blue_cnt = [0] * len(H.edges)
     colored_cnt = [0] * len(H.edges)
-    colors = [Color.BLUE] * H.p
+    colors = [BLUE] * H.p
     for v in order:
         forced = any(blue_cnt[ei] == n - 1 and colored_cnt[ei] == n - 1 for ei in vert_edges[v])
-        c = Color.RED if forced else Color.BLUE
+        c = RED if forced else BLUE
         colors[v] = c
         for ei in vert_edges[v]:
             colored_cnt[ei] += 1
-            blue_cnt[ei] += c is Color.BLUE
+            blue_cnt[ei] += c == BLUE
     violating = next((ei for ei in range(len(H.edges)) if blue_cnt[ei] in (0, n)), None)
     witness = None
     if violating is not None and n >= 2:
@@ -419,20 +427,20 @@ def oracle_greedy(H, order) -> ColoringOutcome:
         y = min(H.edges[violating], key=pos.__getitem__)
         for ei in vert_edges[y]:
             others = [u for u in H.edges[ei] if u != y]
-            if all(colors[u] is Color.BLUE and pos[u] < pos[y] for u in others):
+            if all(colors[u] == BLUE and pos[u] < pos[y] for u in others):
                 witness = SimplePair(first=ei, second=violating, meet=y)
                 break
-    coloring = Coloring(colors=tuple(colors), proper=violating is None, violating_edge=violating)
-    return ColoringOutcome(coloring=coloring, separated_witness=witness)
+    red = sum(1 << v for v in range(H.p) if colors[v] == RED)
+    return ColoringOutcome(red=red, violating_edge=violating, separated_witness=witness)
 
 
 def oracle_restart(H, max_trials, seed):
-    """(trial index, visit order as a tuple, coloring) of the first proper greedy trial, or None."""
+    """(trial index, visit order as a tuple, Red vertex mask) of the first proper greedy trial, or None."""
     for t in range(max_trials):
         order = tuple(oracle_trial_order(H.p, seed, t))
         out = oracle_greedy(H, order)
-        if out.coloring.proper:
-            return t, order, out.coloring
+        if out.violating_edge is None:
+            return t, order, out.red
     return None
 
 

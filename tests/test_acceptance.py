@@ -39,7 +39,13 @@ from propb.search import verify_bound_exhaustive
 from propb.separation import count_separated, monte_carlo_section, monte_carlo_separation
 from propb.setpairs import evaluate_family, find_clique
 
-from conftest import brute_ordering_histogram, brute_separates, enumerate_separation_probability, random_ordering
+from conftest import (
+    brute_ordering_histogram,
+    brute_separates,
+    colors_of,
+    enumerate_separation_probability,
+    random_ordering,
+)
 
 
 @contextmanager
@@ -93,10 +99,10 @@ def test_criterion_3_greedy_failure_witnesses():
         for H in _random_suite(10_000, seed=2024, p_max=12, m_max=24):
             pi = random_ordering(H.p, rng)
             out = greedy_color(H, pi)
-            blue = {v for v in range(H.p) if out.coloring.colors[v].value == "Blue"}
+            blue = {v for v, c in enumerate(colors_of(out.red, H.p)) if c == "Blue"}
             for e in H.edges:
                 assert not set(e) <= blue, "all-Blue edge produced"
-            if not out.coloring.proper:
+            if out.violating_edge is not None:
                 improper += 1
                 w = out.separated_witness
                 X, Y = H.edges[w.first], H.edges[w.second]

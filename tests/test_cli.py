@@ -189,6 +189,28 @@ class TestSeparationCommands:
         assert first == second
 
 
+def _run_limited(argv, limit=1 << 30):
+    """`python -m propb argv` with its address space capped at `limit` bytes: a regression fails, not the host."""
+    import resource
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(propb.__file__))}
+    return subprocess.run(
+        [sys.executable, "-m", "propb", *argv], capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_a_trillion_vertex_header_costs_only_its_edges(tmp_path):
+    # a list entry per vertex of range(p) needs terabytes here; the work must follow the edges
+    far = write(tmp_path, "far.hg", "3 1000000000000 2\n0 1 2\n2 3 4\n")
+    near = write(tmp_path, "near.hg", "3 5 2\n0 1 2\n2 3 4\n")
+    proc = _run_limited(["analyze", far, "--json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["analysis"] == json.loads(_run_limited(["analyze", near, "--json"]).stdout)["analysis"]
+    proc = _run_limited(["mc", far, "--trials", "10"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestVerify:
     def test_n2_maxp5(self, capsys):
         code, doc = run_json(

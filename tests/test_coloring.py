@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from propb.coloring import (
-    Color,
     Colorability,
     check_order,
     exhaustive_decide,
@@ -24,7 +23,10 @@ from propb.hypergraph import bound, complete_hypergraph, covered_vertices, m2, n
 from propb.separation import count_separated, monte_carlo_separation
 
 from conftest import (
+    BLUE,
+    RED,
     brute_separates,
+    colors_of,
     is_proper,
     oracle_monte_carlo,
     oracle_decide,
@@ -38,7 +40,7 @@ from conftest import (
     tied_keys_graph,
 )
 
-B, R = Color.BLUE, Color.RED
+B, R = BLUE, RED
 
 
 class TestOrdering:
@@ -77,14 +79,14 @@ class TestOrdering:
 class TestGreedyColor:
     def test_single_edge_identity(self, single_edge):
         out = greedy_color(single_edge, range(2))
-        assert out.coloring.colors == (B, R)
-        assert out.coloring.proper
+        assert colors_of(out.red, 2) == (B, R)
+        assert out.violating_edge is None
 
     def test_triangle_hand_trace(self, triangle):
         out = greedy_color(triangle, range(3))
-        assert out.coloring.colors == (B, R, R)
-        assert not out.coloring.proper
-        assert triangle.edges[out.coloring.violating_edge] == (1, 2)
+        assert colors_of(out.red, 3) == (B, R, R)
+        assert out.violating_edge is not None
+        assert triangle.edges[out.violating_edge] == (1, 2)
         w = out.separated_witness
         assert triangle.edges[w.first] == (0, 1)
         assert triangle.edges[w.second] == (1, 2)
@@ -94,9 +96,9 @@ class TestGreedyColor:
         rng = random.Random(99)
         for H in random_instances(1000, seed=99, p_max=12, m_max=20):
             pi = random_ordering(H.p, rng)
-            out = greedy_color(H, pi)
+            colors = colors_of(greedy_color(H, pi).red, H.p)
             for e in H.edges:
-                assert any(out.coloring.colors[v] is R for v in e)
+                assert any(colors[v] == R for v in e)
 
     def test_failure_yields_separated_simple_pair(self):
         rng = random.Random(5)
@@ -104,7 +106,7 @@ class TestGreedyColor:
         for H in random_instances(300, seed=5, p_max=10):
             pi = random_ordering(H.p, rng)
             out = greedy_color(H, pi)
-            if out.coloring.proper:
+            if out.violating_edge is None:
                 continue
             checked += 1
             w = out.separated_witness
@@ -112,7 +114,8 @@ class TestGreedyColor:
             assert set(X) & set(Y) == {w.meet}
             assert brute_separates(pi, X, Y)
             # the monochromatic edge is Y and it is all Red
-            assert all(out.coloring.colors[v] is R for v in Y)
+            colors = colors_of(out.red, H.p)
+            assert all(colors[v] == R for v in Y)
         assert checked > 20
 
     def test_deterministic(self, k35):
@@ -125,8 +128,8 @@ class TestGreedyColor:
 
     def test_uncovered_vertices_blue(self):
         H = normalize([[0, 1]], n=2, p=4)
-        out = greedy_color(H, range(4))
-        assert out.coloring.colors[2] is B and out.coloring.colors[3] is B
+        colors = colors_of(greedy_color(H, range(4)).red, 4)
+        assert colors[2] == B and colors[3] == B
 
 
 class TestIsProper:
@@ -153,20 +156,20 @@ class TestExhaustiveDecide:
         assert exhaustive_decide(fano)[0] is Colorability.NO
 
     def test_single_edge_yes_with_witness(self, single_edge):
-        verdict, coloring = exhaustive_decide(single_edge)
+        verdict, red = exhaustive_decide(single_edge)
         assert verdict is Colorability.YES
-        assert is_proper(single_edge, coloring.colors) is None
+        assert is_proper(single_edge, colors_of(red, single_edge.p)) is None
 
     def test_empty_yes(self):
-        verdict, coloring = exhaustive_decide(normalize([], n=2, p=4))
+        verdict, red = exhaustive_decide(normalize([], n=2, p=4))
         assert verdict is Colorability.YES
-        assert coloring.colors == (B, B, B, B)
+        assert colors_of(red, 4) == (B, B, B, B)
 
     def test_budget_undetermined(self, fano, monkeypatch):
         monkeypatch.setattr("propb.coloring.NODE_BUDGET", 0)
-        verdict, coloring = exhaustive_decide(fano)
+        verdict, red = exhaustive_decide(fano)
         assert verdict is Colorability.UNDETERMINED
-        assert coloring is None
+        assert red is None
 
     def test_budget_admits_exactly_budget_nodes(self, fano, monkeypatch):
         def verdict_within(nodes):
@@ -179,9 +182,9 @@ class TestExhaustiveDecide:
 
     def test_witness_always_proper(self):
         for H in random_instances(60, seed=21, p_max=9):
-            verdict, coloring = exhaustive_decide(H)
+            verdict, red = exhaustive_decide(H)
             if verdict is Colorability.YES:
-                assert is_proper(H, coloring.colors) is None
+                assert is_proper(H, colors_of(red, H.p)) is None
 
     def test_single_vertex_edges(self):
         H = normalize([[0]], n=1, p=2)
@@ -198,13 +201,14 @@ class TestExhaustiveDecide:
     def test_yes_witness_proper_with_uncovered_blue(self):
         checked = 0
         for H in random_instances(400, seed=52, n_choices=(1, 2, 3, 4), p_max=12, m_max=15):
-            verdict, coloring = exhaustive_decide(H)
+            verdict, red = exhaustive_decide(H)
             if verdict is not Colorability.YES:
                 continue
             checked += 1
-            assert is_proper(H, coloring.colors) is None
+            colors = colors_of(red, H.p)
+            assert is_proper(H, colors) is None
             cov = covered_vertices(H)
-            assert all(coloring.colors[v] is B for v in range(H.p) if v not in cov)
+            assert all(colors[v] == B for v in range(H.p) if v not in cov)
         assert checked > 100
 
     @pytest.mark.parametrize("n, c", [(3, 23), (3, 24), (4, 23), (4, 24), (3, 30)])
@@ -223,16 +227,16 @@ class TestExhaustiveDecide:
         assert exhaustive_decide(H)[0] is Colorability.NO
         # K_5^3 minus one edge is 2-colorable, and so is its padding
         G = pad(normalize(K.edges[1:], n=3, p=5), 63, 21)
-        verdict, coloring = exhaustive_decide(G)
+        verdict, red = exhaustive_decide(G)
         assert verdict is Colorability.YES
-        assert is_proper(G, coloring.colors) is None
+        assert is_proper(G, colors_of(red, G.p)) is None
 
     def test_yes_past_24_covered_vertices(self):
         H = random_hypergraph(3, 30, 60, seed=2)
         assert len(covered_vertices(H)) > 24
-        verdict, coloring = exhaustive_decide(H)
+        verdict, red = exhaustive_decide(H)
         assert verdict is Colorability.YES
-        assert is_proper(H, coloring.colors) is None
+        assert is_proper(H, colors_of(red, H.p)) is None
 
 
 def _planted_clique(n, c, extra, seed):
@@ -266,7 +270,7 @@ class TestOrderingExistence:
             hit = False
             for perm in itertools.permutations(range(H.p)):
                 out = greedy_color(H, perm)
-                if out.coloring.proper:
+                if out.violating_edge is None:
                     hit = True
                     break
             assert hit, f"no ordering colors {H} despite m2 < bound"
@@ -277,8 +281,8 @@ class TestRandomRestart:
     def test_single_edge_first_trial(self, single_edge):
         result = random_restart_color(single_edge, max_trials=1, seed=7)
         assert result is not None
-        pi, coloring = result
-        assert coloring.proper
+        pi, red = result
+        assert is_proper(single_edge, colors_of(red, single_edge.p)) is None
 
     def test_order_is_a_tuple_of_python_ints(self):
         H = normalize([[0, 1], [1, 2], [2, 3]], n=2, p=4)
@@ -295,8 +299,8 @@ class TestRandomRestart:
             result = random_restart_color(H, max_trials=400, seed=3)
             if result is not None:
                 assert verdict is Colorability.YES
-                pi, coloring = result
-                assert is_proper(H, coloring.colors) is None
+                pi, red = result
+                assert is_proper(H, colors_of(red, H.p)) is None
 
     def test_deterministic(self, triangle):
         H = normalize([[0, 1], [1, 2], [2, 3]], n=2, p=4)
@@ -347,11 +351,11 @@ class TestBatchedKernelOracles:
     def test_proper_trial_in_a_later_block(self):
         # under seed 12 the first proper trial is t = 1272, in the second block
         H = _three_k47_minus_an_edge()
-        t, pi, coloring = oracle_restart(H, 3000, seed=12)
+        t, pi, red = oracle_restart(H, 3000, seed=12)
         assert t > TRIAL_BLOCK
-        assert random_restart_color(H, max_trials=3000, seed=12) == (pi, coloring)
+        assert random_restart_color(H, max_trials=3000, seed=12) == (pi, red)
         assert random_restart_color(H, max_trials=t, seed=12) is None
-        assert random_restart_color(H, max_trials=t + 1, seed=12) == (pi, coloring)
+        assert random_restart_color(H, max_trials=t + 1, seed=12) == (pi, red)
 
 
 def _restart_agrees(H, trials, seed):
@@ -423,6 +427,25 @@ class TestIsolatedVertices:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    @pytest.mark.parametrize(
+        "run, H, trials",
+        [
+            (monte_carlo_separation, normalize([[0, 1, 2], [2, 3, 4]], n=3, p=10**6), 2000),
+            (random_restart_color, pad(complete_hypergraph(4), 10**6, 0), TRIAL_BLOCK),
+        ],
+        ids=["mc-two-edges", "restart-k47-exhausted"],
+    )
+    def test_no_state_for_vertices_in_no_edge(self, run, H, trials):
+        # a list or dict entry per vertex of range(p) would take over 100 MB at p = 10^6
+        tracemalloc.start()
+        try:
+            result = run(H, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert result is None if run is random_restart_color else result.trials == trials
+
     def test_padded_with_isolated_vertices_matches_oracles(self):
         rng = random.Random(200)
         support = rng.sample(range(200), 20)
@@ -437,12 +460,12 @@ class TestIsolatedVertices:
         # each edge's last-visited vertex is Red and every other vertex Blue, read off the edges, not range(p)
         p = 200_000
         H = normalize([[0, 1, 2], [p - 3, p - 2, p - 1]], n=3, p=p)
-        coloring = greedy_color(H, range(p)).coloring
-        assert coloring.proper and [v for v, c in enumerate(coloring.colors) if c is R] == [2, p - 1]
-        order, coloring = random_restart_color(H, 1)
+        out = greedy_color(H, range(p))
+        assert out.violating_edge is None and [v for v, c in enumerate(colors_of(out.red, p)) if c == R] == [2, p - 1]
+        order, red = random_restart_color(H, 1)
         pos = {v: k for k, v in enumerate(order)}
         last = sorted(max(e, key=pos.__getitem__) for e in H.edges)
-        assert coloring.proper and [v for v, c in enumerate(coloring.colors) if c is R] == last
+        assert is_proper(H, colors_of(red, p)) is None and [v for v, c in enumerate(colors_of(red, p)) if c == R] == last
 
 
 def _lane_words(p, seed, start, stop):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from propb.coloring import Color, Colorability, Coloring, ColoringOutcome, exhaustive_decide
+from propb.coloring import Colorability, ColoringOutcome, exhaustive_decide
 from propb.errors import InsufficientVertices, NonUniformEdge, TooManyEdges, VertexOutOfRange
 from propb.hypergraph import (
     Hypergraph,
@@ -85,12 +85,12 @@ class TestRecords:
     @staticmethod
     def records():
         pair = SimplePair(first=0, second=1, meet=2)
-        coloring = Coloring(colors=(Color.BLUE, Color.RED), proper=True, violating_edge=None)
+        outcome = ColoringOutcome(red=0b10, violating_edge=None, separated_witness=pair)
         return {
             "first": pair,
             "n": Hypergraph(n=2, p=3, edges=((0, 1), (1, 2))),
-            "proper": coloring,
-            "separated_witness": ColoringOutcome(coloring=coloring, separated_witness=pair),
+            "red": outcome,
+            "separated_witness": outcome,
             "trials": SeparationStats(trials=2, histogram={0: 1, 1: 1}),
         }
 
@@ -106,7 +106,7 @@ class TestRecords:
     def test_keyword_fields_read_back(self):
         r = self.records()
         assert (r["first"].first, r["first"].second, r["first"].meet) == (0, 1, 2)
-        assert r["separated_witness"].coloring.proper is True
+        assert r["red"].red == 0b10 and r["red"].violating_edge is None
         assert r["trials"].trials == 2 and r["trials"].histogram == {0: 1, 1: 1}
 
     def test_hypergraph_equality_and_hash(self):

@@ -11,10 +11,12 @@ import pytest
 import propb
 from propb import report
 from propb.cli import main
-from propb.coloring import Color, Colorability, exhaustive_decide
+from propb.coloring import Colorability, exhaustive_decide
 from propb.hgio import render
 from propb.hypergraph import complete_hypergraph, fano_plane, normalize
 from propb.report import analyze, to_json
+
+from conftest import BLUE, RED, colors_of
 
 
 def test_to_json_encodes_fractions_inside_lists_and_dicts():
@@ -203,8 +205,8 @@ def test_analyze_at_a_million_vertices_matches_its_six_vertex_relabelling():
     assert time.perf_counter() - start < 5
     assert (analysis, bollobas) == analyze(near)
     assert analysis["colorable"] == "yes" and analysis["m2"] == 0 and analysis["seymour_ok"] is False
-    far_colors = exhaustive_decide(far)[1].colors
-    near_colors = exhaustive_decide(near)[1].colors
+    far_colors = colors_of(exhaustive_decide(far)[1], p)
+    near_colors = colors_of(exhaustive_decide(near)[1], 6)
     covered = [0, 1, 2, p - 3, p - 2, p - 1]
     assert [far_colors[v] for v in covered] == list(near_colors)
-    assert far_colors.count(Color.BLUE) == p - list(near_colors).count(Color.RED)
+    assert far_colors.count(BLUE) == p - list(near_colors).count(RED)

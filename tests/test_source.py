@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,26 @@ def test_the_process_ends_in_cli_run_alone():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["scripts"] == {"propb": "propb.cli:run"}
+
+
+def test_the_test_extra_names_every_third_party_import_of_the_tests_and_bench():
+    # `pip install -e '.[test]'` must bring everything the suites import when collected
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parent.parent
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {
+        re.match(r"[A-Za-z0-9._-]+", req)[0].lower().replace("_", "-")
+        for req in pyproject["project"]["optional-dependencies"]["test"]
+    }
+    paths = [*(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    local = {path.stem for path in paths} | {"propb"}
+    imported = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = {name for name in imported - local if name not in sys.stdlib_module_names}
+    assert third_party >= {"numpy", "pytest"}
+    assert {name.lower().replace("_", "-") for name in third_party} <= declared
